@@ -19,7 +19,6 @@ from repro.baselines.vanilla import VanillaLLM
 from repro.core.config import MAGEConfig
 from repro.core.engine import MAGE
 from repro.core.events import EventSink
-from repro.core.pipeline import RunProgram
 from repro.core.task import DesignTask
 from repro.llm.interface import SamplingParams
 
@@ -39,9 +38,6 @@ class MAGESystem:
         self.config = config or MAGEConfig.high_temperature()
         temp = self.config.generation.temperature
         self.name = f"mage[{self.config.model},T={temp}]"
-
-    def start_run(self, task: DesignTask, seed: int = 0) -> RunProgram:
-        return MAGE(self.config).start_run(task, seed=seed)
 
     def solve(
         self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
@@ -67,9 +63,6 @@ class VerilogCoderStyle:
             generation=SamplingParams(temperature=0.0, top_p=0.01, n=1),
         )
         self.name = f"verilogcoder-style[{model}]"
-
-    def start_run(self, task: DesignTask, seed: int = 0) -> RunProgram:
-        return MAGE(self.config).start_run(task, seed=seed)
 
     def solve(
         self, task: DesignTask, seed: int = 0, sink: EventSink | None = None

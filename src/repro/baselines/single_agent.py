@@ -171,10 +171,6 @@ class SingleAgentPipeline:
         )
         self.name = f"single-agent[{model}]"
 
-    def start_run(self, task: DesignTask, seed: int = 0) -> RunProgram:
-        """A resumable program over the merged-history MAGE engine."""
-        return MAGE(self.config).start_run(task, seed=seed)
-
     def solve(
         self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
     ) -> str:

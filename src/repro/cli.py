@@ -26,21 +26,6 @@ the same ``config x problem x seed`` grid re-run near-free).
 override, falling back to 1; ``eval --progress`` streams typed
 per-cell events as they finish.
 
-Rollout batching: ``eval --rollout-batch N|auto`` gang-schedules the
-Step-4 sampling stage across up to N concurrent grid cells (coalesced
-candidate-scoring waves through the simulation cache); ``auto`` sizes
-waves adaptively from the StageClock's measured per-stage costs and
-turns on speculative simulation (cache warming only).  ``bench
---rollout`` measures it against cold *and* warm serial-sampling
-baselines (``speedup_vs_cold`` is gated via ``--min-speedup``; numbers
-in ``BENCH_rollout.json``), ``serve --rollout-batch N`` turns the same
-batching on inside the solve service's workers, and ``serve
---steal-peer ADDR`` lets a server's idle workers drain a busy peer's
-published score waves (``WaveSteal`` frames, results returned through
-the cache fabric).  Batched rows and event streams stay bit-identical
-to ``--jobs 1`` serial runs -- with fixed or auto widths, with or
-without speculation, stolen or local.
-
 Service mode: ``serve`` binds a localhost TCP solve service (broker +
 long-lived worker pool over both cache layers); ``submit`` streams one
 cell's typed events from it; ``eval --service HOST:PORT[,HOST:PORT...]``
@@ -79,23 +64,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-
-
-def _batch_width(value: str):
-    """``--rollout-batch`` values: a positive wave width or ``auto``.
-
-    ``auto`` turns on cost-aware adaptive sizing: the scheduler feeds
-    the StageClock's measured per-stage wall-clock into a WavePlanner
-    that re-sizes every wave (rows stay bit-identical either way).
-    """
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer wave width or 'auto', got {value!r}"
-        ) from None
 
 
 def _cmd_problems(_args) -> int:
@@ -687,7 +655,6 @@ def _cmd_eval(args) -> int:
                 ("--executor", args.executor),
                 ("--cache/--no-cache", args.cache),
                 ("--solve-cache/--no-solve-cache", args.solve_cache),
-                ("--rollout-batch", args.rollout_batch),
                 ("--cache-peer", args.cache_peer),
                 ("--gateway/--record/--replay", gateway_settings),
             )
@@ -751,7 +718,6 @@ def _cmd_eval(args) -> int:
             solve_cache=solve_arg,
             progress=(lambda line: print("  " + line)) if args.verbose else None,
             events=events,
-            rollout_batch=args.rollout_batch or 0,
         )
         _print_eval_result(result, report, verbose=args.verbose)
     except (KeyError, ValueError) as exc:
@@ -843,10 +809,6 @@ def _cmd_bench(args) -> int:
             )
             if value is not None
         ]
-        if args.rollout:
-            conflicting.append("--rollout")
-        if args.rollout_batch is not None:
-            conflicting.append("--rollout-batch")
         if args.peer_cache:
             conflicting.append("--peer-cache")
         if args.cache_peer is not None:
@@ -876,8 +838,6 @@ def _cmd_bench(args) -> int:
             )
             if value is not None
         ]
-        if args.rollout:
-            conflicting.append("--rollout")
         if args.peer_cache:
             conflicting.append("--peer-cache")
         if conflicting:
@@ -903,8 +863,6 @@ def _cmd_bench(args) -> int:
             )
             if value is not None
         ]
-        if args.rollout:
-            conflicting.append("--rollout")
         if conflicting:
             print(
                 "error: "
@@ -913,12 +871,6 @@ def _cmd_bench(args) -> int:
             )
             return 2
         return _bench_peer_cache(args, spec, problems)
-    if args.rollout_batch is not None and not args.rollout:
-        print(
-            "error: --rollout-batch only applies to bench --rollout "
-            "(pass --rollout to benchmark gang-scheduled sampling)"
-        )
-        return 2
     from repro.runtime.config import default_jobs
 
     repeat = args.repeat if args.repeat is not None else 2
@@ -931,11 +883,6 @@ def _cmd_bench(args) -> int:
         return 2
     jobs = args.jobs if args.jobs is not None else default_jobs()
     try:
-        # Warm rollout passes are dominated by cache lookups and live
-        # state handoff, both of which a process pool would turn into
-        # pickling; the auto kind (serial on one core, threads past
-        # that) keeps the handoff inline.  --executor process remains
-        # available for measuring true multi-core cold sweeps.
         warm_executor = create_executor(jobs=jobs, kind=args.executor)
     except ValueError as exc:
         print(f"error: {exc}")
@@ -969,33 +916,11 @@ def _cmd_bench(args) -> int:
     solve_cache = (
         SolveCellCache(solve_dir, peers=peers) if use_solve_cache else False
     )
-    rollout_batch = (
-        (args.rollout_batch if args.rollout_batch is not None else "auto")
-        if args.rollout
-        else 0
-    )
-    if args.rollout:
-        # Fixed shape: one cold serial-sampling baseline, then
-        # alternating warm-serial / warm-rollout passes over the same
-        # cache state.  The two warm passes do near-identical work on a
-        # fully warm cache, so a single-shot wall comparison is
-        # scheduler-noise-bound; alternation plus best-of-(repeat - 1)
-        # is what makes the warm attribution meaningful.
-        plan = [("cold serial", True, 0)]
-        for _ in range(repeat - 1):
-            plan.append(("warm serial", True, 0))
-            plan.append(("warm rollout", False, rollout_batch))
-        # Spawn the process pool before any timed pass: pool startup is
-        # a once-per-deployment cost, not a per-wave one.
-        if warm_executor.kind == "process":
-            warm_executor.map(abs, [0] * warm_executor.workers)
-    else:
-        plan = [("cold serial", True, 0)]
-        plan += [("warm", False, 0)] * (repeat - 1)
+    plan = [("cold serial", True)] + [("warm", False)] * (repeat - 1)
     passes = []
     deterministic = True
     try:
-        for index, (label, serial, batch) in enumerate(plan):
+        for index, (label, serial) in enumerate(plan):
             executor = SerialExecutor() if serial else warm_executor
             try:
                 result, report = evaluate_many(
@@ -1007,7 +932,6 @@ def _cmd_bench(args) -> int:
                     executor=executor,
                     cache=cache,
                     solve_cache=solve_cache,
-                    rollout_batch=batch,
                 )
             except (KeyError, ValueError) as exc:
                 print(f"error: {exc}")
@@ -1026,67 +950,12 @@ def _cmd_bench(args) -> int:
         warm_executor.shutdown()
     first, last = passes[0][2], passes[-1][2]
     gate_wall = last.wall_seconds
-    if args.rollout:
-        gate_wall = min(
-            report.wall_seconds
-            for label, _, report in passes
-            if label == "warm rollout"
-        )
     speedup = first.wall_seconds / gate_wall if gate_wall > 0 else 0.0
     print()
     print(passes[-1][1].render_row())
     print(last.render())
     print(f"speedup         {speedup:8.2f}x  (cold pass 1 vs best warm)")
     print(f"deterministic   {'yes' if deterministic else 'NO -- MISMATCH'}")
-    if args.rollout:
-        import json
-
-        warm_wall = min(
-            report.wall_seconds
-            for label, _, report in passes
-            if label == "warm serial"
-        )
-        speedup_vs_warm = warm_wall / gate_wall if gate_wall > 0 else 0.0
-        print(
-            f"vs cold serial  {speedup:8.2f}x  "
-            f"(cache reuse + parallel waves + dedup combined)"
-        )
-        print(
-            f"vs warm serial  {speedup_vs_warm:8.2f}x  "
-            f"(equal cache state; gang-scheduling alone)"
-        )
-        bench_out = args.bench_out or "BENCH_rollout.json"
-        payload = {
-            "system": args.system,
-            "suite": args.suite,
-            "runs": args.runs,
-            "seed0": args.seed0,
-            "cells": last.cells,
-            "rollout_batch": rollout_batch,
-            "executor": last.executor,
-            "jobs": last.jobs,
-            "warm_passes": repeat - 1,
-            "cold_serial_wall_seconds": round(first.wall_seconds, 6),
-            # Warm walls are best-of-(repeat - 1) over alternating
-            # passes; see the plan comment above.
-            "warm_serial_wall_seconds": round(warm_wall, 6),
-            "rollout_wall_seconds": round(gate_wall, 6),
-            # Gated number: cold serial sampling vs the rollout pass
-            # (cache reuse + wave dedup + gang-scheduling combined).
-            "speedup_vs_cold": round(speedup, 3),
-            # Gang-scheduling in isolation: warm serial vs warm rollout
-            # over the same cache state.  The old single "batching"
-            # number conflated these two baselines.
-            "speedup_vs_warm": round(speedup_vs_warm, 3),
-            "speculation": dict(last.speculation),
-            "cache_hit_rate": round(last.cache.hit_rate, 4),
-            "simulations": last.simulations,
-            "deterministic": deterministic,
-        }
-        with open(bench_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"written         {bench_out}")
     if not deterministic:
         return 1
     if args.min_speedup is not None and speedup < args.min_speedup:
@@ -1587,21 +1456,6 @@ def _cmd_serve(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}")
             return 2
-    steal_peers: tuple = ()
-    if args.steal_peer:
-        if not args.rollout_batch:
-            print(
-                "error: --steal-peer requires --rollout-batch "
-                "(work stealing drains rollout score waves)"
-            )
-            return 2
-        from repro.service import parse_shards
-
-        try:
-            steal_peers = tuple(parse_shards(",".join(args.steal_peer)))
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
     join: tuple = ()
     if args.join:
         from repro.service import parse_shards
@@ -1626,8 +1480,6 @@ def _cmd_serve(args) -> int:
                 solve_dir, peers=peers, write_behind=True
             ),
             max_pending=args.max_pending,
-            rollout_batch=args.rollout_batch,
-            steal_peers=steal_peers,
             join=join,
             advertise=args.advertise,
         )
@@ -1798,15 +1650,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="whole solve-cell memoization (default: $REPRO_SOLVE_CACHE or off)",
     )
     evaluate.add_argument(
-        "--rollout-batch",
-        type=_batch_width,
-        default=None,
-        metavar="N|auto",
-        help="gang-schedule Step-4 sampling across up to N concurrent "
-        "cells; 'auto' sizes waves from measured stage costs "
-        "(0 = off; rows stay bit-identical either way)",
-    )
-    evaluate.add_argument(
         "--limit", type=int, default=None, help="use only the first N problems"
     )
     evaluate.add_argument("--verbose", action="store_true")
@@ -1914,22 +1757,6 @@ def build_parser() -> argparse.ArgumentParser:
         "section into BENCH_service.json)",
     )
     bench.add_argument(
-        "--rollout",
-        action="store_true",
-        help="benchmark rollout batching: pass 1 is cold serial sampling; "
-        "the warm passes gang-schedule Step-4 across cells over the "
-        "shared simulation cache (speedup = wave coalescing + dedup + "
-        "cache reuse; writes BENCH_rollout.json)",
-    )
-    bench.add_argument(
-        "--rollout-batch",
-        type=_batch_width,
-        default=None,
-        metavar="N|auto",
-        help="wave width for --rollout: a fixed width or 'auto' for "
-        "cost-aware adaptive sizing (default auto)",
-    )
-    bench.add_argument(
         "--peer-cache",
         action="store_true",
         help="benchmark the cache fabric's peer sharing: cold local "
@@ -1946,9 +1773,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--bench-out",
         default=None,
-        help="where --service / --rollout / --peer-cache write their "
-        "numbers (default BENCH_service.json / BENCH_rollout.json / "
-        "BENCH_cache.json)",
+        help="where --service / --peer-cache write their numbers "
+        "(default BENCH_service.json / BENCH_cache.json)",
     )
     bench.set_defaults(fn=_cmd_bench)
 
@@ -2025,14 +1851,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queued-job ceiling before submits are rejected (backpressure)",
     )
     serve.add_argument(
-        "--rollout-batch",
-        type=int,
-        default=0,
-        metavar="N",
-        help="gang-schedule sampling across up to N in-flight cells per "
-        "worker (0 = one job at a time)",
-    )
-    serve.add_argument(
         "--sim-cache-dir",
         default=None,
         help="on-disk simulation cache (default: $REPRO_SIM_CACHE_DIR)",
@@ -2049,16 +1867,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="peer solve servers whose caches join this server's fabric "
         "as remote tiers (warm cells replay across the ring; fresh "
         "results gossip back)",
-    )
-    serve.add_argument(
-        "--steal-peer",
-        action="append",
-        default=None,
-        metavar="ADDR",
-        help="peer solve server whose published score waves this "
-        "server's idle workers drain over WaveSteal frames; repeatable "
-        "(requires --rollout-batch; results return through the cache "
-        "fabric, so outputs never change)",
     )
     serve.add_argument(
         "--join",

@@ -33,23 +33,6 @@ class DebugOutcome:
         return best_candidate(self.survivors)
 
 
-@dataclass(frozen=True)
-class DebugWork:
-    """One debug round's simulations, detached for gang-scheduling.
-
-    The sibling of :class:`repro.core.sampling.SampleWork`: the rollout
-    scheduler coalesces the ``sources`` of many concurrent runs into
-    shared deduplicated score waves, then feeds the reports back through
-    the program's ``debug_step`` hook.  ``testbench`` is the run's
-    *working* (optimized) testbench -- the same one the inline loop
-    scores against -- not the golden one.
-    """
-
-    sources: tuple[str, ...]
-    testbench: Testbench
-    top: str
-
-
 def draw_trials(
     task: DesignTask,
     survivors: list[ScoredCandidate],
@@ -87,9 +70,7 @@ def apply_round(
 ) -> list[ScoredCandidate]:
     """Phase 2 of one debug round: the Eq. 4 accept/rollback update.
 
-    ``reports`` are the trial scorings in ``trials`` order, however they
-    were produced (inline executor map, or a scheduler score wave --
-    both run the same pure simulation, so results are bit-identical).
+    ``reports`` are the trial scorings in ``trials`` order.
     """
     updated = list(survivors)
     for (index, trial_source), report in zip(trials, reports):

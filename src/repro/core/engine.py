@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.agents.team import AgentTeam
 from repro.core.config import MAGEConfig
-from repro.core.debug_loop import (
-    DebugWork,
-    apply_round,
-    debug_candidates,
-    draw_trials,
-)
+from repro.core.debug_loop import debug_candidates
 from repro.core.events import (
     CandidateScored,
     DebugRound,
@@ -44,7 +39,6 @@ from repro.core.events import (
     Event,
     EventSink,
     InitialGenerated,
-    ListSink,
     RunFinished,
     RunStarted,
     SamplingSummary,
@@ -52,24 +46,10 @@ from repro.core.events import (
     TestbenchReady,
     TestbenchRegenerated,
     TestbenchVerdict,
-    ambient_sink,
     as_sink,
 )
-from repro.core.pipeline import (
-    DONE,
-    Pipeline,
-    ProgramSpec,
-    RunProgram,
-    RunState,
-    Stage,
-    start_program,
-)
-from repro.core.sampling import (
-    SampleWork,
-    generate_candidates,
-    rank_candidates,
-    sample_and_rank,
-)
+from repro.core.pipeline import DONE, Pipeline, RunState, Stage
+from repro.core.sampling import sample_and_rank
 from repro.core.scoring import ScoredCandidate, best_candidate
 from repro.core.task import DesignTask
 from repro.core.transcript import RunTranscript, transcript_from_events
@@ -179,51 +159,19 @@ def _stage_arbitrate(state: RunState, emit) -> str | None:
 
 
 def _stage_sample(state: RunState, emit) -> str | None:
-    """Step 4: high-temperature sampling and ranking.
-
-    A rollout scheduler may have already run this stage's LLM half
-    (:func:`mage_sample_plan`) and scored the candidates in a coalesced
-    wave; in that case the pre-generated sources and their reports are
-    waiting in ``state.data`` and the stage only ranks and emits --
-    producing exactly the events (and Top-K selection) an inline run
-    would, since both paths share :func:`rank_candidates`.
-    """
+    """Step 4: high-temperature sampling and ranking."""
     data = state.data
     config: MAGEConfig = data["config"]
     team: AgentTeam = data["team"]
-    task: DesignTask = data["task"]
-    sources = data.pop("rollout_sources", None)
-    reports = data.pop("rollout_reports", None)
-    parked_events = data.pop("rollout_gateway_events", ())
-    data.pop("rollout_call_debt", None)  # the probe now sees the raw counter
-    if sources is not None:
-        # Generation ran out-of-band under the scheduler; its gateway
-        # accounting events were parked on the state.  Emit them now,
-        # first -- exactly where an inline run's generation calls would
-        # have placed them (before any CandidateScored).
-        for event in parked_events:
-            emit(event)
-        if reports is None:
-            # Generation ran out-of-band but the reports never arrived.
-            # Re-sampling would double the LLM calls and silently break
-            # the determinism contract, so fail loudly instead.
-            raise ValueError(
-                "rollout injection incomplete: pre-generated sources "
-                "without scored reports"
-            )
-        outcome = rank_candidates(
-            list(sources), list(reports), config, extra=[data["initial"]]
-        )
-    else:
-        outcome = sample_and_rank(
-            task,
-            data["tb_text"],
-            data["testbench"],
-            team.rtl,
-            team.judge,
-            config,
-            extra=[data["initial"]],
-        )
+    outcome = sample_and_rank(
+        data["task"],
+        data["tb_text"],
+        data["testbench"],
+        team.rtl,
+        team.judge,
+        config,
+        extra=[data["initial"]],
+    )
     for index, candidate in enumerate(outcome.candidates[1:]):
         emit(
             CandidateScored(
@@ -248,46 +196,10 @@ def _stage_sample(state: RunState, emit) -> str | None:
 
 
 def _stage_debug(state: RunState, emit) -> None:
-    """Step 5: checkpoint debugging with rollback.
-
-    A rollout scheduler may have already driven the whole debug loop
-    out-of-band (:func:`mage_debug_plan` / :func:`mage_debug_step`,
-    with trial scorings coalesced into shared waves); in that case the
-    accumulated rounds are waiting in ``state.data`` and the stage only
-    replays them into the event stream -- round rows, parked gateway
-    events, and the final summary land exactly where an inline run
-    would put them.
-    """
+    """Step 5: checkpoint debugging with rollback."""
     data = state.data
     config: MAGEConfig = data["config"]
     team: AgentTeam = data["team"]
-    record = data.pop("rollout_debug", None)
-    data.pop("rollout_debug_call_debt", None)  # probe now sees the raw counter
-    if record is not None:
-        if not record.get("complete"):
-            # Replaying a half-driven loop would silently drop rounds
-            # (and their LLM calls) from the stream; fail loudly.
-            raise ValueError(
-                "rollout debug injection incomplete: staged rounds were "
-                "not driven to completion"
-            )
-        round_scores = record["round_scores"]
-        round_events = record["round_events"]
-        emit(DebugRound(round_index=0, scores=tuple(round_scores[0])))
-        for index, scores in enumerate(round_scores[1:], start=1):
-            # Each round's trial-drawing gateway events precede its row,
-            # exactly where the inline loop's LLM calls would emit them.
-            for event in round_events[index - 1]:
-                emit(event)
-            emit(DebugRound(round_index=index, scores=tuple(scores)))
-        winner = best_candidate(record["survivors"])
-        data["winner"] = winner
-        emit(
-            DebugSummary(
-                rounds=len(round_scores) - 1, best_score=winner.score
-            )
-        )
-        return
 
     def on_round(index: int, scores: list[float]) -> None:
         emit(DebugRound(round_index=index, scores=tuple(scores)))
@@ -311,141 +223,7 @@ def _stage_debug(state: RunState, emit) -> None:
 
 
 def _team_calls(state: RunState) -> int:
-    # ``rollout_call_debt`` holds LLM calls a rollout scheduler spent
-    # pre-generating Step-4 candidates while the state was suspended;
-    # ``rollout_debug_call_debt`` the calls spent drawing Step-5 debug
-    # trials the same way.  Subtracting both here (and clearing each
-    # inside its stage) keeps the per-stage call accounting identical
-    # to an inline run: generation calls land in step4's StageFinished
-    # and trial calls in step5's, not in whichever stage happened to be
-    # probed while the state was suspended.
-    return (
-        state.data["team"].llm_calls
-        - state.data.get("rollout_call_debt", 0)
-        - state.data.get("rollout_debug_call_debt", 0)
-    )
-
-
-def mage_sample_plan(state: RunState) -> SampleWork | None:
-    """Run Step 4's LLM half on a suspended state; return the sim work.
-
-    Called by a rollout scheduler on a state paused just before
-    ``step4``: draws the c high-temperature candidates in the run's own
-    LLM-call order (so batched runs issue exactly the calls a serial
-    run would, in the same order), parks the sources on the state, and
-    returns the pure-simulation :class:`~repro.core.sampling.SampleWork`
-    the scheduler coalesces across runs.  Records the call debt so the
-    stage accounting stays identical to an inline run.
-    """
-    data = state.data
-    if state.finished or "initial" not in data:
-        return None
-    config: MAGEConfig = data["config"]
-    team: AgentTeam = data["team"]
-    before = team.llm_calls
-    # Generation happens outside any pipeline stage here, so no ambient
-    # sink is installed; collect the gateway's accounting events and
-    # park them for ``_stage_sample`` to emit in the inline position.
-    collector = ListSink()
-    with ambient_sink(collector):
-        sources = generate_candidates(
-            data["task"], data["tb_text"], team.rtl, config
-        )
-    data["rollout_sources"] = tuple(sources)
-    data["rollout_gateway_events"] = tuple(collector.events)
-    data["rollout_call_debt"] = team.llm_calls - before
-    return SampleWork(
-        sources=tuple(sources),
-        testbench=data["testbench"],
-        top=data["task"].top,
-    )
-
-
-def _next_debug_round(state: RunState) -> DebugWork | None:
-    """Draw the next staged debug round, or mark the loop complete.
-
-    Mirrors the inline loop's control flow exactly: stop when an
-    incumbent passes or the iteration budget is spent; otherwise draw
-    one trial per active incumbent (serial, in-state LLM-call order,
-    gateway events parked per round) and hand the pure simulation work
-    back to the scheduler.  An empty round (every incumbent errored)
-    still consumes an iteration and appends an unchanged score row,
-    just like the inline loop.
-    """
-    data = state.data
-    record = data["rollout_debug"]
-    config: MAGEConfig = data["config"]
-    team: AgentTeam = data["team"]
-    survivors: list[ScoredCandidate] = record["survivors"]
-    if record["iterations_left"] <= 0 or any(c.passed for c in survivors):
-        record["complete"] = True
-        record["pending"] = None
-        return None
-    record["iterations_left"] -= 1
-    before = team.llm_calls
-    collector = ListSink()
-    with ambient_sink(collector):
-        trials = draw_trials(data["task"], survivors, team.debug, config)
-    record["round_events"].append(tuple(collector.events))
-    record["pending"] = trials
-    data["rollout_debug_call_debt"] = (
-        data.get("rollout_debug_call_debt", 0) + team.llm_calls - before
-    )
-    return DebugWork(
-        sources=tuple(source for _, source in trials),
-        testbench=data["testbench"],
-        top=data["task"].top,
-    )
-
-
-def mage_debug_plan(state: RunState) -> DebugWork | None:
-    """Start Step 5's staged form on a state suspended before ``step5``.
-
-    Seeds the round record (round 0 is the pre-debug selection, exactly
-    as :func:`~repro.core.debug_loop.debug_candidates` records it) and
-    draws the first round's trials.  Returns None when there is nothing
-    to debug -- the state is finished, sampling never ran, or the loop
-    terminates immediately -- in which case advancing through ``step5``
-    replays whatever was recorded.
-    """
-    data = state.data
-    if state.finished or "selected" not in data:
-        return None
-    config: MAGEConfig = data["config"]
-    selected: list[ScoredCandidate] = data["selected"]
-    data["rollout_debug"] = {
-        "survivors": list(selected),
-        "round_scores": [[c.score for c in selected]],
-        "round_events": [],
-        "pending": None,
-        "iterations_left": config.debug_iterations,
-        "complete": False,
-    }
-    return _next_debug_round(state)
-
-
-def mage_debug_step(state: RunState, reports: list) -> DebugWork | None:
-    """Feed one staged round's trial reports back; draw the next round.
-
-    ``reports`` are the wave scorings of the pending trials, in trial
-    order -- the same pure simulations the inline loop's executor map
-    would have produced, so the accept/rollback update is bit-identical.
-    """
-    data = state.data
-    record = data["rollout_debug"]
-    trials: list[tuple[int, str]] = record.get("pending") or []
-    record["pending"] = None
-    record["survivors"] = apply_round(
-        record["survivors"], trials, list(reports)
-    )
-    record["round_scores"].append([c.score for c in record["survivors"]])
-    return _next_debug_round(state)
-
-
-def mage_extract(state: RunState) -> str:
-    """The final source of a finished MAGE-family state."""
-    winner: ScoredCandidate = state.data["winner"]
-    return winner.source
+    return state.data["team"].llm_calls
 
 
 def mage_pipeline() -> Pipeline:
@@ -585,33 +363,6 @@ class MAGE:
                 "golden_tb_hint": golden_tb_hint,
             },
         )
-
-    def start_run(
-        self,
-        task: DesignTask,
-        golden_tb_hint: str | None = None,
-        seed: int = 0,
-    ) -> RunProgram:
-        """A resumable program for one run (see :class:`ProgramSpec`).
-
-        The spec travels inside the state, so a checkpointed run can be
-        restored and driven anywhere -- the hook rollout schedulers use
-        to suspend states at Step 4 and gang-schedule the sampling.
-        """
-        state = self.start_state(task, golden_tb_hint=golden_tb_hint, seed=seed)
-        spec = ProgramSpec(
-            pipeline_factory=mage_pipeline,
-            system=f"mage[{self.config.model}]",
-            task_name=task.name,
-            extractor=mage_extract,
-            runner=run_mage_state,
-            sample_stage="step4",
-            sample_plan=mage_sample_plan,
-            debug_stage="step5",
-            debug_plan=mage_debug_plan,
-            debug_step=mage_debug_step,
-        )
-        return start_program(spec, state)
 
     def solve(
         self,

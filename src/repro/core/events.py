@@ -360,52 +360,6 @@ class BatchFinished(Event):
         return f"batch finished: {self.cells} cells in {self.seconds:.2f}s"
 
 
-@dataclass(frozen=True)
-class WaveScheduled(Event):
-    """The rollout scheduler dispatched one executor wave.
-
-    Batch-level telemetry only: these are emitted to the scheduler's
-    batch sink, never into per-run event streams, so the per-run parity
-    contract is untouched no matter how waves are sized.
-    """
-
-    kind: ClassVar[str] = "wave-scheduled"
-    phase: str  # open | score | resume | debug-score | debug-step | close
-    width: int  # concurrent runs in the wave
-    items: int  # payloads dispatched to the executor
-    adaptive: bool = False
-
-    def render(self) -> str:
-        mode = " [adaptive]" if self.adaptive else ""
-        return (
-            f"wave {self.phase}{mode}: {self.width} run(s), "
-            f"{self.items} item(s)"
-        )
-
-
-@dataclass(frozen=True)
-class SpeculationOutcome(Event):
-    """Speculative-simulation tally for one scheduler run (batch-level).
-
-    Speculation only warms the simulation cache ahead of the close
-    phase; ``mispredicted`` counts discarded warm-ups.  Like
-    :class:`WaveScheduled` this never enters per-run streams.
-    """
-
-    kind: ClassVar[str] = "speculation-outcome"
-    launched: int
-    used: int
-    mispredicted: int
-    already_cached: int = 0
-
-    def render(self) -> str:
-        return (
-            f"speculation: launched {self.launched}, used {self.used}, "
-            f"mispredicted {self.mispredicted}, "
-            f"pre-cached {self.already_cached}"
-        )
-
-
 # ----------------------------------------------------------------------
 # Sinks.
 # ----------------------------------------------------------------------

@@ -223,47 +223,19 @@ class ProgramSpec:
     """Picklable recipe for resuming a run state anywhere.
 
     Every solve path stores one of these in ``state.data["program"]``
-    when it starts a run, so a checkpointed state carries everything a
-    scheduler (or another process) needs to keep driving it: how to
-    rebuild the pipeline, how to read the final source out of the
-    finished state, and -- for paths with a gang-schedulable sampling
-    stage -- which stage that is and how to extract its pending work.
+    when it starts a run, so a checkpointed state carries everything
+    another process needs to keep driving it: how to rebuild the
+    pipeline and how to read the final source out of the finished state.
 
     All callables must be module-level functions or ``functools.partial``
     objects over them, so specs survive ``RunState.snapshot()`` round
     trips across process boundaries.
-
-    ``runner`` overrides the generic advance (e.g. MAGE's
-    ``run_mage_state``, which owns RunStarted/RunFinished emission and
-    event recording); paths without one get the default behaviour: a
-    :class:`~repro.core.events.RunStarted` on the first advance, then
-    ``pipeline.run``.  ``sample_plan(state)`` is called on a state
-    suspended just before ``sample_stage``; it performs the run's own
-    candidate *generation* (LLM calls, in-state order) and returns the
-    pure simulation work a scheduler may coalesce across runs.
-
-    The debug trio extends the same suspension protocol to iterative
-    debug rounds.  ``debug_plan(state)`` is called on a state suspended
-    just before ``debug_stage``: it draws the first round's trials
-    (LLM calls, parked events) and returns their simulation work, or
-    None when the stage has nothing left to gang-schedule.
-    ``debug_step(state, reports)`` feeds one round's trial reports back,
-    applies the accept/rollback update, and returns the *next* round's
-    work (again None when done).  After a None, advancing the state
-    through ``debug_stage`` replays the accumulated rounds into the
-    event stream bit-identically to an inline run.
     """
 
     pipeline_factory: Callable[[], "Pipeline"]
     system: str
     task_name: str
     extractor: Callable[["RunState"], str]
-    runner: Callable | None = None
-    sample_stage: str | None = None
-    sample_plan: Callable[["RunState"], Any] | None = None
-    debug_stage: str | None = None
-    debug_plan: Callable[["RunState"], Any] | None = None
-    debug_step: Callable[["RunState", list], Any] | None = None
 
 
 @dataclass
@@ -291,10 +263,6 @@ class RunProgram:
         stop_after: str | None = None,
         checkpoint: Callable[[RunState], None] | None = None,
     ) -> RunState:
-        if self.spec.runner is not None:
-            return self.spec.runner(
-                self.state, sink=sink, stop_after=stop_after, checkpoint=checkpoint
-            )
         resolved = as_sink(sink)
         if self.state.next_stage == 0 and not self.state.data.get("run_started"):
             self.state.data["run_started"] = True
@@ -322,25 +290,6 @@ def start_program(spec: ProgramSpec, state: RunState) -> RunProgram:
     """Bind a spec to a fresh state (and record it for later resumes)."""
     state.data["program"] = spec
     return RunProgram(spec=spec, state=state)
-
-
-def resume_program(state: RunState) -> RunProgram:
-    """Rebuild the program of a (possibly restored) state."""
-    spec = state.data.get("program")
-    if not isinstance(spec, ProgramSpec):
-        raise ValueError("state carries no ProgramSpec (data['program'])")
-    return RunProgram(spec=spec, state=state)
-
-
-def stage_before(pipeline: Pipeline, stage: str) -> str | None:
-    """Name of the stage preceding ``stage`` (None when it is first)."""
-    names = pipeline.stage_names()
-    if stage not in names:
-        raise ValueError(
-            f"unknown stage {stage!r}; stages: {', '.join(names)}"
-        )
-    index = names.index(stage)
-    return names[index - 1] if index > 0 else None
 
 
 class MemoryCheckpointer:

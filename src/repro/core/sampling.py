@@ -36,21 +36,6 @@ class SamplingOutcome:
         return max((c.score for c in self.candidates), default=0.0)
 
 
-@dataclass(frozen=True)
-class SampleWork:
-    """The pure-simulation remainder of one run's Step 4.
-
-    Produced by a pipeline's ``sample_plan`` hook after the candidate
-    *generation* ran (LLM calls, in-state order): everything a scheduler
-    needs to score the candidates anywhere -- including another process
-    -- and hand the reports back.  Picklable by construction.
-    """
-
-    sources: tuple[str, ...]
-    testbench: Testbench
-    top: str
-
-
 def generate_candidates(
     task: DesignTask,
     tb_text: str,
@@ -60,8 +45,7 @@ def generate_candidates(
     """The LLM half of Step 4: draw the c high-temperature candidates.
 
     Always called in the run's own LLM-call order (the determinism
-    contract pins per-run call ordering), whether Step 4 runs inline or
-    a rollout scheduler pre-generates before resuming the state.
+    contract pins per-run call ordering).
     """
     count = config.candidates if config.use_sampling else 0
     if count <= 0:

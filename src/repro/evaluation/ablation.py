@@ -37,9 +37,6 @@ class _MultiAgent:
         self.config = MAGEConfig.low_temperature()
         self.name = "multi-agent[claude-3.5-sonnet,T=0]"
 
-    def start_run(self, task: DesignTask, seed: int = 0):
-        return MAGE(self.config).start_run(task, seed=seed)
-
     def solve(self, task: DesignTask, seed: int = 0, sink=None) -> str:
         return MAGE(self.config).solve(task, seed=seed, sink=sink).source
 

@@ -18,11 +18,10 @@ environment variables, then defaults.  Environment variables:
 - ``REPRO_GATEWAY_RATE``      token-bucket refill (calls/second; 0 = off)
 - ``REPRO_GATEWAY_BURST``     token-bucket capacity
 
-The env spelling is what makes the gateway ambient: worker processes,
-rollout cells, and service workers all resolve the same settings
-without threading them through every call signature (they *also* ride
-along explicitly on :class:`~repro.runtime.workers.EvalCell` /
-:class:`~repro.runtime.rollout.RolloutCell`, which wins when set).
+The env spelling is what makes the gateway ambient: worker processes
+and service workers all resolve the same settings without threading
+them through every call signature (they *also* ride along explicitly
+on :class:`~repro.runtime.workers.EvalCell`, which wins when set).
 """
 
 from __future__ import annotations
@@ -221,7 +220,7 @@ def resolve_gateway_settings() -> GatewaySettings:
     """The settings active for new LLM constructions.
 
     The ambient runtime context wins when it carries explicit settings
-    (batch cells and rollout cells pin theirs there); otherwise the
+    (batch cells and service workers pin theirs there); otherwise the
     environment decides -- which is also what worker processes inherit.
     """
     try:

@@ -59,12 +59,6 @@ from repro.runtime.executor import (
     ThreadExecutor,
     create_executor,
 )
-from repro.runtime.rollout import (
-    RolloutDedupStats,
-    RolloutRequest,
-    RolloutResult,
-    RolloutScheduler,
-)
 
 __all__ = [
     "BatchReport",
@@ -77,10 +71,6 @@ __all__ = [
     "MemoryTier",
     "ProcessExecutor",
     "RemoteTier",
-    "RolloutDedupStats",
-    "RolloutRequest",
-    "RolloutResult",
-    "RolloutScheduler",
     "RuntimeConfig",
     "RuntimeContext",
     "SerialExecutor",

@@ -61,10 +61,8 @@ class BatchReport:
     cell_seconds: list[float] = field(default_factory=list)
     cache: CacheStats = field(default_factory=CacheStats)
     solve_cache: CacheStats = field(default_factory=CacheStats)
-    # Resolved executor fan-out (0 = not recorded), and -- when the
-    # rollout scheduler speculated -- its accounting snapshot.
+    # Resolved executor fan-out (0 = not recorded).
     jobs: int = 0
-    speculation: dict = field(default_factory=dict)
 
     @property
     def total_cell_seconds(self) -> float:
@@ -105,13 +103,6 @@ class BatchReport:
                 f"misses {self.solve_cache.misses}, "
                 f"hit-rate {100.0 * self.solve_cache.hit_rate:.1f}%)"
             )
-        if self.speculation:
-            lines.append(
-                f"speculation     {self.speculation.get('launched', 0):8d}  "
-                f"(used {self.speculation.get('used', 0)}, "
-                f"mispredicted {self.speculation.get('mispredicted', 0)}, "
-                f"already cached {self.speculation.get('already_cached', 0)})"
-            )
         peer_hits = self.cache.remote_hits + self.solve_cache.remote_hits
         if peer_hits:
             lines.append(
@@ -126,21 +117,17 @@ def _assemble_result(
     suite: str,
     resolved_name: str,
     chosen: list[Problem],
-    by_problem: dict[int, list],
+    by_problem: dict[int, list[CellResult]],
     report: BatchReport,
 ):
-    """Fold per-(problem, run) rows into the deterministic result.
-
-    Rows need ``.passed``/``.score``/``.seconds``; callers hand them in
-    per problem, already in run order.  Shared by the plain grid and the
-    rollout path so the two can never diverge on assembly.
-    """
+    """Fold per-(problem, run) rows into the deterministic result."""
     from repro.evaluation.harness import EvalResult, ProblemOutcome
 
     result = EvalResult(system=resolved_name, suite=suite)
     for problem_index, problem in enumerate(chosen):
         outcome = ProblemOutcome(problem.id, problem.difficulty)
-        for row in by_problem.get(problem_index, []):
+        rows = sorted(by_problem.get(problem_index, []), key=lambda r: r.run_index)
+        for row in rows:
             outcome.runs += 1
             outcome.passes += int(row.passed)
             outcome.scores.append(row.score)
@@ -152,23 +139,18 @@ def _assemble_result(
 def _fill_report_counters(
     report: BatchReport,
     crossing: bool,
-    rows: list,
+    rows: list[CellResult],
     live_cache: SimulationCache | None,
     cache_before: CacheStats,
     live_solve: SolveCellCache | None,
     solve_before: CacheStats,
     sims_before: int,
-    solve_rows: list[tuple[int, int]] | None = None,
 ) -> None:
     """Batch cache/simulation totals for one evaluation.
 
     When the work crossed process boundaries the child-process counters
     never reach this process, so the exact per-row deltas the workers
     reported are summed instead of reading the live caches.
-    ``solve_rows`` supplies (hits, misses) pairs for paths whose
-    solve-cell lookups also ran in children; None means the solve cache
-    was driven entirely from this process and its live delta is exact
-    either way.
     """
     if crossing:
         report.cache = CacheStats(
@@ -176,24 +158,22 @@ def _fill_report_counters(
             misses=sum(r.cache_misses for r in rows),
         )
         report.simulations = sum(r.simulations for r in rows)
-    else:
-        report.cache = (
-            live_cache.stats.delta(cache_before)
-            if live_cache is not None
-            else CacheStats()
-        )
-        report.simulations = simulation_count() - sims_before
-    if crossing and solve_rows is not None:
         report.solve_cache = CacheStats(
-            hits=sum(hits for hits, _ in solve_rows),
-            misses=sum(misses for _, misses in solve_rows),
+            hits=sum(r.solve_hits for r in rows),
+            misses=sum(r.solve_misses for r in rows),
         )
-    else:
-        report.solve_cache = (
-            live_solve.stats.delta(solve_before)
-            if live_solve is not None
-            else CacheStats()
-        )
+        return
+    report.cache = (
+        live_cache.stats.delta(cache_before)
+        if live_cache is not None
+        else CacheStats()
+    )
+    report.simulations = simulation_count() - sims_before
+    report.solve_cache = (
+        live_solve.stats.delta(solve_before)
+        if live_solve is not None
+        else CacheStats()
+    )
 
 
 def _progress_flusher(
@@ -204,8 +184,7 @@ def _progress_flusher(
     by_problem: dict[int, list],
 ):
     """Per-problem progress lines in suite order, buffered until every
-    earlier problem completes -- the shared deterministic-output rule of
-    both grid paths."""
+    earlier problem completes, so output is deterministic."""
     state = {"next": 0}
 
     def flush() -> None:
@@ -262,7 +241,6 @@ def evaluate_many(
     solve_cache: SolveCellCache | bool | None = None,
     progress: Callable[[str], None] | None = None,
     events: EventSink | Callable[[Event], None] | None = None,
-    rollout_batch: int | str = 0,
 ):
     """Evaluate one system over a suite, fanned across workers.
 
@@ -279,14 +257,6 @@ def evaluate_many(
     the ambient runtime's); factories without a stable configuration
     fingerprint silently skip it.  ``events`` streams typed per-cell
     completions live (completion order, unlike ``progress``).
-
-    ``rollout_batch`` > 0 switches the grid to the rollout scheduler:
-    up to that many cells advance together and share coalesced
-    candidate-scoring waves (see :mod:`repro.runtime.rollout`).
-    ``"auto"`` hands wave sizing to the scheduler's cost-aware planner
-    and enables speculative simulation.  Rows stay bit-identical to
-    ``rollout_batch=0`` at any worker count, any width, speculation on
-    or off.
     """
     from repro.llm.gateway.settings import resolve_gateway_settings
 
@@ -307,24 +277,6 @@ def evaluate_many(
         live_solve = None
     pool = executor if executor is not None else get_runtime().executor
     sink = as_sink(events)
-
-    if rollout_batch:  # positive width or "auto" (the scheduler validates)
-        return _evaluate_rollout(
-            system_factory,
-            suite,
-            chosen,
-            runs,
-            seed0,
-            resolved_name,
-            pool,
-            live_cache,
-            live_solve,
-            fingerprint,
-            progress,
-            sink,
-            rollout_batch,
-            gateway=gateway,
-        )
 
     cells: list[EvalCell] = []
     for problem_index, problem in enumerate(chosen):
@@ -409,11 +361,7 @@ def evaluate_many(
     report = BatchReport(
         executor=pool.describe(), wall_seconds=wall, jobs=pool.workers
     )
-    ordered = {
-        problem_index: sorted(rows, key=lambda r: r.run_index)
-        for problem_index, rows in by_problem.items()
-    }
-    result = _assemble_result(suite, resolved_name, chosen, ordered, report)
+    result = _assemble_result(suite, resolved_name, chosen, by_problem, report)
     report.cells = len(cells)
     collected = [r for rows in by_problem.values() for r in rows]
     _fill_report_counters(
@@ -425,134 +373,6 @@ def evaluate_many(
         live_solve,
         solve_before,
         sims_before,
-        solve_rows=[(r.solve_hits, r.solve_misses) for r in collected],
     )
     return result, report
 
-
-def _evaluate_rollout(
-    system_factory,
-    suite: str,
-    chosen: list[Problem],
-    runs: int,
-    seed0: int,
-    resolved_name: str,
-    pool: Executor,
-    live_cache: SimulationCache | None,
-    live_solve: SolveCellCache | None,
-    fingerprint: str | None,
-    progress: Callable[[str], None] | None,
-    sink,
-    rollout_batch: int | str,
-    gateway=None,
-):
-    """The ``rollout_batch > 0`` grid path: gang-scheduled sampling.
-
-    Cells enter the :class:`~repro.runtime.rollout.RolloutScheduler` in
-    grid order and complete wave by wave (index order within a wave):
-    ``events``/``progress`` stream per wave through the same buffered
-    suite-order rule as the plain path, so the output text is identical
-    and deterministic.  Rows are bit-identical to the plain path --
-    both bottom out in the same stage functions and the same
-    pinned-serial per-run execution.
-    """
-    from repro.runtime.rollout import RolloutRequest, RolloutScheduler
-
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    requests: list[RolloutRequest] = []
-    problem_of: dict[int, int] = {}  # request index -> problem index
-    for problem_index, problem in enumerate(chosen):
-        golden_tb = golden_testbench(problem)
-        for run in range(runs):
-            problem_of[len(requests)] = problem_index
-            requests.append(
-                RolloutRequest(
-                    index=len(requests),
-                    factory=system_factory,
-                    problem=problem,
-                    golden_tb=golden_tb,
-                    seed=seed0 + run,
-                    fingerprint=fingerprint,
-                )
-            )
-
-    cache_before = (
-        live_cache.stats.snapshot() if live_cache is not None else CacheStats()
-    )
-    solve_before = (
-        live_solve.stats.snapshot() if live_solve is not None else CacheStats()
-    )
-    sims_before = simulation_count()
-    started = time.perf_counter()
-
-    by_problem: dict[int, list] = {}
-    flush_progress = _progress_flusher(
-        chosen, runs, resolved_name, progress, by_problem
-    )
-
-    def on_result(rollout_result) -> None:
-        if rollout_result.error is not None:
-            # Fail fast with the original exception (and type), exactly
-            # like the plain path's future.result() would mid-grid.
-            if rollout_result.exception is not None:
-                raise rollout_result.exception
-            raise RuntimeError(
-                f"rollout cell {rollout_result.problem_id} seed "
-                f"{rollout_result.seed} failed: {rollout_result.error}"
-            )
-        by_problem.setdefault(problem_of[rollout_result.index], []).append(
-            rollout_result
-        )
-        sink.emit(
-            CellFinished(
-                problem_id=rollout_result.problem_id,
-                run_index=rollout_result.seed - seed0,
-                passed=rollout_result.passed,
-                score=rollout_result.score,
-                seconds=rollout_result.seconds,
-                solve_cached=rollout_result.solve_cached,
-            )
-        )
-        flush_progress()
-
-    scheduler = RolloutScheduler(
-        executor=pool,
-        batch=rollout_batch,
-        cache=live_cache,
-        solve_cache=live_solve,
-        gateway=gateway,
-        # Scheduler telemetry (WaveScheduled / SpeculationOutcome) is
-        # batch-level, so it shares the batch events channel -- never a
-        # per-run stream.
-        events=sink,
-    )
-    outcomes = scheduler.run(requests, on_result=on_result)
-    wall = time.perf_counter() - started
-    sink.emit(BatchFinished(cells=len(requests), seconds=wall))
-
-    report = BatchReport(
-        executor=f"{pool.describe()} rollout[{rollout_batch}]",
-        wall_seconds=wall,
-        jobs=pool.workers,
-        speculation=(
-            scheduler.speculation.snapshot() if scheduler.speculate else {}
-        ),
-    )
-    result = _assemble_result(suite, resolved_name, chosen, by_problem, report)
-    report.cells = len(requests)
-    # solve_rows=None: the solve-cell cache is driven entirely from this
-    # process by the scheduler, so its live delta is exact even when the
-    # simulation waves crossed into worker processes.
-    _fill_report_counters(
-        report,
-        pool.kind == "process",
-        outcomes,
-        live_cache,
-        cache_before,
-        live_solve,
-        solve_before,
-        sims_before,
-        solve_rows=None,
-    )
-    return result, report

@@ -613,9 +613,8 @@ class RemoteTier(CacheTier):
 
     def peek(self, key: str) -> Any | None:
         # Unlike the in-process tiers, a remote peek is counted at the
-        # tier level: it is a real network round-trip, and the rollout
-        # scheduler attributes cross-machine dedup from these counters.
-        # The *aggregate* CacheStats stay peek-neutral either way.
+        # tier level: it is a real network round-trip.  The *aggregate*
+        # CacheStats stay peek-neutral either way.
         return self._fetch(key, count=True)
 
     def put(self, key: str, value: Any) -> None:

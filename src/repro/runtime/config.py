@@ -58,9 +58,8 @@ def default_jobs() -> int:
     """Worker count when nobody asked: ``REPRO_JOBS``, else every core.
 
     The explicit-config default stays 1 (serial unless asked), but
-    surfaces that *size* a machine -- the ``--jobs`` CLI default and
-    the service worker's wave fan-out -- saturate the hardware instead
-    of pretending it has one core.
+    surfaces that *size* a machine -- the ``--jobs`` CLI default --
+    saturate the hardware instead of pretending it has one core.
     """
     return _env_int("REPRO_JOBS", os.cpu_count() or 1)
 

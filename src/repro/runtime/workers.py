@@ -106,32 +106,18 @@ _WORKER_CACHES: dict[tuple, SimulationCache] = {}
 _WORKER_SOLVE_CACHES: dict[tuple, SolveCellCache] = {}
 
 
-def process_local_cache(
-    enabled: bool,
-    directory: str | None,
-    peers: tuple[str, ...] = (),
-) -> SimulationCache | None:
-    """The worker-process simulation cache for one tier configuration.
-
-    Work units landing in the same process share one cache per (disk
-    directory, peer list) -- the resolution both grid cells and rollout
-    phase functions use when they execute without a live cache in hand
-    (i.e. across a process boundary).
-    """
-    if not enabled:
+def _resolve_cache(cell: EvalCell) -> SimulationCache | None:
+    """The worker-process simulation cache for a cell shipped without a
+    live cache: cells landing in the same process share one cache per
+    (disk directory, peer list)."""
+    if not cell.cache_enabled:
         return None
-    config = (directory, tuple(peers))
+    config = (cell.cache_dir, tuple(cell.cache_peers))
     cache = _WORKER_CACHES.get(config)
     if cache is None:
-        cache = SimulationCache(directory, peers=peers)
+        cache = SimulationCache(cell.cache_dir, peers=cell.cache_peers)
         _WORKER_CACHES[config] = cache
     return cache
-
-
-def _resolve_cache(cell: EvalCell) -> SimulationCache | None:
-    return process_local_cache(
-        cell.cache_enabled, cell.cache_dir, cell.cache_peers
-    )
 
 
 def _resolve_solve_cache(cell: EvalCell) -> SolveCellCache | None:

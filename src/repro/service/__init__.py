@@ -71,8 +71,6 @@ from repro.service.protocol import (
     ProtocolError,
     SolveRequest,
     StatsReply,
-    WaveSteal,
-    WaveTasks,
     encode_frame,
     read_frame,
     write_frame,
@@ -80,7 +78,6 @@ from repro.service.protocol import (
 from repro.service.ring import HashRing, PeerDirectory, ring_key
 from repro.service.server import SolveServer
 from repro.service.worker import (
-    RolloutWorker,
     ServiceResult,
     ServiceStats,
     Worker,
@@ -88,7 +85,6 @@ from repro.service.worker import (
     registered_system_name,
     serve_cached_record,
     solve_service_request,
-    steal_from_peer,
 )
 
 __all__ = [
@@ -115,7 +111,6 @@ __all__ = [
     "PeerHello",
     "PeerList",
     "ProtocolError",
-    "RolloutWorker",
     "ServiceClient",
     "ServiceError",
     "ServiceResult",
@@ -126,8 +121,6 @@ __all__ = [
     "StatsReply",
     "SUPPORTED_VERSIONS",
     "Subscription",
-    "WaveSteal",
-    "WaveTasks",
     "Worker",
     "encode_frame",
     "fetch_peers",
@@ -143,7 +136,6 @@ __all__ = [
     "serve_cached_record",
     "solve_grid",
     "solve_service_request",
-    "steal_from_peer",
     "stop_server",
     "write_frame",
 ]

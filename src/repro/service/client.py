@@ -73,8 +73,6 @@ from repro.service.protocol import (
     ProtocolError,
     SolveRequest,
     StatsReply,
-    WaveSteal,
-    WaveTasks,
     read_frame,
     write_frame,
 )
@@ -310,26 +308,6 @@ class ServiceClient:
             CachePut(id=self._request_id(), layer=layer, key=key, blob=blob)
         )
         return reply.stored
-
-    def wave_steal(self, max_items: int = 4) -> list[tuple[str, str]]:
-        """Claim published score-wave tasks from the server's steal board.
-
-        Returns ``(simulation key, base64-pickled ScoreTask)`` pairs --
-        possibly empty when the server has nothing published.  Like
-        :meth:`cache_get`, decoding (and type-guarding) the blobs is
-        the caller's job; see
-        :func:`repro.service.worker.steal_from_peer` for the full
-        steal-execute-return loop.
-        """
-        write_frame(
-            self._wfile, WaveSteal(id=self._request_id(), max_items=max_items)
-        )
-        reply = self._read()
-        if isinstance(reply, ErrorFrame):
-            raise ServiceError(reply.message)
-        if not isinstance(reply, WaveTasks):
-            raise ProtocolError(f"expected wave tasks, got {reply.type!r}")
-        return [(key, blob) for key, blob in reply.tasks]
 
     def _control(self, op: str):
         request_id = self._request_id()

@@ -12,12 +12,10 @@ the counters the service already keeps:
 - per-layer, per-tier cache fabric stats,
 - gateway call/retry/fallback/token/cost counters,
 - per-stage wall-clock from the process-wide StageClock,
-- rollout-scheduler dedup + speculation counters and the
-  work-stealing board.
+- elastic-ring membership.
 
 Every section is optional: the renderer skips what a snapshot does not
-carry (old servers, plain-worker mode), so it never fails on a sparse
-dict.  Metric names are stable API -- dashboards depend on them.
+carry (old servers), so it never fails on a sparse dict.  Metric names are stable API -- dashboards depend on them.
 """
 
 from __future__ import annotations
@@ -131,12 +129,6 @@ def render_prometheus(stats: dict) -> str:
         kind="gauge",
     )
     exp.add(
-        "repro_rollout_batch",
-        stats.get("rollout_batch"),
-        help_text="Configured rollout wave width (0 = plain workers).",
-        kind="gauge",
-    )
-    exp.add(
         "repro_pending_jobs",
         stats.get("pending"),
         help_text="Jobs queued or running in the broker.",
@@ -165,30 +157,6 @@ def render_prometheus(stats: dict) -> str:
             row.get("seconds"),
             labels=labels,
             help_text="Cumulative stage wall-clock seconds.",
-        )
-
-    scheduler = stats.get("scheduler")
-    if isinstance(scheduler, dict):
-        if isinstance(scheduler.get("dedup"), dict):
-            _add_flat(
-                exp,
-                "repro_scheduler_dedup",
-                scheduler["dedup"],
-                "Rollout score-wave dedup counter",
-            )
-        if isinstance(scheduler.get("speculation"), dict):
-            _add_flat(
-                exp,
-                "repro_speculation",
-                scheduler["speculation"],
-                "Speculative-simulation counter",
-            )
-    if isinstance(stats.get("steal"), dict):
-        _add_flat(
-            exp,
-            "repro_steal",
-            stats["steal"],
-            "Work-stealing board counter",
         )
 
     ring = stats.get("ring")

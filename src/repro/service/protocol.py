@@ -7,8 +7,7 @@ to).  Three protocol generations share this framing:
 
 - **v1** -- the original strictly client-driven conversation: one
   request on the wire at a time, replies in request order;
-- **v2** -- v1 plus the cache-fabric and work-stealing frames
-  (``CacheGet``/``CachePut``/``WaveSteal``/``WaveTasks``);
+- **v2** -- v1 plus the cache-fabric frames (``CacheGet``/``CachePut``);
 - **v3** -- multiplexing: every frame carries ``id`` (the request id),
   and a client may interleave any number of in-flight requests on one
   connection -- replies are matched by id, not by order.  v3 also adds
@@ -36,9 +35,6 @@ The per-request conversation is unchanged across versions:
   server's cache layers (``layer`` routes to the simulation,
   solve-cell, or LLM-cassette cache; values travel as base64-pickled
   blobs, type-guarded on receipt exactly like the disk tier's files);
-- ``WaveSteal`` -> one :class:`WaveTasks` -- work stealing: an idle
-  scheduler claims published score-wave tasks from a busy peer's steal
-  board, simulates them, and returns the reports via ``CachePut``;
 - ``PeerHello`` -> one :class:`PeerList` -- membership gossip: the
   sender advertises its own public address plus every member it knows,
   the receiver merges them into its directory and answers with its
@@ -54,7 +50,7 @@ clean EOF (``read_frame`` returns None), while a stream ending *inside*
 a frame raises :class:`PeerGone` -- the peer died or the connection was
 severed mid-write.  ``PeerGone`` subclasses :class:`ProtocolError`, so
 callers that only care about "the bytes were bad" keep working, while
-gossip/steal/ring paths can catch it specifically and skip the peer
+gossip/ring paths can catch it specifically and skip the peer
 instead of logging corruption.
 """
 
@@ -262,35 +258,6 @@ class CacheReply(Frame):
     found: bool = False
     stored: bool = False
     blob: str = ""
-
-
-@dataclass(frozen=True)
-class WaveSteal(Frame):
-    """Ask a peer for up to ``max_items`` of its published wave tasks.
-
-    Claimed tasks leave the peer's steal board, so two thieves never
-    simulate the same published task.  The peer still simulates a
-    claimed task itself if the thief's result has not landed by the
-    time its wave runs -- simulations are pure, so the race is benign.
-    """
-
-    type: ClassVar[str] = "wave_steal"
-    id: int
-    max_items: int = 4
-
-
-@dataclass(frozen=True)
-class WaveTasks(Frame):
-    """Answer to ``WaveSteal``: ``(simulation key, pickled task)`` pairs.
-
-    Each entry is a two-item ``[key, blob]`` list; the blob decodes to
-    a :class:`~repro.runtime.rollout.ScoreTask`, type-guarded by the
-    thief exactly like any other fabric blob.
-    """
-
-    type: ClassVar[str] = "wave_tasks"
-    id: int
-    tasks: tuple = ()
 
 
 @dataclass(frozen=True)

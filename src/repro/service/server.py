@@ -63,7 +63,6 @@ from repro.runtime.cache import (
     encode_value,
     solve_cell_key,
 )
-from repro.runtime.rollout import StealBoard
 from repro.service.broker import Broker, BrokerClosed, BrokerFull
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -82,14 +81,11 @@ from repro.service.protocol import (
     ProtocolError,
     SolveRequest,
     StatsReply,
-    WaveSteal,
-    WaveTasks,
     encode_frame,
     read_frame_async,
 )
 from repro.service.ring import PeerDirectory
 from repro.service.worker import (
-    RolloutWorker,
     ServiceStats,
     Worker,
     registered_fingerprint,
@@ -228,8 +224,6 @@ class _Connection:
             handler = service._handle_cache_get
         elif isinstance(frame, CachePut):
             handler = service._handle_cache_put
-        elif isinstance(frame, WaveSteal):
-            handler = service._handle_wave_steal
         if handler is None:
             self._enqueue(
                 ErrorFrame(
@@ -278,14 +272,6 @@ class SolveServer:
     directory is configured the server also exposes the cassette store
     as the ``llm`` cache layer, so peers can share recorded completions
     over the same wire protocol as the other tiers.
-
-    ``steal_peers`` (rollout mode only) names peer servers whose
-    published score waves this server's *idle* workers drain over
-    ``WaveSteal`` frames; the server's own waves are published on
-    ``steal_board`` for its peers in turn.  Stealing moves pure
-    simulations only, with results returned through the cache fabric,
-    so the topology -- typically a ring of mutually-peered servers --
-    never affects any run's output.
     """
 
     def __init__(
@@ -296,10 +282,8 @@ class SolveServer:
         sim_cache: SimulationCache | bool | None = None,
         solve_cache: SolveCellCache | bool | None = None,
         max_pending: int = 256,
-        rollout_batch: int = 0,
         cache_peers: tuple[str, ...] | list[str] | None = None,
         gateway=None,
-        steal_peers: tuple[str, ...] | list[str] | None = None,
         join: tuple[str, ...] | list[str] | None = None,
         advertise: str | None = None,
         peer_interval: float = 1.0,
@@ -322,11 +306,6 @@ class SolveServer:
         self.gateway = gateway
         self.broker = Broker(max_pending=max_pending)
         self.stats = ServiceStats()
-        self.rollout_batch = max(0, int(rollout_batch))
-        self.steal_peers = tuple(steal_peers or ())
-        # The published-wave board every local scheduler shares: any
-        # worker's score wave can be drained by any thief.
-        self.steal_board = StealBoard()
         # Bind in the constructor so ``address`` is valid before start()
         # (and the port is reserved for us).
         self._listen_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -342,36 +321,17 @@ class SolveServer:
         self.join = tuple(join or ())
         self.peer_interval = peer_interval
         self.peer_failures = peer_failures
-        if self.rollout_batch:
-            # Batching mode: each worker gathers up to rollout_batch
-            # dedup-distinct in-flight cells and gang-schedules their
-            # sampling through shared scoring waves.
-            self._workers: list = [
-                RolloutWorker(
-                    self.broker,
-                    self.stats,
-                    sim_cache=self.sim_cache,
-                    solve_cache=self.solve_cache,
-                    batch=self.rollout_batch,
-                    name=f"repro-service-rollout-{index}",
-                    gateway=self.gateway,
-                    steal_peers=self.steal_peers,
-                    steal_board=self.steal_board,
-                )
-                for index in range(workers)
-            ]
-        else:
-            self._workers = [
-                Worker(
-                    self.broker,
-                    self.stats,
-                    sim_cache=self.sim_cache,
-                    solve_cache=self.solve_cache,
-                    name=f"repro-service-worker-{index}",
-                    gateway=self.gateway,
-                )
-                for index in range(workers)
-            ]
+        self._workers = [
+            Worker(
+                self.broker,
+                self.stats,
+                sim_cache=self.sim_cache,
+                solve_cache=self.solve_cache,
+                name=f"repro-service-worker-{index}",
+                gateway=self.gateway,
+            )
+            for index in range(workers)
+        ]
         # One pool thread per in-flight request (a streaming solve holds
         # its thread while it waits on the broker), sized past the
         # broker's own admission bound so backpressure comes from
@@ -838,23 +798,6 @@ class SolveServer:
         self.stats.count("peer_puts")
         conn.send(CacheReply(id=req.id, stored=True))
 
-    def _handle_wave_steal(self, conn: _Connection, req: WaveSteal) -> None:
-        """Hand published wave tasks to an idle peer.
-
-        Claimed tasks leave the board atomically, so concurrent thieves
-        never duplicate work; an unpicklable task simply stays home
-        (the victim simulates it like any unclaimed one).
-        """
-        claimed = self.steal_board.claim(req.max_items)
-        wire = []
-        for key, task in claimed:
-            try:
-                wire.append([key, encode_value(task)])
-            except Exception:  # noqa: BLE001 -- keep the task local
-                continue
-            self.stats.count("steal_served")
-        conn.send(WaveTasks(id=req.id, tasks=wire))
-
     # -- control + discovery (loop thread; all fast) ---------------------
 
     def _handle_peer_hello(self, conn: _Connection, frame: PeerHello) -> None:
@@ -934,26 +877,9 @@ class SolveServer:
         from repro.core.pipeline import STAGE_CLOCK
         from repro.llm.gateway.client import GATEWAY_STATS
 
-        # Aggregate scheduler counters across the rollout workers (the
-        # section is absent in plain-worker mode).
-        scheduler = None
-        pool = [w for w in self._workers if isinstance(w, RolloutWorker)]
-        if pool:
-            dedup: dict[str, int] = {}
-            speculation: dict[str, int] = {}
-            for worker in pool:
-                for key, value in worker.scheduler.dedup.snapshot().items():
-                    dedup[key] = dedup.get(key, 0) + value
-                for key, value in (
-                    worker.scheduler.speculation.snapshot().items()
-                ):
-                    speculation[key] = speculation.get(key, 0) + value
-            scheduler = {"dedup": dedup, "speculation": speculation}
-
         return {
             "address": self.address,
             "workers": len(self._workers),
-            "rollout_batch": self.rollout_batch,
             "pending": len(self.broker),
             "protocol": PROTOCOL_VERSION,
             "broker": self.broker.stats.snapshot(),
@@ -963,11 +889,6 @@ class SolveServer:
                 self.gateway.mode if self.gateway is not None else None
             ),
             "stages": STAGE_CLOCK.snapshot(),
-            "scheduler": scheduler,
-            "steal": {
-                **self.steal_board.snapshot(),
-                "peers": list(self.steal_peers),
-            },
             "ring": {
                 "self": self.advertised,
                 "members": list(self.directory.members()),

@@ -31,20 +31,10 @@ from repro.runtime.cache import (
     SimulationCache,
     SolveCellCache,
     cached_run_testbench,
-    decode_value,
-    encode_value,
     system_fingerprint,
 )
-from repro.runtime.config import default_jobs
 from repro.runtime.context import RuntimeContext, runtime_session
-from repro.runtime.executor import Executor, SerialExecutor, ThreadExecutor
-from repro.runtime.rollout import (
-    RolloutRequest,
-    RolloutScheduler,
-    ScoreTask,
-    StealBoard,
-    rollout_score,
-)
+from repro.runtime.executor import SerialExecutor
 from repro.runtime.workers import solve_streaming
 
 
@@ -72,10 +62,6 @@ class ServiceStats:
         self.peer_gets = 0  # CacheGet frames answered
         self.peer_hits = 0  # ... of which found a local entry
         self.peer_puts = 0  # CachePut frames stored
-        self.steal_served = 0  # wave tasks handed to thieves (victim side)
-        self.steal_attempts = 0  # WaveSteal frames sent (thief side)
-        self.steal_executed = 0  # stolen tasks simulated and returned
-        self.steal_peer_gone = 0  # steal rounds abandoned: peer dead/severed
 
     def count(self, field: str) -> None:
         with self._lock:
@@ -90,10 +76,6 @@ class ServiceStats:
                 "peer_gets": self.peer_gets,
                 "peer_hits": self.peer_hits,
                 "peer_puts": self.peer_puts,
-                "steal_served": self.steal_served,
-                "steal_attempts": self.steal_attempts,
-                "steal_executed": self.steal_executed,
-                "steal_peer_gone": self.steal_peer_gone,
             }
 
 
@@ -241,272 +223,6 @@ def solve_service_request(
         system=registered_system_name(system),
         solve_cached=cached,
     )
-
-
-def steal_from_peer(
-    address: str,
-    cache: SimulationCache | None = None,
-    max_items: int = 4,
-    stats: ServiceStats | None = None,
-    timeout: float | None = 30.0,
-) -> int:
-    """Claim, simulate, and return up to ``max_items`` of a busy peer's
-    published score-wave tasks.  Returns how many were executed.
-
-    The claimed :class:`~repro.runtime.rollout.ScoreTask` blobs are
-    type-guarded on receipt, simulated through *this* process's cache
-    (warming it too), and the reports pushed back over ``CachePut``
-    into the victim's ``sim`` layer -- where the victim's own wave
-    lookups find them.  Every failure mode (peer gone, corrupt blob,
-    simulation error, lost put) degrades to the victim simulating
-    locally, never to a wrong or missing result.
-    """
-    from repro.service.client import ServiceClient
-
-    if stats is not None:
-        stats.count("steal_attempts")
-    executed = 0
-    with ServiceClient(address, timeout=timeout) as client:
-        pairs = client.wave_steal(max_items=max_items)
-        for key, blob in pairs:
-            task = decode_value(blob, ScoreTask)
-            if task is None:
-                continue  # corrupt or wrong-typed blob: skip
-            try:
-                outcome = rollout_score(task, cache)
-            except Exception:  # noqa: BLE001 -- victim retains the task
-                continue
-            try:
-                client.cache_put("sim", key, encode_value(outcome.report))
-            except Exception:  # noqa: BLE001 -- lost put = local re-sim
-                continue
-            executed += 1
-            if stats is not None:
-                stats.count("steal_executed")
-    return executed
-
-
-class RolloutWorker(threading.Thread):
-    """A worker that gang-schedules sampling across in-flight cells.
-
-    Where :class:`Worker` drains one job at a time, this worker gathers
-    up to ``batch`` dedup-distinct jobs from the broker (after the
-    first blocking pop it lingers ``linger`` seconds for stragglers),
-    turns them into rollout requests, and drives them through a shared
-    :class:`~repro.runtime.rollout.RolloutScheduler`: every gathered
-    cell advances to its Step-4 suspension point, their candidate
-    simulations coalesce into shared scoring waves, and each job's
-    event stream is published as its phases complete.
-
-    Batch *composition* is timing-dependent (it depends on what is
-    queued when), but per-job output is not: the rollout determinism
-    contract makes every job's events and result identical to a plain
-    :class:`Worker`'s, whichever batch it happened to ride in.
-
-    With ``steal_peers``, an *idle* worker (empty broker) turns thief:
-    it polls the queue with a short timeout and, between polls, drains
-    published score waves from each peer in turn via
-    :func:`steal_from_peer`.  ``steal_board`` is this server's own
-    published-wave board, shared across its workers so any of them can
-    be the victim.
-    """
-
-    def __init__(
-        self,
-        broker,
-        stats: ServiceStats,
-        sim_cache: SimulationCache | None = None,
-        solve_cache: SolveCellCache | None = None,
-        batch: int = 4,
-        linger: float = 0.05,
-        executor: Executor | None = None,
-        name: str | None = None,
-        gateway: "GatewaySettings | None" = None,
-        steal_peers: tuple[str, ...] | list[str] | None = None,
-        steal_board: StealBoard | None = None,
-        steal_poll: float = 0.25,
-    ):
-        super().__init__(name=name or "repro-service-rollout", daemon=True)
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        self.broker = broker
-        self.stats = stats
-        self.sim_cache = sim_cache
-        self.solve_cache = solve_cache
-        self.batch = batch
-        self.linger = linger
-        self.gateway = gateway
-        self.steal_peers = tuple(steal_peers or ())
-        self.steal_poll = steal_poll
-        # Per-peer cooldown deadlines: a peer that died mid-steal (or
-        # refused the connection) is skipped until its deadline passes,
-        # so an idle thief doesn't hammer a corpse every poll tick.
-        self.steal_cooldown = 2.0
-        self._peer_down_until: dict[str, float] = {}
-        self._owns_executor = executor is None
-        self.scheduler = RolloutScheduler(
-            executor=(
-                executor
-                if executor is not None
-                # Wave fan-out sized to the machine, not the batch knob:
-                # score waves carry batch x pool_size simulations.
-                else ThreadExecutor(max(2, default_jobs()))
-            ),
-            batch=batch,
-            cache=sim_cache,
-            solve_cache=solve_cache,
-            gateway=gateway,
-            steal_board=steal_board,
-        )
-
-    def _fingerprint(self, system: str) -> str | None:
-        # Resolve under a context pinning the worker's gateway settings
-        # so the memoized fingerprint matches what the scheduler's
-        # pinned cells will compute (not whatever this thread's ambient
-        # environment happens to say).
-        inner = RuntimeContext(
-            executor=SerialExecutor(),
-            cache=self.sim_cache,
-            gateway=self.gateway,
-        )
-        with runtime_session(context=inner):
-            return registered_fingerprint(system)
-
-    def run(self) -> None:
-        try:
-            while True:
-                if self.steal_peers:
-                    # Idle loop with theft: poll the queue briefly, and
-                    # between polls drain score waves from busy peers.
-                    job = self.broker.next_job(timeout=self.steal_poll)
-                    if job is None:
-                        if self.broker.closed:
-                            return
-                        self._steal_round()
-                        continue
-                else:
-                    job = self.broker.next_job()
-                    if job is None:
-                        return  # broker closed and drained
-                jobs = [job]
-                while len(jobs) < self.batch:
-                    extra = self.broker.next_job(timeout=self.linger)
-                    if extra is None:
-                        break  # nothing else queued right now
-                    jobs.append(extra)
-                self._solve_batch(jobs)
-        finally:
-            if self._owns_executor:
-                self.scheduler.executor.shutdown()
-
-    def _steal_round(self) -> None:
-        """One pass over the peer ring; dead peers are typed and cooled.
-
-        A peer that vanished -- connection refused, reset, or severed
-        mid-frame (:class:`~repro.service.protocol.PeerGone`) -- is
-        *expected* during elastic churn: it is counted, put on a short
-        cooldown, and skipped, never logged as corruption.  Anything
-        else (a genuine protocol violation) also skips the peer but
-        without assuming it will come back.
-        """
-        from repro.service.client import ServiceError
-        from repro.service.protocol import PeerGone, ProtocolError
-
-        now = time.monotonic()
-        for address in self.steal_peers:
-            if now < self._peer_down_until.get(address, 0.0):
-                continue  # cooling down after a recent death
-            try:
-                steal_from_peer(
-                    address,
-                    cache=self.sim_cache,
-                    max_items=self.batch,
-                    stats=self.stats,
-                )
-            except (PeerGone, ConnectionError, OSError, ServiceError):
-                # The peer is gone (or going): cool down and move on.
-                self.stats.count("steal_peer_gone")
-                self._peer_down_until[address] = (
-                    time.monotonic() + self.steal_cooldown
-                )
-                continue
-            except ProtocolError:
-                # Desynchronised or corrupt stream: the one-shot client
-                # is already closed; treat the peer as suspect too.
-                self.stats.count("steal_peer_gone")
-                self._peer_down_until[address] = (
-                    time.monotonic() + self.steal_cooldown
-                )
-                continue
-            self._peer_down_until.pop(address, None)
-
-    def _solve_batch(self, jobs: list) -> None:
-        from repro.baselines.registry import SYSTEMS, system_names
-        from repro.evalsets import get_problem, golden_testbench
-
-        requests: list[RolloutRequest] = []
-        admitted: list = []
-        for job in jobs:
-            spec = SYSTEMS.get(job.system)
-            if spec is None:
-                self.stats.count("errors")
-                self.broker.fail(
-                    job,
-                    f"KeyError: unknown system {job.system!r}; "
-                    f"known: {', '.join(system_names())}",
-                )
-                continue
-            try:
-                problem = get_problem(job.problem)
-                golden = golden_testbench(problem)
-            except Exception as exc:  # noqa: BLE001 -- becomes an error frame
-                self.stats.count("errors")
-                self.broker.fail(job, f"{type(exc).__name__}: {exc}")
-                continue
-            requests.append(
-                RolloutRequest(
-                    index=len(requests),
-                    factory=spec.factory,
-                    problem=problem,
-                    golden_tb=golden,
-                    seed=job.seed,
-                    sink=job.publish,
-                    fingerprint=(
-                        self._fingerprint(job.system)
-                        if self.solve_cache is not None
-                        else None
-                    ),
-                )
-            )
-            admitted.append(job)
-        if not requests:
-            return
-        try:
-            results = self.scheduler.run(requests)
-        except Exception as exc:  # noqa: BLE001 -- fail the whole batch
-            for job in admitted:
-                self.stats.count("errors")
-                self.broker.fail(job, f"{type(exc).__name__}: {exc}")
-            return
-        for job, result in zip(admitted, results):
-            if result.error is not None:
-                self.stats.count("errors")
-                self.broker.fail(job, result.error)
-                continue
-            self.stats.count(
-                "cache_served" if result.solve_cached else "executed"
-            )
-            self.broker.finish(
-                job,
-                ServiceResult(
-                    source=result.source,
-                    passed=result.passed,
-                    score=result.score,
-                    seconds=result.seconds,
-                    system=registered_system_name(job.system),
-                    solve_cached=result.solve_cached,
-                ),
-            )
 
 
 class Worker(threading.Thread):

@@ -136,6 +136,12 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="unknown event kind"):
             Event.from_json({"kind": "no-such-event"})
 
+    @pytest.mark.parametrize("kind", ["wave-scheduled", "speculation-outcome"])
+    def test_scheduler_telemetry_kinds_are_unknown(self, kind):
+        assert kind not in EVENT_TYPES
+        with pytest.raises(ValueError, match="unknown event kind"):
+            Event.from_json({"kind": kind})
+
     def test_missing_required_field_raises_value_error(self):
         with pytest.raises(ValueError, match="bad 'run-started'"):
             Event.from_json({"kind": "run-started", "system": "mage"})

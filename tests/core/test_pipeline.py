@@ -13,11 +13,10 @@ from repro.core.pipeline import (
     MemoryCheckpointer,
     Pipeline,
     ProgramSpec,
+    RunProgram,
     RunState,
     Stage,
-    resume_program,
     restore_state,
-    stage_before,
     start_program,
 )
 from repro.core.task import DesignTask
@@ -196,20 +195,10 @@ class TestRunProgram:
     def test_spec_travels_with_the_pickled_state(self):
         program = start_program(self._spec(), RunState())
         program.advance(stop_after="a")
-        resumed = resume_program(restore_state(program.state.snapshot()))
+        restored = restore_state(program.state.snapshot())
+        resumed = RunProgram(spec=restored.data["program"], state=restored)
         resumed.advance()
         assert resumed.source() == "a,b"
-
-    def test_resume_program_requires_a_spec(self):
-        with pytest.raises(ValueError):
-            resume_program(RunState())
-
-    def test_stage_before(self):
-        pipe = _program_pipeline()
-        assert stage_before(pipe, "b") == "a"
-        assert stage_before(pipe, "a") is None
-        with pytest.raises(ValueError):
-            stage_before(pipe, "zz")
 
 
 class TestMagePipeline:

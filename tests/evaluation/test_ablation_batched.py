@@ -1,10 +1,10 @@
-"""Ablation arms and figure collectors under cached/batched execution.
+"""Ablation arms and figure collectors under pooled/cached execution.
 
 The Table III arms and the Fig. 3/4 config switches were only ever
 exercised through the serial path; these tests drive them through
-``evaluate_many`` with rollout batching and the solve-cell cache, and
-check the figure collectors fold identical series out of live, batched,
-and cache-replayed event streams.
+``evaluate_many`` on a process pool and with the solve-cell cache, and
+check the figure collectors fold identical series out of live,
+process-pool, and cache-replayed event streams.
 """
 
 from functools import partial
@@ -14,7 +14,7 @@ import pytest
 from repro.baselines.registry import MAGESystem
 from repro.core.events import ListSink
 from repro.core.task import DesignTask
-from repro.evalsets import get_problem, golden_testbench
+from repro.evalsets import get_problem
 from repro.evaluation.ablation import (
     TABLE3_ARMS,
     checkpoint_ablation_configs,
@@ -27,15 +27,17 @@ from repro.runtime.cache import (
     SolveCellCache,
     system_fingerprint,
 )
-from repro.runtime.executor import SerialExecutor, ThreadExecutor
-from repro.runtime.rollout import RolloutRequest, RolloutScheduler
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.workers import solve_streaming
 
 PROBLEMS = [get_problem("cb_kmap_mux"), get_problem("fs_vending")]
 
 
-class TestAblationArmsBatched:
+class TestAblationArmsPooled:
     @pytest.mark.parametrize("arm", TABLE3_ARMS, ids=lambda a: a.key)
-    def test_arm_rows_identical_serial_vs_rollout(self, arm):
+    def test_arm_rows_identical_serial_vs_process_pool(
+        self, arm, process_pool_grid
+    ):
         with SerialExecutor() as executor:
             serial, _ = evaluate_many(
                 arm.factory,
@@ -45,22 +47,13 @@ class TestAblationArmsBatched:
                 executor=executor,
                 cache=SimulationCache(),
             )
-        with ThreadExecutor(2) as executor:
-            batched, _ = evaluate_many(
-                arm.factory,
-                "verilogeval-v2",
-                runs=2,
-                problems=PROBLEMS,
-                executor=executor,
-                cache=SimulationCache(),
-                rollout_batch=4,
-            )
-        assert batched.outcomes == serial.outcomes
+        pooled, _ = process_pool_grid(arm.factory, PROBLEMS, runs=2)
+        assert pooled.outcomes == serial.outcomes
 
     @pytest.mark.parametrize("arm", TABLE3_ARMS, ids=lambda a: a.key)
     def test_arm_is_solve_cacheable(self, arm):
         """Every Table III arm has a stable fingerprint, and a repeated
-        batched sweep re-serves all its cells from the solve cache."""
+        sweep re-serves all its cells from the solve cache."""
         assert system_fingerprint(arm.factory) is not None
         solve_cache = SolveCellCache()
         passes = []
@@ -74,7 +67,6 @@ class TestAblationArmsBatched:
                     executor=executor,
                     cache=SimulationCache(),
                     solve_cache=solve_cache,
-                    rollout_batch=4,
                 )
             passes.append((result, report))
         (cold, cold_report), (warm, warm_report) = passes
@@ -87,7 +79,9 @@ class TestAblationArmsBatched:
         [checkpoint_ablation_configs, sampling_ablation_configs],
         ids=["checkpoints", "sampling"],
     )
-    def test_config_switch_grids_identical_under_rollout(self, configs):
+    def test_config_switch_grids_identical_on_process_pool(
+        self, configs, process_pool_grid
+    ):
         for label, config in configs().items():
             factory = partial(MAGESystem, config)
             with SerialExecutor() as executor:
@@ -101,22 +95,11 @@ class TestAblationArmsBatched:
                     cache=SimulationCache(),
                     name=label,
                 )
-            with ThreadExecutor(2) as executor:
-                batched, _ = evaluate_many(
-                    factory,
-                    "verilogeval-v2",
-                    runs=1,
-                    seed0=2,
-                    problems=PROBLEMS,
-                    executor=executor,
-                    cache=SimulationCache(),
-                    name=label,
-                    rollout_batch=4,
-                )
-            assert batched.outcomes == serial.outcomes, label
+            pooled, _ = process_pool_grid(factory, PROBLEMS, seed0=2)
+            assert pooled.outcomes == serial.outcomes, label
 
 
-class TestFiguresFromBatchedStreams:
+class TestFiguresFromPooledStreams:
     def _series(self, events_per_run):
         series = ScoreSeries()
         for events in events_per_run:
@@ -130,30 +113,19 @@ class TestFiguresFromBatchedStreams:
             series.rounds,
         )
 
-    def test_series_from_rollout_equals_serial(self):
-        """Fig. 4 collectors read identical series out of a batched
-        run's event stream and a serial run's."""
+    def test_series_from_process_pool_equals_serial(self, process_pool_grid):
+        """Fig. 4 collectors read identical series out of a stream
+        recorded in a pool process and a serial run's."""
         problem = get_problem("fs_vending")
         serial_sink = ListSink()
         MAGESystem().solve(
             DesignTask.from_problem(problem), seed=2, sink=serial_sink
         )
-        request = RolloutRequest(
-            index=0,
-            factory=MAGESystem,
-            problem=problem,
-            golden_tb=golden_testbench(problem),
-            seed=2,
-        )
-        with ThreadExecutor(2) as executor:
-            scheduler = RolloutScheduler(
-                executor=executor, cache=SimulationCache()
-            )
-            result = scheduler.run([request])[0]
-        assert result.error is None
+        _, streams = process_pool_grid(MAGESystem, [problem], seed0=2)
+        _, pooled_events = streams[(problem.id, 2)]
         serial = self._series([serial_sink.events])
-        batched = self._series([result.events])
-        assert self._snapshot(batched) == self._snapshot(serial)
+        pooled = self._series([pooled_events])
+        assert self._snapshot(pooled) == self._snapshot(serial)
         # The run entered Step 4, so the figure actually has data.
         assert serial.initial_scores and serial.sampled_best_scores
 
@@ -163,23 +135,21 @@ class TestFiguresFromBatchedStreams:
         problem = get_problem("fs_vending")
         factory = MAGESystem
         solve_cache = SolveCellCache()
-        scheduler = RolloutScheduler(
-            executor=SerialExecutor(),
-            cache=SimulationCache(),
-            solve_cache=solve_cache,
-        )
         fingerprint = system_fingerprint(factory)
-        request = RolloutRequest(
-            index=0,
-            factory=factory,
-            problem=problem,
-            golden_tb=golden_testbench(problem),
-            seed=2,
-            fingerprint=fingerprint,
-        )
-        cold = scheduler.run([request])[0]
-        warm = scheduler.run([request])[0]
-        assert not cold.solve_cached and warm.solve_cached
-        assert self._snapshot(self._series([warm.events])) == self._snapshot(
-            self._series([cold.events])
+        streams = []
+        for _ in range(2):
+            sink = ListSink()
+            _, cached = solve_streaming(
+                factory,
+                problem,
+                2,
+                sink=sink,
+                solve_cache=solve_cache,
+                fingerprint=fingerprint,
+            )
+            streams.append((cached, sink.events))
+        (cold_cached, cold), (warm_cached, warm) = streams
+        assert not cold_cached and warm_cached
+        assert self._snapshot(self._series([warm])) == self._snapshot(
+            self._series([cold])
         )

@@ -1,6 +1,6 @@
 """Cassette determinism matrix: record once with the simllm-backed
 gateway, then replay -- with the network path stubbed to a backend that
-always raises -- across {serial, rollout-batched, service} execution.
+always raises -- across {serial, process pool, service} execution.
 Every replay stream must be bit-identical to the recording run's
 (wall-clock ``seconds`` zeroed, per the parity convention)."""
 
@@ -9,10 +9,8 @@ import pytest
 from repro.baselines.registry import SYSTEMS
 from repro.core.events import ListSink
 from repro.core.task import DesignTask
-from repro.evalsets import get_problem, golden_testbench
+from repro.evalsets import get_problem
 from repro.llm.gateway import GATEWAY_STATS, GatewaySettings
-from repro.runtime.executor import ThreadExecutor
-from repro.runtime.rollout import RolloutRequest, RolloutScheduler
 from repro.service import ServiceClient, SolveServer
 
 SYSTEM_KEYS = ["mage", "vanilla-claude"]
@@ -101,36 +99,23 @@ class TestSerialReplay:
         assert stats["cost"] == 0.0
 
 
-class TestRolloutReplay:
-    def test_batched_replay_matches_the_recording(self, cassette):
-        directory, reference = cassette
-        settings = GatewaySettings.from_env()
-        assert settings.mode == "replay"
-        sinks = {}
-        requests = []
-        for index, problem_id in enumerate(PROBLEM_IDS):
-            problem = get_problem(problem_id)
-            sinks[problem_id] = ListSink()
-            requests.append(
-                RolloutRequest(
-                    index=index,
-                    factory=SYSTEMS["mage"].factory,
-                    problem=problem,
-                    golden_tb=golden_testbench(problem),
-                    seed=SEED,
-                    sink=sinks[problem_id],
-                )
-            )
-        with ThreadExecutor(2) as executor:
-            scheduler = RolloutScheduler(
-                executor=executor, batch=4, gateway=settings
-            )
-            results = scheduler.run(requests)
-        for result, problem_id in zip(results, PROBLEM_IDS):
-            assert result.error is None
+class TestProcessPoolReplay:
+    def test_pool_replay_matches_the_recording(
+        self, cassette, process_pool_grid
+    ):
+        """Worker processes inherit the replay-with-network-down gateway
+        the grid pins on every cell, and replay the recording exactly."""
+        _, reference = cassette
+        assert GatewaySettings.from_env().mode == "replay"
+        problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
+        _, streams = process_pool_grid(
+            SYSTEMS["mage"].factory, problems, seed0=SEED
+        )
+        for problem_id in PROBLEM_IDS:
+            source, events = streams[(problem_id, SEED)]
             ref_source, ref_events = reference[("mage", problem_id)]
-            assert result.source == ref_source
-            assert canonical(sinks[problem_id].events) == ref_events
+            assert source == ref_source
+            assert canonical(events) == ref_events
 
 
 class TestServiceReplay:

@@ -1,17 +1,13 @@
-"""Cross-path determinism matrix: {mage, vanilla, single-agent,
-two-agent} x {serial, rollout-batched, rollout+speculation, service,
-service+steal}.
+"""Cross-path determinism matrix: {mage, vanilla-claude, single-agent,
+aivril} x {serial, thread pool, process pool, service, multiplexed
+service, ring, ring+kill}.
 
-The rollout determinism contract says batched output is *bit-identical*
-to a ``--jobs 1 --rollout-batch 0`` serial run: same final sources,
-same result rows, and the same typed event stream event-by-event.  The
-only fields allowed to differ are wall-clock measurements
-(``seconds``), which are zeroed by :func:`canonical` before comparison;
-every other field -- scores, pool shapes, LLM-call counts, stage order
--- must match exactly.  The contract holds with fixed or adaptive wave
-widths, with speculation on or off (speculation may only warm the
-simulation cache), and whether score waves ran locally or were stolen
-by a peer server.
+Every grid path must be *bit-identical* to a ``--jobs 1`` serial run:
+same final sources, same result rows, and the same typed event stream
+event-by-event.  The only fields allowed to differ are wall-clock
+measurements (``seconds``), which are zeroed by :func:`canonical`
+before comparison; every other field -- scores, pool shapes, LLM-call
+counts, stage order -- must match exactly.
 """
 
 import threading
@@ -23,13 +19,18 @@ import pytest
 from repro.baselines.registry import SYSTEMS
 from repro.core.events import CellFinished, ListSink
 from repro.core.task import DesignTask
-from repro.evalsets import get_problem, golden_testbench
+from repro.evalsets import get_problem
 from repro.runtime.batch import evaluate_many
-from repro.runtime.cache import SimulationCache
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
-from repro.runtime.rollout import RolloutRequest, RolloutScheduler
+from repro.runtime.cache import (
+    SimulationCache,
+    SolveCellCache,
+    solve_cell_key,
+    system_fingerprint,
+)
+from repro.runtime.executor import SerialExecutor, ThreadExecutor
 from repro.service import (
     HashRing,
+    MultiplexedClient,
     ServiceClient,
     ServiceError,
     SolveServer,
@@ -41,8 +42,7 @@ from repro.service import (
 # One representative per row of the matrix: the full engine, the
 # single-stage baseline, the Table III single-agent ablation, and the
 # AIVRIL-style coder+reviewer pair.  ``ar_addsub8`` reaches Step-5
-# debug rounds on every seed, so the gang-scheduled debug path
-# (suspend, coalesce, inject) is exercised by every matrix row.
+# debug rounds on every seed, so every matrix row covers the debug loop.
 SYSTEM_KEYS = ["mage", "vanilla-claude", "single-agent", "aivril"]
 PROBLEM_IDS = ["cb_kmap_mux", "fs_vending", "ar_addsub8"]
 SEED = 2
@@ -76,87 +76,11 @@ def serial_reference():
     return reference
 
 
-def _rollout_run(key, executor, batch=8, speculate=None):
-    sinks = {}
-    requests = []
-    for index, problem_id in enumerate(PROBLEM_IDS):
-        problem = get_problem(problem_id)
-        sinks[problem_id] = ListSink()
-        requests.append(
-            RolloutRequest(
-                index=index,
-                factory=SYSTEMS[key].factory,
-                problem=problem,
-                golden_tb=golden_testbench(problem),
-                seed=SEED,
-                sink=sinks[problem_id],
-            )
-        )
-    scheduler = RolloutScheduler(
-        executor=executor,
-        batch=batch,
-        cache=SimulationCache(),
-        speculate=speculate,
-    )
-    results = scheduler.run(requests)
-    return results, sinks, scheduler
-
-
-class TestRolloutPathParity:
+class TestProcessPoolParity:
     @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_batched_event_streams_are_bit_identical(
-        self, key, serial_reference
+    def test_pool_rows_and_streams_match_serial(
+        self, key, serial_reference, process_pool_grid
     ):
-        with ThreadExecutor(2) as executor:
-            results, sinks, _ = _rollout_run(key, executor)
-        for result, problem_id in zip(results, PROBLEM_IDS):
-            assert result.error is None
-            source, events = serial_reference[(key, problem_id)]
-            assert result.source == source
-            assert canonical(sinks[problem_id].events) == events
-            # The result's own recorded stream is the same stream.
-            assert canonical(result.events) == events
-
-    def test_batched_streams_survive_process_boundaries(
-        self, serial_reference
-    ):
-        """States snapshot into worker processes and back bit-identically
-        (the mage row exercises suspension, injection, and resume)."""
-        with ProcessExecutor(2) as executor:
-            results, sinks, _ = _rollout_run("mage", executor)
-        for result, problem_id in zip(results, PROBLEM_IDS):
-            assert result.error is None
-            source, events = serial_reference[("mage", problem_id)]
-            assert result.source == source
-            assert canonical(sinks[problem_id].events) == events
-
-    @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_adaptive_speculative_streams_are_bit_identical(
-        self, key, serial_reference
-    ):
-        """``batch="auto"`` + speculation changes nothing observable:
-        speculative simulations only warm the cache, never touch a
-        per-run event stream."""
-        with ThreadExecutor(2) as executor:
-            results, sinks, scheduler = _rollout_run(
-                key, executor, batch="auto", speculate=True
-            )
-        assert scheduler.adaptive and scheduler.speculate
-        for result, problem_id in zip(results, PROBLEM_IDS):
-            assert result.error is None
-            source, events = serial_reference[(key, problem_id)]
-            assert result.source == source
-            assert canonical(sinks[problem_id].events) == events
-        # Accounting stays consistent whatever speculation predicted.
-        spec = scheduler.speculation
-        assert spec.launched == spec.used + spec.mispredicted
-        dedup = scheduler.dedup
-        assert dedup.submitted == (
-            dedup.executed + dedup.wave_duplicates + dedup.fabric_hits
-        )
-
-    @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_rollout_grid_rows_match_serial(self, key):
         problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
         with SerialExecutor() as executor:
             serial_result, _ = evaluate_many(
@@ -168,34 +92,62 @@ class TestRolloutPathParity:
                 executor=executor,
                 cache=SimulationCache(),
             )
-        with ThreadExecutor(2) as executor:
-            rollout_result, report = evaluate_many(
-                SYSTEMS[key].factory,
-                "verilogeval-v2",
-                runs=2,
-                seed0=SEED,
-                problems=problems,
-                executor=executor,
-                cache=SimulationCache(),
-                rollout_batch=4,
-            )
-        assert rollout_result.outcomes == serial_result.outcomes
-        assert "rollout[4]" in report.executor
+        pool_result, streams = process_pool_grid(
+            SYSTEMS[key].factory, problems, runs=2, seed0=SEED
+        )
+        assert pool_result.outcomes == serial_result.outcomes
+        for problem_id in PROBLEM_IDS:
+            source, events = serial_reference[(key, problem_id)]
+            pool_source, pool_events = streams[(problem_id, SEED)]
+            assert pool_source == source
+            assert canonical(pool_events) == events
+
+
+class TestThreadPoolParity:
+    @pytest.mark.parametrize("key", SYSTEM_KEYS)
+    def test_thread_rows_and_streams_match_serial(self, key, serial_reference):
+        problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
+        grids = {}
+        for name, executor in (
+            ("serial", SerialExecutor()),
+            ("thread", ThreadExecutor(2)),
+        ):
+            solve_cache = SolveCellCache()
+            with executor:
+                result, _ = evaluate_many(
+                    SYSTEMS[key].factory,
+                    "verilogeval-v2",
+                    runs=2,
+                    seed0=SEED,
+                    problems=problems,
+                    executor=executor,
+                    cache=SimulationCache(),
+                    solve_cache=solve_cache,
+                )
+            grids[name] = (result, solve_cache)
+        assert grids["thread"][0].outcomes == grids["serial"][0].outcomes
+        fingerprint = system_fingerprint(SYSTEMS[key].factory)
+        recorded = grids["thread"][1]
+        for problem in problems:
+            record = recorded.get(solve_cell_key(fingerprint, problem, SEED))
+            source, events = serial_reference[(key, problem.id)]
+            assert record.source == source
+            assert canonical(record.events) == events
 
 
 class TestServicePathParity:
     @pytest.fixture(scope="class")
-    def rollout_server(self):
-        with SolveServer(workers=1, rollout_batch=4) as server:
+    def server(self):
+        with SolveServer(workers=1) as server:
             yield server
 
     @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_batching_service_streams_are_bit_identical(
-        self, key, serial_reference, rollout_server
+    def test_service_streams_are_bit_identical(
+        self, key, serial_reference, server
     ):
         for problem_id in PROBLEM_IDS:
             sink = ListSink()
-            with ServiceClient(rollout_server.address) as client:
+            with ServiceClient(server.address) as client:
                 outcome = client.solve(
                     key, problem_id, seed=SEED, events=sink
                 )
@@ -205,62 +157,32 @@ class TestServicePathParity:
             # canonical streams must still agree field-by-field.
             assert canonical(sink.events) == events
 
+    @pytest.mark.parametrize("key", SYSTEM_KEYS)
+    def test_multiplexed_streams_are_bit_identical(
+        self, key, serial_reference, server
+    ):
+        """The benchmark's client: one socket, interleaved requests."""
+        with MultiplexedClient(server.address) as client:
+            for problem_id in PROBLEM_IDS:
+                sink = ListSink()
+                outcome = client.solve(
+                    key, problem_id, seed=SEED, events=sink
+                )
+                source, events = serial_reference[(key, problem_id)]
+                assert outcome.source == source
+                assert canonical(sink.events) == events
+
     def test_warm_service_replay_is_the_same_stream(
-        self, serial_reference, rollout_server
+        self, serial_reference, server
     ):
         sink = ListSink()
-        with ServiceClient(rollout_server.address) as client:
+        with ServiceClient(server.address) as client:
             outcome = client.solve(
                 "mage", PROBLEM_IDS[0], seed=SEED, events=sink
             )
         assert outcome.cached  # second submit of the matrix cell
         _, events = serial_reference[("mage", PROBLEM_IDS[0])]
         assert canonical(sink.events) == events
-
-
-class TestStealRingParity:
-    """The service+steal matrix row: a two-server ring where the idle
-    server drains the busy one's published score waves over
-    ``WaveSteal`` frames.  Stealing moves pure simulations between
-    machines, so whether a wave ran locally or was stolen, every
-    solve's source and event stream must equal the serial reference."""
-
-    @pytest.fixture(scope="class")
-    def steal_ring(self):
-        with SolveServer(workers=1, rollout_batch=4) as victim:
-            with SolveServer(
-                workers=1,
-                rollout_batch=4,
-                steal_peers=[victim.address],
-            ) as thief:
-                yield victim, thief
-
-    @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_ring_streams_are_bit_identical(
-        self, key, serial_reference, steal_ring
-    ):
-        victim, _ = steal_ring
-        for problem_id in PROBLEM_IDS:
-            sink = ListSink()
-            with ServiceClient(victim.address) as client:
-                outcome = client.solve(
-                    key, problem_id, seed=SEED, events=sink
-                )
-            source, events = serial_reference[(key, problem_id)]
-            assert outcome.source == source
-            assert canonical(sink.events) == events
-
-    def test_thief_polled_the_victim(self, steal_ring):
-        """The idle server's worker actually ran steal rounds against
-        the peer ring while the victim was solving."""
-        _, thief = steal_ring
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            service = thief.stats_snapshot()["service"]
-            if service["steal_attempts"] > 0:
-                break
-            time.sleep(0.05)
-        assert service["steal_attempts"] > 0
 
 
 def _converged_ring(size=3, workers=2):

@@ -1,6 +1,6 @@
 """Peer sharing over the service protocol: cache frames, RemoteTier,
 the peer-replay serving rung, remote-tier parity across processes, and
-cross-scheduler rollout dedup through the shared fabric."""
+cross-grid simulation dedup through a shared peer."""
 
 import io
 import os
@@ -24,7 +24,6 @@ from repro.runtime.cache import (
     encode_value,
     simulation_count,
 )
-from repro.runtime.rollout import RolloutRequest, RolloutScheduler
 from repro.service import (
     CacheGet,
     CachePut,
@@ -277,61 +276,36 @@ class TestRemoteTierParity:
                     proc.kill()
 
 
-def _rollout_request(problem_id, seed=1):
-    from repro.evalsets import golden_testbench
+class TestCrossGridDedup:
+    def test_second_grid_simulates_nothing_through_a_peer(self, server):
+        """Two grids sharing no memory dedup through the peer: B's
+        candidate and golden simulations are all served by what A
+        gossiped to the server."""
+        problems = [get_problem("fs_vending")]
 
-    problem = get_problem(problem_id)
-    return RolloutRequest(
-        index=0,
-        factory=SYSTEMS["mage"].factory,
-        problem=problem,
-        golden_tb=golden_testbench(problem),
-        seed=seed,
-    )
+        def grid(cache):
+            with SerialExecutor() as executor:
+                result, _ = evaluate_many(
+                    SYSTEMS["mage"].factory,
+                    "verilogeval-v2",
+                    runs=1,
+                    seed0=1,
+                    problems=problems,
+                    executor=executor,
+                    cache=cache,
+                )
+            return result
 
+        cache_a = SimulationCache(peers=(server.address,))
+        result_a = grid(cache_a)
+        assert cache_a.flush_gossip(timeout=30.0)  # every put reached the peer
+        cache_a.close()
+        assert cache_a.stats.misses > 0
 
-class TestCrossSchedulerDedup:
-    def test_cross_wave_dedup_within_one_scheduler(self):
-        """Wave N+1 reuses wave N's candidate sims through the fabric's
-        memory tier (no solve cache involved)."""
-        scheduler = RolloutScheduler(
-            executor=SerialExecutor(), cache=SimulationCache()
-        )
-        first = scheduler.run([_rollout_request("fs_vending")])[0]
-        assert first.error is None
-        assert scheduler.dedup.executed > 0
-        executed_after_first = scheduler.dedup.executed
-        second = scheduler.run([_rollout_request("fs_vending")])[0]
-        assert second.source == first.source
-        assert scheduler.dedup.fabric_hits > 0  # served pre-dispatch
-        assert scheduler.dedup.executed == executed_after_first  # no new sims
-
-    def test_cross_scheduler_dedup_through_a_peer(self, server):
-        """Two schedulers sharing no memory dedup through the peer ring:
-        B's score wave is served entirely by what A gossiped."""
-        scheduler_a = RolloutScheduler(
-            executor=SerialExecutor(),
-            cache=SimulationCache(peers=(server.address,)),
-        )
-        result_a = scheduler_a.run([_rollout_request("fs_vending")])[0]
-        assert result_a.error is None
-        assert scheduler_a.dedup.executed > 0
-
-        fresh_cache = SimulationCache(peers=(server.address,))
-        scheduler_b = RolloutScheduler(
-            executor=SerialExecutor(), cache=fresh_cache
-        )
+        cache_b = SimulationCache(peers=(server.address,))
         sims_before = simulation_count()
-        result_b = scheduler_b.run([_rollout_request("fs_vending")])[0]
-        assert result_b.error is None
-        assert result_b.source == result_a.source
-        assert result_b.passed == result_a.passed
-        assert result_b.score == result_a.score
-        # The shared fabric dropped every duplicate candidate sim:
-        # B's score wave dispatched its candidates, but each lookup was
-        # served by the peer -- the whole run (close-phase debug and
-        # golden scoring included) simulated nothing new.
-        assert scheduler_b.dedup.executed > 0
-        assert scheduler_b.dedup.remote_hits > 0
+        result_b = grid(cache_b)
+        cache_b.close()
+        assert result_b.outcomes == result_a.outcomes
         assert simulation_count() == sims_before
-        assert fresh_cache.stats.remote_hits > 0
+        assert cache_b.stats.remote_hits > 0

@@ -18,18 +18,12 @@ class TestRenderPrometheus:
         stats = {
             "address": "127.0.0.1:7777",
             "workers": 2,
-            "rollout_batch": 4,
             "pending": 3,
             "broker": {"submitted": 10, "completed": 9},
-            "service": {"requests": 10, "steal_served": 2},
+            "service": {"requests": 10, "peer_gets": 2},
             "gateway": {"calls": 5, "retries": 1},
             "gateway_mode": "live",
             "stages": {"spec": {"runs": 4, "seconds": 1.25}},
-            "scheduler": {
-                "dedup": {"submitted": 40, "executed": 30},
-                "speculation": {"launched": 6, "used": 5},
-            },
-            "steal": {"published": 8, "claimed": 2, "peers": ["x"]},
             "caches": {
                 "simulation": {
                     "entries": 12,
@@ -48,17 +42,13 @@ class TestRenderPrometheus:
         )
         assert "# TYPE repro_info gauge" in lines
         assert "repro_workers 2" in lines
-        assert "repro_rollout_batch 4" in lines
         assert "repro_pending_jobs 3" in lines
         assert "# TYPE repro_broker_submitted counter" in lines
         assert "repro_broker_submitted 10" in lines
-        assert "repro_service_steal_served 2" in lines
+        assert "repro_service_peer_gets 2" in lines
         assert "repro_gateway_calls 5" in lines
         assert 'repro_stage_runs_total{stage="spec"} 4' in lines
         assert 'repro_stage_seconds_total{stage="spec"} 1.25' in lines
-        assert "repro_scheduler_dedup_submitted 40" in lines
-        assert "repro_speculation_launched 6" in lines
-        assert "repro_steal_published 8" in lines
         assert 'repro_cache_entries{layer="simulation"} 12' in lines
         assert "# TYPE repro_cache_entries gauge" in lines
         assert "# TYPE repro_cache_hits counter" in lines
@@ -90,9 +80,7 @@ class TestRenderPrometheus:
         for family in (
             "repro_broker_",
             "repro_gateway_",
-            "repro_scheduler_",
-            "repro_speculation_",
-            "repro_steal_",
+            "repro_ring_",
             "repro_cache_",
             "repro_stage_",
         ):
@@ -109,15 +97,9 @@ class TestRenderPrometheus:
 
     def test_live_server_snapshot_round_trips(self):
         """The renderer consumes a real ``stats_snapshot()`` as-is."""
-        with SolveServer(workers=1, rollout_batch=2) as server:
+        with SolveServer(workers=1) as server:
             text = render_prometheus(server.stats_snapshot())
         lines = _lines(text)
-        assert "repro_rollout_batch 2" in lines
         assert "repro_workers 1" in lines
-        assert any(
-            line.startswith("repro_steal_published") for line in lines
-        )
-        assert any(
-            line.startswith("repro_scheduler_dedup_submitted")
-            for line in lines
-        )
+        assert "repro_ring_members 1" in lines
+        assert any(line.startswith("repro_service_executed") for line in lines)

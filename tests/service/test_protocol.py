@@ -90,6 +90,17 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="unknown frame type"):
             read_frame(stream)
 
+    @pytest.mark.parametrize("frame_type", ["wave_steal", "wave_tasks"])
+    def test_work_stealing_frames_are_unknown(self, frame_type):
+        """No frame carries pickled work from a peer: the former
+        work-stealing frames decode as unknown types."""
+        data = json.dumps(
+            {"type": frame_type, "id": 1, "v": PROTOCOL_VERSION, "items": []}
+        ).encode()
+        stream = io.BytesIO(struct.pack(">I", len(data)) + data)
+        with pytest.raises(ProtocolError, match="unknown frame type"):
+            read_frame(stream)
+
     def test_bad_event_payload_rejected(self):
         data = json.dumps(
             {

@@ -152,71 +152,44 @@ class TestInFlightDedup:
             assert stream.events == reference
 
 
-class TestRolloutBatchingMode:
-    @pytest.fixture()
-    def rollout_server(self):
-        with SolveServer(workers=1, rollout_batch=3) as live:
-            yield live
-
-    def test_concurrent_distinct_cells_share_a_batch(self, rollout_server):
-        """Gang-scheduling three dedup-distinct cells produces the same
-        outcomes a plain worker would, one pipeline execution each."""
+class TestConcurrentDistinctCells:
+    def test_distinct_cells_each_execute_once(self, server):
+        """Concurrent dedup-distinct cells on the plain worker pool: one
+        pipeline execution each, outcomes equal to a local solve."""
         ids = ["cb_mux2", "cb_kmap_mux", "fs_vending"]
         outcomes = {}
         barrier = threading.Barrier(len(ids))
 
         def submit(problem_id):
-            with ServiceClient(rollout_server.address) as client:
+            with ServiceClient(server.address) as client:
                 barrier.wait()
-                outcomes[problem_id] = client.solve(
-                    "mage", problem_id, seed=3
-                )
+                outcomes[problem_id] = client.solve("mage", problem_id, seed=3)
 
-        threads = [
-            threading.Thread(target=submit, args=(pid,)) for pid in ids
-        ]
+        threads = [threading.Thread(target=submit, args=(pid,)) for pid in ids]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
         assert set(outcomes) == set(ids)
-        assert rollout_server.executed_count() == len(ids)
+        assert server.executed_count() == len(ids)
         for problem_id in ids:
             system = SYSTEMS["mage"].factory()
             task = DesignTask.from_problem(get_problem(problem_id))
             assert outcomes[problem_id].source == system.solve(task, seed=3)
 
-    def test_duplicates_still_execute_once_under_batching(self, rollout_server):
-        clients = 3
-        outcomes = [None] * clients
-        barrier = threading.Barrier(clients)
-
-        def submit(index):
-            with ServiceClient(rollout_server.address) as client:
-                barrier.wait()
-                outcomes[index] = client.solve("mage", "fs_vending", seed=7)
-
-        threads = [
-            threading.Thread(target=submit, args=(i,)) for i in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert all(o is not None for o in outcomes)
-        assert rollout_server.executed_count() == 1
-        assert len({o.source for o in outcomes}) == 1
-
-    def test_unknown_system_fails_only_its_job(self, rollout_server):
-        with ServiceClient(rollout_server.address) as client:
+    def test_unknown_system_fails_only_its_job(self, server):
+        with ServiceClient(server.address) as client:
             with pytest.raises(ServiceError, match="unknown system"):
                 client.solve("martian", "cb_mux2")
+            # Same connection, next job: unaffected by the failure.
             assert client.solve("mage", "cb_mux2", seed=1).source
+        assert server.executed_count() == 1
 
-    def test_stats_report_batching_mode(self, rollout_server):
-        with ServiceClient(rollout_server.address) as client:
+    def test_stats_carry_no_scheduler_sections(self, server):
+        with ServiceClient(server.address) as client:
             stats = client.stats()
-        assert stats["rollout_batch"] == 3
+        assert stats["workers"] == 2
+        assert not {"rollout_batch", "scheduler", "steal"} & set(stats)
 
 
 class TestLifecycle:

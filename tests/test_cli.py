@@ -238,73 +238,48 @@ def _event_lines(text: str) -> list[str]:
     return [line for line in text.splitlines() if line.startswith("  | ")]
 
 
-class TestCliRollout:
-    def test_eval_rollout_row_matches_serial(self, capsys):
+class TestCliGridPaths:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_eval_pool_row_matches_serial(self, capsys, executor):
         argv = ["eval", "mage", "--runs", "2", "--limit", "3"]
-        assert main(argv) == 0
+        assert main(argv + ["--jobs", "1"]) == 0
         serial_row = capsys.readouterr().out.splitlines()[0]
-        assert main(argv + ["--rollout-batch", "4"]) == 0
-        rollout_row = capsys.readouterr().out.splitlines()[0]
-        assert rollout_row == serial_row
+        assert main(argv + ["--jobs", "2", "--executor", executor]) == 0
+        pool_row = capsys.readouterr().out.splitlines()[0]
+        assert pool_row == serial_row
 
-    def test_eval_rollout_verbose_reports_executor(self, capsys):
+    def test_eval_verbose_reports_process_executor(self, capsys):
         argv = [
             "eval", "mage", "--runs", "1", "--limit", "2",
-            "--rollout-batch", "4", "--verbose",
+            "--jobs", "2", "--executor", "process", "--verbose",
         ]
         assert main(argv) == 0
-        assert "rollout[4]" in capsys.readouterr().out
+        assert "process[2]" in capsys.readouterr().out
 
-    def test_eval_rollout_rejected_with_service(self, capsys):
-        argv = [
-            "eval", "mage", "--limit", "1",
-            "--service", "127.0.0.1:1", "--rollout-batch", "2",
-        ]
-        assert main(argv) == 2
-        assert "--rollout-batch" in capsys.readouterr().out
-
-    def test_bench_rollout_writes_gate_file(self, capsys, tmp_path):
-        # No --min-speedup here: wall-clock gates belong to the CI bench
-        # step, where the run is not contending with the test suite.
-        out_path = tmp_path / "BENCH_rollout.json"
-        argv = [
-            "bench", "mage", "--runs", "2", "--limit", "4", "--rollout",
-            "--rollout-batch", "4", "--bench-out", str(out_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "rollout[4]" in out
-        assert "deterministic   yes" in out
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["rollout_batch"] == 4
-        assert payload["deterministic"] is True
-        # The misleading single "speedup" key is gone: cold- and
-        # warm-relative speedups are recorded explicitly.
-        assert "speedup" not in payload and "batching_speedup" not in payload
-        assert payload["speedup_vs_cold"] > 0
-        assert payload["speedup_vs_warm"] > 0
-        assert payload["jobs"] >= 1  # resolved fan-out is reported
-        # Fixed widths leave speculation off; the key is still present.
-        assert payload["speculation"].get("launched", 0) == 0
-        assert payload["cache_hit_rate"] == 1.0  # warm pass fully served
-
-    def test_bench_rollout_rejected_with_service(self, capsys):
-        argv = ["bench", "mage", "--limit", "1", "--service", "--rollout"]
-        assert main(argv) == 2
-        assert "--rollout" in capsys.readouterr().out
-
-    def test_bench_rollout_batch_requires_rollout(self, capsys):
-        argv = ["bench", "mage", "--limit", "1", "--rollout-batch", "4"]
-        assert main(argv) == 2
-        assert "--rollout-batch only applies" in capsys.readouterr().out
-
-    def test_serve_rollout_batch_flag_wired(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["serve", "--rollout-batch", "3"])
-        assert args.rollout_batch == 3
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "mage", "--rollout-batch", "4"],
+            ["serve", "--rollout-batch", "3"],
+            ["serve", "--steal-peer", "127.0.0.1:1"],
+            ["bench", "mage", "--rollout"],
+            ["bench", "mage", "--rollout-batch", "4"],
+        ],
+        ids=[
+            "eval-rollout-batch",
+            "serve-rollout-batch",
+            "serve-steal-peer",
+            "bench-rollout",
+            "bench-rollout-batch",
+        ],
+    )
+    def test_scheduler_flags_are_unrecognized(self, capsys, argv):
+        """The grid runs only on the serial/pool/service paths; the
+        rollout-scheduler flags are not part of the CLI."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCliServiceMode:
@@ -519,11 +494,6 @@ class TestCliCacheFabric:
         argv = ["bench", "mage", "--limit", "1", "--service", "--peer-cache"]
         assert main(argv) == 2
         assert "--peer-cache" in capsys.readouterr().out
-
-    def test_bench_peer_cache_rejected_with_rollout(self, capsys):
-        argv = ["bench", "mage", "--limit", "1", "--peer-cache", "--rollout"]
-        assert main(argv) == 2
-        assert "cannot be combined with --peer-cache" in capsys.readouterr().out
 
     def test_eval_via_live_peer_matches_local_row(self, capsys):
         """serve A -> warm it -> cold eval B --cache-peer A: identical
