@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,8 +54,8 @@ class Problem:
             raise ValueError(f"{self.id}: clocked problem needs a clock")
 
     def design(self) -> Design:
-        """The compiled golden design (cached)."""
-        return _compile_cached(self.golden, self.top)
+        """The compiled golden design (shared, see :func:`compile_design`)."""
+        return compile_design(self.golden, self.top)
 
     @property
     def data_inputs(self) -> tuple[str, ...]:
@@ -72,11 +71,6 @@ class Problem:
     def seed_for(self, salt: int = 0) -> int:
         """Stable per-problem RNG seed."""
         return (zlib.crc32(self.id.encode()) + salt * 9973) & 0x7FFFFFFF
-
-
-@lru_cache(maxsize=256)
-def _compile_cached(source: str, top: str) -> Design:
-    return compile_design(source, top)
 
 
 def register_problem(problem: Problem) -> Problem:
@@ -153,7 +147,7 @@ def derive_testbench(
     reset) are skipped; partially-unknown outputs keep their ``x`` bits
     as don't-cares.
     """
-    design = _compile_cached(source, top)
+    design = compile_design(source, top)
     probe_checks = {
         out: LogicVec.all_x(design.signals[out].width) for out in outputs
     }

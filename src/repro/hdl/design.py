@@ -63,7 +63,14 @@ class Process:
 
 @dataclass
 class Design:
-    """A fully elaborated, simulatable design."""
+    """A fully elaborated, simulatable design.
+
+    Only the elaborator writes a design.
+    :func:`~repro.hdl.compile.compile_design` memoizes designs by
+    content, so one instance is shared by every caller and every
+    :class:`~repro.hdl.simulator.Simulation` built on it; simulations
+    keep their mutable state apart from the design.
+    """
 
     name: str
     signals: dict[str, Signal] = field(default_factory=dict)

@@ -455,7 +455,8 @@ class Interpreter:
             if piece.msb == mem.width - 1 and piece.lsb == 0:
                 word = value.resize(mem.width, mem.signed)
             else:
-                old = self.state.get_mem_word(piece.name, piece.word)
+                # ``piece.word`` is a slot; get_mem_word takes the declared index.
+                old = self.state.get_mem_word(piece.name, piece.word + mem.base)
                 word = old.set_slice(piece.msb, piece.lsb, value)
             self.state.set_mem_word(piece.name, piece.word, word)
             return

@@ -147,6 +147,8 @@ class LogicVec:
         """
         out_signed = self.signed if signed is None else signed
         if width == self.width:
+            if out_signed == self.signed:
+                return self  # frozen and compared by value: no copy needed
             return LogicVec(width, self.val, self.xmask, out_signed)
         if width < self.width:
             m = _mask(width)

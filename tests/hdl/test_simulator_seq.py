@@ -1,5 +1,7 @@
 """Sequential simulation semantics: edges, NBA ordering, memories."""
 
+import pytest
+
 from repro.hdl.compile import simulate
 
 
@@ -171,6 +173,21 @@ class TestMemories:
         sim.step({"clk": 0, "rst": 1, "a": 2})
         clock(sim)
         assert sim.peek("q").to_uint() == 0
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_partial_word_write_keeps_other_bits(self, base):
+        sim = simulate(
+            "module t (input clk, output [7:0] q);\n"
+            f"reg [7:0] mem [{base}:{base + 3}];\n"
+            f"initial mem[{base}] = 8'hA5;\n"
+            f"always @(posedge clk) mem[{base}][3:0] <= 4'd3;\n"
+            f"assign q = mem[{base}];\nendmodule"
+        )
+        sim.step({"clk": 0})
+        assert sim.peek("q").to_uint() == 0xA5
+        clock(sim)
+        assert not sim.peek("q").has_x
+        assert sim.peek("q").to_uint() == 0xA3
 
 
 class TestInitialBlocks:

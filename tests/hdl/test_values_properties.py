@@ -136,3 +136,34 @@ def test_shift_matches_python(pair):
 def test_truth_trichotomy(v):
     t = v.truth()
     assert t.is_true() + t.is_false() + t.has_x == 1
+
+
+@st.composite
+def signed_vec(draw):
+    """A vector that may contain x bits and may be signed."""
+    v = draw(any_vec())
+    return LogicVec(v.width, v.val, v.xmask, draw(st.booleans()))
+
+
+def _bits(v: LogicVec) -> list[str]:
+    """LSB-first per-bit states: '0', '1' or 'x'."""
+    return [
+        "x" if (v.xmask >> i) & 1 else str((v.val >> i) & 1)
+        for i in range(v.width)
+    ]
+
+
+@given(signed_vec(), widths, st.sampled_from([None, False, True]))
+def test_resize_matches_constructor(v, width, signed):
+    bits = _bits(v)[:width]
+    fill = bits[-1] if v.signed else "0"
+    bits += [fill] * (width - len(bits))
+    val = sum(1 << i for i, b in enumerate(bits) if b == "1")
+    xmask = sum(1 << i for i, b in enumerate(bits) if b == "x")
+    out_signed = v.signed if signed is None else signed
+    assert v.resize(width, signed) == LogicVec(width, val, xmask, out_signed)
+
+
+@given(signed_vec(), st.booleans())
+def test_resize_to_same_shape_returns_self(v, pass_sign):
+    assert v.resize(v.width, v.signed if pass_sign else None) is v
