@@ -6,7 +6,6 @@ Commands:
 - ``solve <problem_id>``          run MAGE on one problem
 - ``run <problem_id>``            solve one task with a live event stream
 - ``eval <system> <suite>``       evaluate a registered system
-- ``bench <system> <suite>``      benchmark the runtime (speedup, cache)
 - ``cache``                       per-layer, per-tier cache stats
                                   (``--clear [--layer sim|solve|llm]``
                                   wipes a disk tier)
@@ -17,11 +16,11 @@ Commands:
 - ``lint <file.v>``               lint a Verilog file
 - ``tb <file.v> <bench.tb>``      run a testbench against a design
 
-``eval`` and ``bench`` accept ``--jobs N`` (parallel workers; results
-are bit-identical at any worker count for fixed seeds),
-``--cache/--no-cache`` (content-addressed simulation memoization), and
-``--solve-cache`` (whole solve-cell memoization: repeated sweeps over
-the same ``config x problem x seed`` grid re-run near-free).
+``eval`` accepts ``--jobs N`` (parallel workers; results are
+bit-identical at any worker count for fixed seeds), ``--cache/--no-cache``
+(content-addressed simulation memoization), and ``--solve-cache`` (whole
+solve-cell memoization: repeated sweeps over the same
+``config x problem x seed`` grid re-run near-free).
 ``eval --runs`` defaults to the ``REPRO_EVAL_RUNS`` environment
 override, falling back to 1; ``eval --progress`` streams typed
 per-cell events as they finish.
@@ -30,10 +29,8 @@ Service mode: ``serve`` binds a localhost TCP solve service (broker +
 long-lived worker pool over both cache layers); ``submit`` streams one
 cell's typed events from it; ``eval --service HOST:PORT[,HOST:PORT...]``
 shards the evaluation grid across running servers with a deterministic
-merge (bit-identical to local ``--jobs 1``); ``bench --service``
-measures submit-to-done latency and warm-cache serving speedup, writing
-``BENCH_service.json``; ``cache --service`` and ``serve --stop`` query
-and drain a running server.
+merge (bit-identical to local ``--jobs 1``); ``cache --service`` and
+``serve --stop`` query and drain a running server.
 
 LLM gateway: ``eval``/``run``/``serve`` accept ``--gateway`` (route
 every LLM call through the multi-backend gateway), ``--backends
@@ -49,13 +46,14 @@ rows and event streams are bit-identical to the recording run.  The
 and per-stage wall-clock.
 
 Cache fabric: both cache layers are tiered (memory -> disk -> remote
-peers).  ``eval --cache-peer ADDR``, ``serve --cache-peer ADDR``, and
-``bench --cache-peer ADDR`` join one or more running solve servers to
-the local fabric as remote tiers -- cells and simulations warmed
-anywhere in the peer ring replay locally (rows and event streams stay
-bit-identical), and fresh results gossip back over the service
-protocol's ``CachePut`` frames.  ``bench --peer-cache`` gates the
-cold-via-peer speedup into ``BENCH_cache.json``.
+peers).  ``eval --cache-peer ADDR`` and ``serve --cache-peer ADDR``
+join one or more running solve servers to the local fabric as remote
+tiers -- cells and simulations warmed anywhere in the peer ring replay
+locally (rows and event streams stay bit-identical), and fresh results
+gossip back over the service protocol's ``CachePut`` frames.
+
+Throughput and latency are measured by ``perfbench/run.py`` (see
+``perfbench/README.md``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 
 def _cmd_problems(_args) -> int:
@@ -352,6 +349,27 @@ def _render_tier_lines(tiers: list[dict]) -> list[str]:
     return lines
 
 
+def _render_service_caches(caches: dict, suffix: str = "") -> list[str]:
+    """Counter and tier lines for each cache layer of a StatsReply."""
+    lines = []
+    for label, key in (
+        ("simulation", "simulation"),
+        ("solve-cell", "solve_cell"),
+        ("cassette", "cassette"),
+    ):
+        layer = caches.get(key)
+        if layer is None:
+            lines.append(f"  {label}{suffix}: disabled")
+            continue
+        lines.append(
+            f"  {label}{suffix}: {layer.get('entries', 0)} entries, "
+            + _render_counter_line(layer)
+        )
+        for line in _render_tier_lines(layer.get("tiers") or []):
+            lines.append("  " + line)
+    return lines
+
+
 def _cmd_cache_clear(args) -> int:
     """``cache --clear``: wipe the selected on-disk tier(s)."""
     from repro.runtime.cache import clear_disk_cache
@@ -431,22 +449,8 @@ def _cmd_cache(args) -> int:
             f"(hits {workers.get('peer_hits', 0)}), "
             f"puts {workers.get('peer_puts', 0)}"
         )
-        layers = stats.get("caches", {})
-        for label, key in (
-            ("simulation cache", "simulation"),
-            ("solve-cell cache", "solve_cell"),
-            ("cassette cache", "cassette"),
-        ):
-            layer = layers.get(key)
-            if layer is None:
-                print(f"  {label}: disabled")
-                continue
-            print(
-                f"  {label}: {layer.get('entries', 0)} entries, "
-                + _render_counter_line(layer)
-            )
-            for line in _render_tier_lines(layer.get("tiers") or []):
-                print("  " + line)
+        for line in _render_service_caches(stats.get("caches", {}), " cache"):
+            print(line)
         return 0
 
     runtime = get_runtime()
@@ -551,23 +555,9 @@ def _cmd_stats(args) -> int:
                 print(line)
         else:
             print("  no stage executions yet")
-        layers = stats.get("caches", {})
         print("caches")
-        for label, key in (
-            ("simulation", "simulation"),
-            ("solve-cell", "solve_cell"),
-            ("cassette", "cassette"),
-        ):
-            layer = layers.get(key)
-            if layer is None:
-                print(f"  {label}: disabled")
-                continue
-            print(
-                f"  {label}: {layer.get('entries', 0)} entries, "
-                + _render_counter_line(layer)
-            )
-            for line in _render_tier_lines(layer.get("tiers") or []):
-                print("  " + line)
+        for line in _render_service_caches(stats.get("caches", {})):
+            print(line)
         return 0
 
     from repro.core.pipeline import STAGE_CLOCK
@@ -765,664 +755,6 @@ def _eval_via_service(args, runs: int, events) -> int:
         return 2
     _print_eval_result(result, report, verbose=args.verbose)
     return 0
-
-
-def _cmd_bench(args) -> int:
-    """Benchmark the runtime on a repeated-runs workload.
-
-    Pass 1 is the cold baseline (serial, empty cache); every later pass
-    reuses the warmed cache on ``--jobs`` workers.  Reports per-pass
-    wall-clock, simulations/second, cache hit-rate, and the end-to-end
-    speedup -- and verifies that every pass reproduced the baseline
-    Pass@1 exactly.
-    """
-    from repro.baselines.registry import SYSTEMS, system_names
-    from repro.runtime import (
-        SerialExecutor,
-        SimulationCache,
-        SolveCellCache,
-        create_executor,
-    )
-    from repro.runtime.batch import evaluate_many
-
-    if args.system not in SYSTEMS:
-        print(f"unknown system; choose from: {', '.join(system_names())}")
-        return 2
-    spec = SYSTEMS[args.system]
-    try:
-        problems = _choose_problems(args.suite, args.limit)
-    except KeyError as exc:
-        print(f"error: {exc}")
-        return 2
-    if args.service:
-        # The service bench has its own fixed shape (in-process baseline
-        # + cold/warm server passes over in-memory caches); local-pass
-        # flags would be silently meaningless, so reject them.
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--repeat", args.repeat),
-                ("--cache/--no-cache", args.cache),
-                ("--cache-dir", args.cache_dir),
-                ("--solve-cache/--no-solve-cache", args.solve_cache),
-                ("--solve-cache-dir", args.solve_cache_dir),
-            )
-            if value is not None
-        ]
-        if args.peer_cache:
-            conflicting.append("--peer-cache")
-        if args.cache_peer is not None:
-            conflicting.append("--cache-peer")
-        if args.ring:
-            conflicting.append("--ring")
-        if conflicting:
-            print(
-                "error: "
-                + ", ".join(conflicting)
-                + " cannot be combined with --service"
-            )
-            return 2
-        return _bench_service(args, spec, problems)
-    if args.ring:
-        # The ring chaos gate spawns its own server subprocesses; local
-        # pass flags don't apply.
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--repeat", args.repeat),
-                ("--cache/--no-cache", args.cache),
-                ("--cache-dir", args.cache_dir),
-                ("--solve-cache/--no-solve-cache", args.solve_cache),
-                ("--solve-cache-dir", args.solve_cache_dir),
-                ("--cache-peer", args.cache_peer),
-            )
-            if value is not None
-        ]
-        if args.peer_cache:
-            conflicting.append("--peer-cache")
-        if conflicting:
-            print(
-                "error: "
-                + ", ".join(conflicting)
-                + " cannot be combined with --ring"
-            )
-            return 2
-        return _bench_ring(args, spec, problems)
-    if args.peer_cache:
-        # Self-contained peer-cache gate: spawns its own in-process
-        # server, so per-pass cache flags don't apply.
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--repeat", args.repeat),
-                ("--cache/--no-cache", args.cache),
-                ("--cache-dir", args.cache_dir),
-                ("--solve-cache/--no-solve-cache", args.solve_cache),
-                ("--solve-cache-dir", args.solve_cache_dir),
-                ("--cache-peer", args.cache_peer),
-            )
-            if value is not None
-        ]
-        if conflicting:
-            print(
-                "error: "
-                + ", ".join(conflicting)
-                + " cannot be combined with --peer-cache"
-            )
-            return 2
-        return _bench_peer_cache(args, spec, problems)
-    from repro.runtime.config import default_jobs
-
-    repeat = args.repeat if args.repeat is not None else 2
-    use_cache = args.cache if args.cache is not None else True
-    use_solve_cache = (
-        args.solve_cache if args.solve_cache is not None else False
-    )
-    if repeat < 2:
-        print("error: --repeat must be >= 2 (pass 1 is the cold baseline)")
-        return 2
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    try:
-        warm_executor = create_executor(jobs=jobs, kind=args.executor)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    cache_dir = args.cache_dir
-    solve_dir = args.solve_cache_dir
-    if warm_executor.kind == "process":
-        # Process workers can't see the parent's in-memory caches; the
-        # disk layer is the only cross-process medium for warm passes.
-        import tempfile
-
-        if use_cache and cache_dir is None:
-            cache_dir = tempfile.mkdtemp(prefix="repro-simcache-")
-            print(f"note: process executor; sharing the cache via {cache_dir}")
-        if use_solve_cache and solve_dir is None:
-            solve_dir = tempfile.mkdtemp(prefix="repro-solvecache-")
-            print(
-                "note: process executor; sharing the solve cache via "
-                f"{solve_dir}"
-            )
-    peers: tuple = ()
-    if args.cache_peer:
-        from repro.service import parse_shards
-
-        try:
-            peers = tuple(parse_shards(args.cache_peer))
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-    cache = SimulationCache(cache_dir, peers=peers) if use_cache else False
-    solve_cache = (
-        SolveCellCache(solve_dir, peers=peers) if use_solve_cache else False
-    )
-    plan = [("cold serial", True)] + [("warm", False)] * (repeat - 1)
-    passes = []
-    deterministic = True
-    try:
-        for index, (label, serial) in enumerate(plan):
-            executor = SerialExecutor() if serial else warm_executor
-            try:
-                result, report = evaluate_many(
-                    spec.factory,
-                    args.suite,
-                    runs=args.runs,
-                    seed0=args.seed0,
-                    problems=problems,
-                    executor=executor,
-                    cache=cache,
-                    solve_cache=solve_cache,
-                )
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc}")
-                return 2
-            passes.append((label, result, report))
-            if result.outcomes != passes[0][1].outcomes:
-                deterministic = False
-            shown = label if serial else f"{label} {report.executor}"
-            print(
-                f"pass {index + 1} ({shown:>16s}): "
-                f"{report.wall_seconds:7.2f} s  "
-                f"{report.sims_per_second:7.1f} sims/s  "
-                f"hit-rate {100.0 * report.cache.hit_rate:5.1f}%"
-            )
-    finally:
-        warm_executor.shutdown()
-    first, last = passes[0][2], passes[-1][2]
-    gate_wall = last.wall_seconds
-    speedup = first.wall_seconds / gate_wall if gate_wall > 0 else 0.0
-    print()
-    print(passes[-1][1].render_row())
-    print(last.render())
-    print(f"speedup         {speedup:8.2f}x  (cold pass 1 vs best warm)")
-    print(f"deterministic   {'yes' if deterministic else 'NO -- MISMATCH'}")
-    if not deterministic:
-        return 1
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"error: speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
-
-
-def _bench_peer_cache(args, spec, problems) -> int:
-    """Benchmark cold-start serving through a warm peer's cache fabric.
-
-    Three measured passes over the same grid: a cold local serial
-    baseline over fresh caches, the same grid executed through a fresh
-    in-process solve server (which warms the *server's* tiers), and a
-    second cold local pass whose fresh caches carry a
-    :class:`~repro.runtime.cache.RemoteTier` pointed at that server --
-    every solve cell and golden scoring then replays over ``CacheGet``
-    frames instead of re-running.  ``--min-speedup`` gates cold-local
-    vs cold-via-peer; the numbers land in ``BENCH_cache.json``.
-    """
-    import json
-
-    from repro.runtime import SerialExecutor, SimulationCache, SolveCellCache
-    from repro.runtime.batch import evaluate_many
-    from repro.service import ServiceError, SolveServer, solve_grid
-
-    try:
-        with SerialExecutor() as executor:
-            base_result, base_report = evaluate_many(
-                spec.factory,
-                args.suite,
-                runs=args.runs,
-                seed0=args.seed0,
-                problems=problems,
-                executor=executor,
-                cache=SimulationCache(),
-                solve_cache=False,
-            )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}")
-        return 2
-    print(
-        f"pass 1 (      cold local): {base_report.wall_seconds:7.2f} s  "
-        f"{base_report.cells_per_second:7.2f} cells/s"
-    )
-    peer_sim = peer_solve = None
-    try:
-        with SolveServer(workers=args.jobs or 2) as server:
-            warm_result, warm_report = solve_grid(
-                args.system,
-                args.suite,
-                runs=args.runs,
-                seed0=args.seed0,
-                problems=problems,
-                shards=[server.address],
-            )
-            print(
-                f"pass 2 (  warming peer): {warm_report.wall_seconds:7.2f} s  "
-                f"{warm_report.cells_per_second:7.2f} cells/s"
-            )
-            # Pass 3 is a *cold* process-local state: fresh caches whose
-            # only warmth is the remote tier into the peer just warmed.
-            peer_sim = SimulationCache(peers=(server.address,))
-            peer_solve = SolveCellCache(peers=(server.address,))
-            with SerialExecutor() as executor:
-                peered_result, peered_report = evaluate_many(
-                    spec.factory,
-                    args.suite,
-                    runs=args.runs,
-                    seed0=args.seed0,
-                    problems=problems,
-                    executor=executor,
-                    cache=peer_sim,
-                    solve_cache=peer_solve,
-                )
-            print(
-                f"pass 3 ( cold via peer): {peered_report.wall_seconds:7.2f} s  "
-                f"{peered_report.cells_per_second:7.2f} cells/s  "
-                f"peer hits {peer_solve.stats.remote_hits} solve + "
-                f"{peer_sim.stats.remote_hits} sim"
-            )
-    except (OSError, ServiceError, ValueError, KeyError) as exc:
-        print(f"error: {exc}")
-        return 2
-    deterministic = (
-        warm_result.outcomes == base_result.outcomes
-        and peered_result.outcomes == base_result.outcomes
-    )
-    speedup = (
-        base_report.wall_seconds / peered_report.wall_seconds
-        if peered_report.wall_seconds > 0
-        else 0.0
-    )
-    payload = {
-        "system": args.system,
-        "suite": args.suite,
-        "runs": args.runs,
-        "seed0": args.seed0,
-        "cells": peered_report.cells,
-        "cold_local_wall_seconds": round(base_report.wall_seconds, 6),
-        "peer_warming_wall_seconds": round(warm_report.wall_seconds, 6),
-        "cold_via_peer_wall_seconds": round(peered_report.wall_seconds, 6),
-        # Gated number: a cold process served through a warm peer vs
-        # the same cold process computing everything itself.
-        "speedup": round(speedup, 3),
-        "peer_solve_hits": peer_solve.stats.remote_hits,
-        "peer_sim_hits": peer_sim.stats.remote_hits,
-        "deterministic": deterministic,
-    }
-    bench_out = args.bench_out or "BENCH_cache.json"
-    with open(bench_out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print()
-    print(peered_result.render_row())
-    print(f"peer speedup    {speedup:8.2f}x  (cold local vs cold via peer)")
-    print(f"deterministic   {'yes' if deterministic else 'NO -- MISMATCH'}")
-    print(f"written         {bench_out}")
-    if not deterministic:
-        return 1
-    if peer_solve.stats.remote_hits == 0:
-        print("error: no peer solve-cell hits; the fabric never engaged")
-        return 1
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"error: peer speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
-
-
-def _bench_service(args, spec, problems) -> int:
-    """Benchmark service-mode serving against the in-process runtime.
-
-    Three measured passes over the same grid: in-process cold serial
-    (the baseline the determinism contract is checked against), a cold
-    pass through a fresh solve server (real submit-to-done latency),
-    and a warm pass over the same server (served from the solve-cell
-    cache without touching a worker).  ``--min-speedup`` gates
-    warm-vs-cold service serving; the numbers land in
-    ``BENCH_service.json``.
-    """
-    import json
-
-    from repro.runtime import SerialExecutor, SimulationCache
-    from repro.runtime.batch import evaluate_many
-    from repro.service import ServiceError, SolveServer, solve_grid
-
-    def grid_numbers(report):
-        return {
-            "wall_seconds": round(report.wall_seconds, 6),
-            "cells_per_second": round(report.cells_per_second, 3),
-            "latency_mean_ms": round(report.mean_latency * 1000.0, 3),
-            "latency_max_ms": round(report.max_latency * 1000.0, 3),
-            "cached_cells": report.cached_cells,
-            "dedup_cells": report.dedup_cells,
-        }
-
-    try:
-        with SerialExecutor() as executor:
-            local_result, local_report = evaluate_many(
-                spec.factory,
-                args.suite,
-                runs=args.runs,
-                seed0=args.seed0,
-                problems=problems,
-                executor=executor,
-                cache=SimulationCache(),
-                solve_cache=False,
-            )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}")
-        return 2
-    print(
-        f"pass 1 (     in-process): {local_report.wall_seconds:7.2f} s  "
-        f"{local_report.cells_per_second:7.2f} cells/s"
-    )
-    try:
-        with SolveServer(workers=args.jobs or 2) as server:
-            passes = []
-            for label in ("service cold", "service warm"):
-                result, report = solve_grid(
-                    args.system,
-                    args.suite,
-                    runs=args.runs,
-                    seed0=args.seed0,
-                    problems=problems,
-                    shards=[server.address],
-                )
-                passes.append((result, report))
-                print(
-                    f"pass {len(passes) + 1} ({label:>15s}): "
-                    f"{report.wall_seconds:7.2f} s  "
-                    f"{report.cells_per_second:7.2f} cells/s  "
-                    f"latency mean {report.mean_latency * 1000.0:7.1f} ms  "
-                    f"cached {report.cached_cells}"
-                )
-            executed = server.executed_count()
-    except (OSError, ServiceError, ValueError, KeyError) as exc:
-        print(f"error: {exc}")
-        return 2
-    (cold_result, cold_report), (warm_result, warm_report) = passes
-    deterministic = (
-        cold_result.outcomes == local_result.outcomes
-        and warm_result.outcomes == local_result.outcomes
-    )
-    speedup = (
-        cold_report.wall_seconds / warm_report.wall_seconds
-        if warm_report.wall_seconds > 0
-        else 0.0
-    )
-    payload = {
-        "system": args.system,
-        "suite": args.suite,
-        "runs": args.runs,
-        "seed0": args.seed0,
-        "cells": cold_report.cells,
-        "workers": args.jobs or 2,
-        "in_process": {
-            "wall_seconds": round(local_report.wall_seconds, 6),
-            "cells_per_second": round(local_report.cells_per_second, 3),
-        },
-        "service_cold": grid_numbers(cold_report),
-        "service_warm": grid_numbers(warm_report),
-        "warm_speedup": round(speedup, 3),
-        "pipeline_executions": executed,
-        "deterministic": deterministic,
-    }
-    bench_out = args.bench_out or "BENCH_service.json"
-    with open(bench_out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print()
-    print(local_result.render_row())
-    print(f"warm speedup    {speedup:8.2f}x  (service cold vs warm)")
-    print(f"deterministic   {'yes' if deterministic else 'NO -- MISMATCH'}")
-    print(f"written         {bench_out}")
-    if not deterministic:
-        return 1
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"error: warm service speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
-
-
-def _spawn_ring_server(join: str | None = None):
-    """Spawn one ``repro serve`` subprocess; returns (proc, address)."""
-    import subprocess
-    import sys as _sys
-
-    import repro as _repro
-
-    src_dir = str(Path(_repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    argv = [
-        _sys.executable,
-        "-m",
-        "repro",
-        "serve",
-        "--port",
-        "0",
-        "--workers",
-        "2",
-    ]
-    if join:
-        argv += ["--join", join]
-    proc = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    address = None
-    for _ in range(20):  # skip banner lines (gateway, join notices)
-        line = (proc.stdout.readline() or "").strip()
-        if line.startswith("listening on "):
-            address = line.removeprefix("listening on ")
-            break
-        if not line and proc.poll() is not None:
-            break
-    if address is None:
-        proc.kill()
-        raise RuntimeError("ring server failed to start")
-    return proc, address
-
-
-def _bench_ring(args, spec, problems) -> int:
-    """Chaos-gate the elastic ring: 3 servers, one SIGKILLed mid-grid.
-
-    Spawns a 3-member ring (two servers ``--join`` the first), runs the
-    grid with ``ring=True`` placement, and SIGKILLs the member owning
-    the most cells as soon as the first cell completes.  The gate is
-    the determinism contract under failure: every merged row must be
-    bit-identical to the local ``--jobs 1`` baseline, with the dead
-    member's cells migrated to the survivors.  Results merge into
-    ``BENCH_service.json`` under a ``ring`` key.
-    """
-    import json
-    import threading
-    import time as _time
-
-    from repro.runtime import SerialExecutor, SimulationCache
-    from repro.runtime.batch import evaluate_many
-    from repro.service import (
-        HashRing,
-        ProtocolError,
-        ServiceError,
-        fetch_peers,
-        registered_system_name,
-        ring_key,
-        solve_grid,
-        stop_server,
-    )
-
-    try:
-        with SerialExecutor() as executor:
-            local_result, local_report = evaluate_many(
-                spec.factory,
-                args.suite,
-                runs=args.runs,
-                seed0=args.seed0,
-                problems=problems,
-                executor=executor,
-                cache=SimulationCache(),
-                solve_cache=False,
-            )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}")
-        return 2
-    print(
-        f"baseline (in-process --jobs 1): {local_report.wall_seconds:7.2f} s"
-    )
-
-    servers: list = []
-    try:
-        try:
-            proc, seed_address = _spawn_ring_server()
-            servers.append((proc, seed_address))
-            for _ in range(2):
-                servers.append(_spawn_ring_server(join=seed_address))
-        except (OSError, RuntimeError) as exc:
-            print(f"error: {exc}")
-            return 2
-        addresses = [address for _, address in servers]
-        # Wait for the membership views to converge before placing work.
-        deadline = _time.monotonic() + 30.0
-        members: tuple = ()
-        while _time.monotonic() < deadline:
-            try:
-                members = fetch_peers(seed_address)
-            except (OSError, ServiceError, ProtocolError, ValueError):
-                members = ()
-            if set(members) >= set(addresses):
-                break
-            _time.sleep(0.2)
-        if not set(members) >= set(addresses):
-            print(f"error: ring never converged (view: {members})")
-            return 1
-        print(f"ring formed: {', '.join(sorted(members))}")
-
-        # Pick the victim deterministically: the member that owns the
-        # most grid cells (so the kill provably orphans work).
-        ring = HashRing(sorted(members))
-        resolved_name = registered_system_name(args.system)
-        from repro.evalsets.suites import get_suite
-
-        chosen = problems if problems is not None else get_suite(args.suite)
-        owned: dict = {}
-        for problem in chosen:
-            for run in range(args.runs):
-                owner = ring.node_for(
-                    ring_key(resolved_name, problem.id, args.seed0 + run)
-                )
-                owned[owner] = owned.get(owner, 0) + 1
-        victim = max(addresses, key=lambda a: owned.get(a, 0))
-        victim_proc = next(p for p, a in servers if a == victim)
-
-        killed = threading.Event()
-
-        def chaos(event) -> None:
-            # SIGKILL the victim the moment the first cell lands: the
-            # grid is mid-flight by construction.
-            if event.kind == "cell-finished" and not killed.is_set():
-                killed.set()
-                victim_proc.kill()
-
-        started = _time.perf_counter()
-        try:
-            result, report = solve_grid(
-                args.system,
-                args.suite,
-                runs=args.runs,
-                seed0=args.seed0,
-                problems=problems,
-                shards=[seed_address],
-                ring=True,
-                events=chaos,
-            )
-        except (OSError, ServiceError, ValueError, KeyError) as exc:
-            print(f"error: ring grid failed: {exc}")
-            return 1
-        wall = _time.perf_counter() - started
-        deterministic = result.outcomes == local_result.outcomes
-        print(
-            f"ring grid ({len(members)} members, killed {victim} "
-            f"mid-grid): {wall:7.2f} s  "
-            f"{report.migrated_cells} migrated  "
-            f"{report.retried_cells} retried"
-        )
-        print(result.render_row())
-        print(
-            f"deterministic   "
-            f"{'yes' if deterministic else 'NO -- MISMATCH'}"
-        )
-
-        bench_out = args.bench_out or "BENCH_service.json"
-        payload: dict = {}
-        if os.path.exists(bench_out):
-            try:
-                with open(bench_out) as handle:
-                    existing = json.load(handle)
-                if isinstance(existing, dict):
-                    payload = existing
-            except (OSError, ValueError):
-                payload = {}
-        payload["ring"] = {
-            "system": args.system,
-            "suite": args.suite,
-            "runs": args.runs,
-            "seed0": args.seed0,
-            "members": len(members),
-            "cells": report.cells,
-            "wall_seconds": round(wall, 6),
-            "victim": victim,
-            "killed_mid_grid": killed.is_set(),
-            "migrated_cells": report.migrated_cells,
-            "retried_cells": report.retried_cells,
-            "dead_shards": list(report.dead_shards),
-            "deterministic": deterministic,
-        }
-        with open(bench_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"written         {bench_out}")
-        return 0 if deterministic else 1
-    finally:
-        for proc, address in servers:
-            try:
-                stop_server(address, timeout=5.0)
-            except (OSError, ServiceError, ProtocolError, ValueError):
-                pass
-        for proc, _ in servers:
-            try:
-                proc.wait(timeout=10)
-            except Exception:  # noqa: BLE001 -- force it down
-                proc.kill()
 
 
 def _cmd_serve(args) -> int:
@@ -1684,100 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gateway_flags(evaluate)
     evaluate.set_defaults(fn=_cmd_eval)
 
-    bench = sub.add_parser(
-        "bench", help="benchmark runtime throughput and cache on a workload"
-    )
-    bench.add_argument("system")
-    bench.add_argument("suite", nargs="?", default="verilogeval-v2")
-    bench.add_argument("--runs", type=int, default=2)
-    bench.add_argument("--seed0", type=int, default=0)
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="workers for the warm passes "
-        "(default: $REPRO_JOBS or every core)",
-    )
-    bench.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default=None,
-        help="execution backend for the warm passes "
-        "(default: $REPRO_EXECUTOR or auto)",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        help="total passes over the workload, at least 2 "
-        "(default 2; pass 1 is the cold baseline)",
-    )
-    bench.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="simulation cache shared across passes (default: on)",
-    )
-    bench.add_argument(
-        "--cache-dir", default=None, help="optional on-disk cache directory"
-    )
-    bench.add_argument(
-        "--solve-cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="also share a whole solve-cell cache across passes "
-        "(default: off)",
-    )
-    bench.add_argument(
-        "--solve-cache-dir",
-        default=None,
-        help="optional on-disk solve-cell cache directory",
-    )
-    bench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless the warm pass is at least this many times faster",
-    )
-    bench.add_argument(
-        "--limit", type=int, default=None, help="use only the first N problems"
-    )
-    bench.add_argument(
-        "--service",
-        action="store_true",
-        help="benchmark service-mode serving (spawns an in-process server; "
-        "measures submit-to-done latency and warm-cache speedup)",
-    )
-    bench.add_argument(
-        "--ring",
-        action="store_true",
-        help="chaos-gate the elastic peer ring: spawn a 3-server ring "
-        "(serve --join), SIGKILL one member mid-grid, and verify every "
-        "row is still bit-identical to local --jobs 1 (merges a 'ring' "
-        "section into BENCH_service.json)",
-    )
-    bench.add_argument(
-        "--peer-cache",
-        action="store_true",
-        help="benchmark the cache fabric's peer sharing: cold local "
-        "baseline, a pass warming an in-process server, then a cold "
-        "pass served through that peer (writes BENCH_cache.json)",
-    )
-    bench.add_argument(
-        "--cache-peer",
-        default=None,
-        metavar="ADDR[,ADDR...]",
-        help="peer solve servers joined to the warm passes' cache "
-        "fabrics as remote tiers",
-    )
-    bench.add_argument(
-        "--bench-out",
-        default=None,
-        help="where --service / --peer-cache write their numbers "
-        "(default BENCH_service.json / BENCH_cache.json)",
-    )
-    bench.set_defaults(fn=_cmd_bench)
-
     cache_cmd = sub.add_parser(
         "cache", help="report per-layer cache sizes and hit/miss counters"
     )
@@ -1930,7 +1168,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro eval ... | head``).  Point stdout
+        # at devnull so the interpreter's exit-time flush cannot raise a
+        # second time, and fail without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

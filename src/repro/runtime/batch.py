@@ -11,7 +11,7 @@ outcome.
 
 Alongside the result it returns a :class:`BatchReport` with wall-clock,
 per-cell timings, simulation throughput, and cache hit accounting --
-the numbers the ``bench`` CLI subcommand prints.
+the numbers ``repro eval --verbose`` prints.
 
 Two streaming channels observe a batch while it runs:
 
@@ -31,6 +31,7 @@ With ``solve_cache`` enabled, whole cells are memoized by
 from __future__ import annotations
 
 import concurrent.futures as cf
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -212,7 +213,9 @@ def _resolve_cache(
         return None
     ambient = get_runtime().cache
     if cache is True and ambient is None:
-        return SimulationCache()
+        # Forced on over a runtime with the layer off: the disk tier
+        # still lives where the environment points.
+        return SimulationCache(os.environ.get("REPRO_SIM_CACHE_DIR") or None)
     return ambient
 
 
@@ -225,7 +228,7 @@ def _resolve_solve_cache(
         return None
     ambient = get_runtime().solve_cache
     if solve_cache is True and ambient is None:
-        return SolveCellCache()
+        return SolveCellCache(os.environ.get("REPRO_SOLVE_CACHE_DIR") or None)
     return ambient
 
 

@@ -1,6 +1,9 @@
 """Benchmark-suite integrity: every golden design must earn a perfect
 score on its own golden testbench, and suites must be well-formed."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.evalsets import (
@@ -89,6 +92,19 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             get_suite("verilogeval-v99")
+
+    def test_readme_suites_resolve(self):
+        """Every suite on README's "Suites:" line is a registered name."""
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        line = next(
+            line
+            for line in readme.read_text().splitlines()
+            if line.startswith("Suites:")
+        )
+        names = re.findall(r"`([^`]+)`", line)
+        assert names
+        for name in names:
+            assert get_suite(name), name
 
 
 class TestGoldenIntegrity:

@@ -16,6 +16,7 @@ from repro.runtime import (
     SimulationCache,
     ThreadExecutor,
     evaluate_many,
+    runtime_session,
 )
 
 LOW = SamplingParams(temperature=0.0, top_p=0.01, n=1)
@@ -218,6 +219,38 @@ class TestBatchReport:
         assert cache.stats.lookups > 0  # the passed cache was really used
         assert warm.cache.misses == 0
         assert warm.cache.hit_rate == 1.0
+
+
+class TestForcedCacheDirectory:
+    """``cache=True``/``solve_cache=True`` over a runtime with the layer
+    off still keep their disk tier where the environment points."""
+
+    def test_forced_sim_cache_persists_to_env_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path / "sim"))
+        with runtime_session(cache=False), SerialExecutor() as executor:
+            _, report = evaluate_many(
+                vanilla_factory,
+                "verilogeval-v2",
+                runs=1,
+                problems=MIXED,
+                executor=executor,
+                cache=True,
+            )
+        assert report.cache.stores > 0
+        assert len(list((tmp_path / "sim").glob("*.pkl"))) == report.cache.stores
+
+    def test_forced_solve_cache_persists_to_env_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path / "solve"))
+        with runtime_session(solve_cache=False), SerialExecutor() as executor:
+            evaluate_many(
+                vanilla_factory,
+                "verilogeval-v2",
+                runs=1,
+                problems=MIXED,
+                executor=executor,
+                solve_cache=True,
+            )
+        assert len(list((tmp_path / "solve").glob("*.pkl"))) == len(MIXED)
 
 
 class TestProgressAndName:

@@ -1,8 +1,17 @@
 """CLI smoke tests (python -m repro)."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.runtime import runtime_session
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestCli:
@@ -91,24 +100,6 @@ class TestCliRuntime:
         assert "hits 0, misses 0" in out  # cache fully bypassed
         assert "simulations" in out
 
-    def test_bench_reports_speedup_and_hits(self, capsys):
-        argv = [
-            "bench", "vanilla-claude", "--runs", "2", "--limit", "3",
-            "--jobs", "2",
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "hit-rate 100.0%" in out
-        assert "deterministic   yes" in out
-
-    def test_bench_unknown_system(self, capsys):
-        assert main(["bench", "martian"]) == 2
-
-    def test_bench_rejects_single_pass(self, capsys):
-        assert main(["bench", "mage", "--repeat", "1", "--limit", "1"]) == 2
-        assert "--repeat must be >= 2" in capsys.readouterr().out
-
     def test_eval_bad_jobs_clean_error(self, capsys):
         assert main(["eval", "mage", "--jobs", "0", "--limit", "1"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().out
@@ -185,17 +176,8 @@ class TestCliRuntime:
             assert "disk:" in section
             assert "this process:" in section
 
-    def test_cache_reports_directories(self, capsys, tmp_path):
-        sim_dir = tmp_path / "sim"
-        solve_dir = tmp_path / "solve"
-        assert (
-            main([
-                "bench", "vanilla-itertl", "--runs", "1", "--limit", "2",
-                "--cache-dir", str(sim_dir),
-                "--solve-cache", "--solve-cache-dir", str(solve_dir),
-            ])
-            == 0
-        )
+    def test_cache_reports_directories(self, capsys, tmp_path, monkeypatch):
+        sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
         capsys.readouterr()
         argv = ["cache", "--sim-dir", str(sim_dir), "--solve-dir", str(solve_dir)]
         assert main(argv) == 0
@@ -203,35 +185,125 @@ class TestCliRuntime:
         assert "simulation cache" in out and "solve-cell cache" in out
         assert "entries" in out and "0 entries" not in out
 
-    def test_bench_solve_cache_speedup_gate(self, capsys):
+    def test_eval_solve_cache_replays_from_env_dir(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--solve-cache`` keeps its disk tier in REPRO_SOLVE_CACHE_DIR
+        even when REPRO_SOLVE_CACHE leaves the layer off by default."""
+        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path / "solve"))
         argv = [
-            "bench", "mage", "--runs", "2", "--limit", "3",
-            "--solve-cache", "--min-speedup", "2.0",
+            "eval", "mage", "--runs", "2", "--limit", "2", "--jobs", "1",
+            "--solve-cache", "--verbose",
         ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "solve cells" in out
-        assert "hit-rate 100.0%" in out
-        assert "deterministic   yes" in out
+        rows, solve_lines = [], []
+        for _ in range(2):
+            with runtime_session():
+                assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            rows.append(next(line for line in lines if "Pass@1" in line))
+            solve_lines.append(
+                next(line for line in lines if "solve cells" in line)
+            )
+        assert rows[0] == rows[1]
+        assert "hit-rate 0.0%" in solve_lines[0]
+        assert "hit-rate 100.0%" in solve_lines[1]
 
-    def test_bench_min_speedup_failure(self, capsys):
+    def test_eval_warm_pass_replays_sim_cache(self, capsys):
+        """A second pass in one runtime is served by the simulation cache
+        and prints the same row."""
         argv = [
-            "bench", "vanilla-itertl", "--runs", "1", "--limit", "1",
-            "--no-cache", "--min-speedup", "1000000",
+            "eval", "vanilla-claude", "--runs", "2", "--limit", "3",
+            "--jobs", "2", "--verbose",
         ]
-        assert main(argv) == 1
-        assert "below required" in capsys.readouterr().out
+        rows, cache_lines = [], []
+        with runtime_session():
+            for _ in range(2):
+                assert main(argv) == 0
+                lines = capsys.readouterr().out.splitlines()
+                rows.append(lines[0])
+                cache_lines.append(
+                    next(line for line in lines if "cache lookups" in line)
+                )
+        assert rows[0] == rows[1]
+        assert "hit-rate 100.0%" not in cache_lines[0]
+        assert "hit-rate 100.0%" in cache_lines[1]
 
-    def test_bench_process_executor_shares_cache(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        argv = [
-            "bench", "vanilla-itertl", "--runs", "1", "--limit", "2",
-            "--jobs", "2",
-        ]
-        assert main(argv) == 0
+    def test_stats_reports_disk_caches(self, capsys, tmp_path, monkeypatch):
+        sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert main(["stats"]) == 0
         out = capsys.readouterr().out
-        assert "sharing the cache via" in out
-        assert "hit-rate 100.0%" in out  # warm pass saw the cold pass's work
+        assert "disk caches" in out
+        assert f"simulation: {sim_dir}" in out
+        assert f"solve-cell: {solve_dir}" in out
+        assert " 0 entries" not in out
+
+    def test_stats_without_disk_caches(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_SOLVE_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_CASSETTE_DIR", raising=False)
+        assert main(["stats"]) == 0
+        out = capsys.readouterr().out
+        assert "stages" in out
+        assert "none configured" in out
+
+    def test_broken_pipe_returns_failure(self, tmp_path, monkeypatch):
+        """A command whose reader went away fails with exit 1 instead of
+        raising, and leaves stdout pointing at devnull."""
+        import repro.cli as cli
+
+        def closed_reader(_args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_cmd_problems", closed_reader)
+        with open(tmp_path / "stdout.txt", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["problems"]) == 1
+            print("after the pipe broke", file=stdout, flush=True)
+        assert (tmp_path / "stdout.txt").read_text() == ""
+
+    def test_closed_stdout_exits_without_traceback(self):
+        """``repro eval ... | head`` with the reader gone: a nonzero exit
+        and no BrokenPipeError traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "eval", "vanilla-itertl",
+                    "--runs", "1", "--jobs", "1", "--limit", "3", "--verbose",
+                ],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+
+
+def _populate_disk_caches(tmp_path, monkeypatch):
+    """Fill on-disk simulation and solve-cell caches with one small eval.
+
+    The runtime is rebuilt from the patched environment, as a fresh
+    ``repro eval`` process builds it."""
+    sim_dir = tmp_path / "sim"
+    solve_dir = tmp_path / "solve"
+    monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(sim_dir))
+    monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(solve_dir))
+    argv = [
+        "eval", "vanilla-itertl", "--runs", "1", "--limit", "2",
+        "--jobs", "1", "--solve-cache",
+    ]
+    with runtime_session():
+        assert main(argv) == 0
+    return sim_dir, solve_dir
 
 
 def _event_lines(text: str) -> list[str]:
@@ -256,30 +328,52 @@ class TestCliGridPaths:
         assert main(argv) == 0
         assert "process[2]" in capsys.readouterr().out
 
+    def test_eval_process_pool_warm_pass_replays_disk_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Process workers cannot see the parent's memory tier; a warm
+        pass still replays every simulation from the shared disk tier."""
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path / "sim"))
+        argv = [
+            "eval", "vanilla-itertl", "--runs", "1", "--limit", "2",
+            "--jobs", "2", "--executor", "process", "--verbose",
+        ]
+        rows, cache_lines = [], []
+        for _ in range(2):
+            with runtime_session():
+                assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            rows.append(lines[0])
+            cache_lines.append(
+                next(line for line in lines if "cache lookups" in line)
+            )
+        assert rows[0] == rows[1]
+        assert "hit-rate 0.0%" in cache_lines[0]
+        assert "hit-rate 100.0%" in cache_lines[1]
+
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "error"),
         [
-            ["eval", "mage", "--rollout-batch", "4"],
-            ["serve", "--rollout-batch", "3"],
-            ["serve", "--steal-peer", "127.0.0.1:1"],
-            ["bench", "mage", "--rollout"],
-            ["bench", "mage", "--rollout-batch", "4"],
+            (["eval", "mage", "--rollout-batch", "4"], "unrecognized arguments"),
+            (["serve", "--rollout-batch", "3"], "unrecognized arguments"),
+            (["serve", "--steal-peer", "127.0.0.1:1"], "unrecognized arguments"),
+            (["bench", "mage"], "invalid choice: 'bench'"),
         ],
         ids=[
             "eval-rollout-batch",
             "serve-rollout-batch",
             "serve-steal-peer",
-            "bench-rollout",
-            "bench-rollout-batch",
+            "bench",
         ],
     )
-    def test_scheduler_flags_are_unrecognized(self, capsys, argv):
+    def test_scheduler_flags_are_unrecognized(self, capsys, argv, error):
         """The grid runs only on the serial/pool/service paths; the
-        rollout-scheduler flags are not part of the CLI."""
+        rollout-scheduler flags and the old ``bench`` subcommand are not
+        part of the CLI."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
 
 class TestCliServiceMode:
@@ -378,6 +472,48 @@ class TestCliServiceMode:
         assert "simulation cache" in out and "solve-cell cache" in out
         assert "executed 1" in out
 
+    def test_eval_service_warm_pass_is_cache_served(self, capsys, server_addr):
+        argv = [
+            "eval", "mage", "--runs", "1", "--limit", "2",
+            "--service", server_addr, "--verbose",
+        ]
+        rows, counts = [], []
+        for _ in range(2):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            rows.append(lines[0])
+            out = "\n".join(lines)
+            counts.append((
+                int(re.search(r"^grid cells +(\d+)", out, re.M).group(1)),
+                int(re.search(r"^cache-served +(\d+)", out, re.M).group(1)),
+            ))
+        assert rows[0] == rows[1]
+        assert counts[0] == (2, 0)
+        assert counts[1] == (2, 2)
+
+    def test_stats_service_reports_layers(self, capsys, server_addr):
+        assert main(["submit", "mage", "cb_mux2", "--addr", server_addr,
+                     "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--service", server_addr]) == 0
+        out = capsys.readouterr().out
+        assert f"service {server_addr}" in out
+        assert "stages\n  no stage executions yet" not in out
+        caches = out.split("caches\n", 1)[1].splitlines()
+        labels = [line.split(":")[0].strip() for line in caches if ":" in line
+                  and not line.startswith("      tier")]
+        assert labels == ["simulation", "solve-cell", "cassette"]
+
+    def test_stats_service_prometheus(self, capsys, server_addr):
+        assert main(["stats", "--service", server_addr, "--prometheus"]) == 0
+        out = capsys.readouterr().out
+        assert "# TYPE repro_workers gauge" in out
+        assert "repro_workers 2" in out
+
+    def test_stats_service_unreachable(self, capsys):
+        assert main(["stats", "--service", "127.0.0.1:1"]) == 2
+        assert "cannot reach service" in capsys.readouterr().out
+
     def test_cache_service_unreachable(self, capsys):
         assert main(["cache", "--service", "127.0.0.1:1"]) == 2
         assert "cannot reach service" in capsys.readouterr().out
@@ -394,50 +530,11 @@ class TestCliServiceMode:
         assert main(["serve", "--stop", "127.0.0.1:1"]) == 2
         assert "error" in capsys.readouterr().out
 
-    def test_bench_service_rejects_local_pass_flags(self, capsys):
-        argv = [
-            "bench", "mage", "--limit", "1", "--service", "--repeat", "4",
-        ]
-        assert main(argv) == 2
-        out = capsys.readouterr().out
-        assert "--repeat" in out and "cannot be combined with --service" in out
-
-    def test_bench_service_writes_report(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_service.json"
-        argv = [
-            "bench", "mage", "--runs", "1", "--limit", "2", "--service",
-            "--bench-out", str(out_path), "--min-speedup", "1.0",
-        ]
-        assert main(argv) == 0
-        printed = capsys.readouterr().out
-        assert "service cold" in printed and "service warm" in printed
-        assert "deterministic   yes" in printed
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["deterministic"] is True
-        assert payload["service_warm"]["cached_cells"] == payload["cells"]
-        assert payload["warm_speedup"] > 0
-        assert payload["in_process"]["wall_seconds"] > 0
-        assert payload["service_cold"]["latency_mean_ms"] > 0
 
 
 class TestCliCacheFabric:
-    def _populate(self, tmp_path):
-        sim_dir = tmp_path / "sim"
-        solve_dir = tmp_path / "solve"
-        assert (
-            main([
-                "bench", "vanilla-itertl", "--runs", "1", "--limit", "2",
-                "--cache-dir", str(sim_dir),
-                "--solve-cache", "--solve-cache-dir", str(solve_dir),
-            ])
-            == 0
-        )
-        return sim_dir, solve_dir
-
-    def test_cache_clear_one_layer(self, capsys, tmp_path):
-        sim_dir, solve_dir = self._populate(tmp_path)
+    def test_cache_clear_one_layer(self, capsys, tmp_path, monkeypatch):
+        sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
         capsys.readouterr()
         argv = [
             "cache", "--clear", "--layer", "solve",
@@ -449,8 +546,8 @@ class TestCliCacheFabric:
         assert not list(solve_dir.glob("*.pkl"))
         assert list(sim_dir.glob("*.pkl"))  # the other layer untouched
 
-    def test_cache_clear_both_layers(self, capsys, tmp_path):
-        sim_dir, solve_dir = self._populate(tmp_path)
+    def test_cache_clear_both_layers(self, capsys, tmp_path, monkeypatch):
+        sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
         capsys.readouterr()
         argv = [
             "cache", "--clear",
@@ -468,8 +565,8 @@ class TestCliCacheFabric:
         assert main(["cache", "--clear"]) == 2
         assert "nothing to clear" in capsys.readouterr().out
 
-    def test_cache_reports_per_tier_lines(self, capsys, tmp_path):
-        sim_dir, solve_dir = self._populate(tmp_path)
+    def test_cache_reports_per_tier_lines(self, capsys, tmp_path, monkeypatch):
+        sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
         capsys.readouterr()
         argv = ["cache", "--sim-dir", str(sim_dir), "--solve-dir", str(solve_dir)]
         assert main(argv) == 0
@@ -489,11 +586,6 @@ class TestCliCacheFabric:
         argv = ["eval", "mage", "--limit", "1", "--cache-peer", "nonsense"]
         assert main(argv) == 2
         assert "bad service address" in capsys.readouterr().out
-
-    def test_bench_peer_cache_rejected_with_service(self, capsys):
-        argv = ["bench", "mage", "--limit", "1", "--service", "--peer-cache"]
-        assert main(argv) == 2
-        assert "--peer-cache" in capsys.readouterr().out
 
     def test_eval_via_live_peer_matches_local_row(self, capsys):
         """serve A -> warm it -> cold eval B --cache-peer A: identical
@@ -522,19 +614,43 @@ class TestCliCacheFabric:
         assert row == local_row
         assert any("peer hits" in line for line in lines)
 
-    def test_bench_peer_cache_writes_gate_file(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_cache.json"
-        argv = [
-            "bench", "mage", "--runs", "1", "--limit", "2", "--peer-cache",
-            "--bench-out", str(out_path), "--min-speedup", "1.0",
-        ]
-        assert main(argv) == 0
-        printed = capsys.readouterr().out
-        assert "cold via peer" in printed
-        assert "deterministic   yes" in printed
-        import json
 
-        payload = json.loads(out_path.read_text())
-        assert payload["deterministic"] is True
-        assert payload["peer_solve_hits"] > 0
-        assert payload["speedup"] > 0
+class TestCliDocs:
+    @pytest.mark.parametrize("doc", ["README.md", ".github/workflows/ci.yml"])
+    def test_documented_subcommands_exist(self, doc):
+        """Every ``python -m repro <command>`` the docs or CI run names a
+        subcommand the parser accepts."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        text = (SRC.parent / doc).read_text()
+        used = set(re.findall(r"-m repro ([a-z][a-z-]*)", text))
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert used
+        assert used <= set(subparsers.choices), used - set(subparsers.choices)
+
+    def test_service_cache_lines_cover_every_layer(self):
+        """``cache --service`` and ``stats --service`` share one renderer:
+        a counter line per layer, its tiers below, disabled layers named."""
+        from repro.cli import _render_service_caches
+
+        caches = {
+            "simulation": {
+                "entries": 3, "lookups": 4, "hits": 1, "misses": 3,
+                "stores": 3,
+                "tiers": [{"kind": "memory", "entries": 3, "hits": 1}],
+            },
+            "solve_cell": {"entries": 0, "lookups": 0},
+        }
+        lines = _render_service_caches(caches, " cache")
+        assert lines[0].startswith("  simulation cache: 3 entries, lookups 4")
+        assert "hit-rate 25.0%" in lines[0]
+        assert lines[1].startswith("      tier memory")
+        assert lines[2].startswith("  solve-cell cache: 0 entries")
+        assert lines[3] == "  cassette cache: disabled"
+        assert len(lines) == 4
