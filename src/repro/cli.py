@@ -838,7 +838,7 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     """Submit one solve cell to a running service, streaming its events."""
     from repro.core.events import StreamSink
-    from repro.service import ProtocolError, ServiceClient, ServiceError
+    from repro.service import MultiplexedClient, ProtocolError, ServiceError
 
     sink = (
         None
@@ -846,7 +846,7 @@ def _cmd_submit(args) -> int:
         else StreamSink(write=lambda line: print(f"  | {line}"))
     )
     try:
-        with ServiceClient(args.addr) as client:
+        with MultiplexedClient(args.addr) as client:
             outcome = client.solve(
                 args.system,
                 args.problem,

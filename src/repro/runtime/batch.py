@@ -66,10 +66,6 @@ class BatchReport:
     jobs: int = 0
 
     @property
-    def total_cell_seconds(self) -> float:
-        return sum(self.cell_seconds)
-
-    @property
     def sims_per_second(self) -> float:
         if self.wall_seconds <= 0:
             return 0.0

@@ -11,7 +11,7 @@ solve cells -- are instances of one :class:`TieredCache`, a stack of
   across processes and sessions; a truncated or garbage file counts as
   a miss (tracked by the ``corrupt`` counter), never an exception;
 - :class:`RemoteTier` -- a peer solve server reached through the
-  versioned service protocol's ``CacheGet``/``CachePut`` frames, making
+  service protocol's ``CacheGet``/``CachePut`` frames, making
   another machine's memory+disk tiers part of this cache's fabric.
 
 Reads are read-through with promotion: a hit at a lower tier is copied
@@ -491,6 +491,12 @@ class RemoteTier(CacheTier):
     ``down_cooldown`` seconds, so a restarted or re-joined ring member
     resumes serving without anyone rebuilding tier stacks.
 
+    Every calling thread shares one lazily dialled
+    :class:`~repro.service.client.MultiplexedClient` (through a
+    :class:`~repro.service.client.ClientLink`), so concurrent lookups
+    overlap on one socket; a failed call drops that connection and the
+    next call dials a fresh one.
+
     With a :class:`GossipQueue` attached (``attach_queue``), ``put``
     becomes write-behind: the entry is enqueued and delivered by the
     queue's sender thread, retried after transient failures, so gossip
@@ -514,20 +520,16 @@ class RemoteTier(CacheTier):
         self.address = address
         self.layer = layer
         self.value_type = value_type
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
         self.writes = writes
         self.max_failures = max_failures
         self.down_cooldown = down_cooldown
         self._down_until = 0.0
         self._queue: "GossipQueue | None" = None
-        # One connection per calling thread: frames are strict
-        # request/reply on a socket, so sharing one connection would
-        # serialize every thread's cache traffic behind a single
-        # in-flight network round-trip.  The lock guards only the
-        # shared counters and the connection registry.
-        self._local = threading.local()
-        self._clients: list = []
+        from repro.service.client import ClientLink
+
+        self._link = ClientLink(
+            address, timeout=timeout, connect_timeout=connect_timeout
+        )
         self._failures = 0
         self._lock = threading.Lock()
         self.closed = False
@@ -548,48 +550,26 @@ class RemoteTier(CacheTier):
             # rejoined the ring must be rediscovered without a restart.
             return time.monotonic() < self._down_until
 
-    def _connect(self):
-        from repro.service.client import ServiceClient
-
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = ServiceClient(
-                self.address,
-                timeout=self.timeout,
-                connect_timeout=self.connect_timeout,
-            )
-            self._local.client = client
-            with self._lock:
-                self._clients.append(client)
-        return client
-
-    def _drop_connection(self) -> None:
-        client = getattr(self._local, "client", None)
-        if client is None:
-            return
-        self._local.client = None
-        with self._lock:
-            if client in self._clients:
-                self._clients.remove(client)
-        client.close()
-
     def _call(self, op: Callable[[Any], Any]) -> Any | None:
-        """Run one request/reply against the peer (this thread's socket).
+        """Run one request/reply against the peer (the shared socket).
 
         Returns None on any failure (counted); a success resets the
         consecutive-failure count so a recovered peer resumes serving.
         """
         if self._down():
             return None
+        generation = None
         try:
-            result = op(self._connect())
+            client, generation = self._link.get()
+            result = op(client)
         except Exception:  # noqa: BLE001 -- peers are best-effort
             with self._lock:
                 self.stats.errors += 1
                 self._failures += 1
                 if self._failures >= self.max_failures:
                     self._down_until = time.monotonic() + self.down_cooldown
-            self._drop_connection()
+            if generation is not None:
+                self._link.invalidate(generation)
             return None
         with self._lock:
             self._failures = 0
@@ -658,10 +638,7 @@ class RemoteTier(CacheTier):
 
     def close(self) -> None:
         self.closed = True
-        with self._lock:
-            clients, self._clients = self._clients, []
-        for client in clients:
-            client.close()
+        self._link.close()
 
 
 class GossipQueue:

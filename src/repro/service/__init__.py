@@ -5,7 +5,7 @@ into a service: a localhost TCP :class:`SolveServer` owns a priority
 :class:`Broker` (with backpressure and in-flight dedup), a pool of
 long-lived :class:`~repro.service.worker.Worker` threads running the
 existing staged pipeline, and both content-addressed cache layers.
-Clients speak a versioned, length-framed JSON protocol
+Clients speak a length-framed JSON protocol
 (:mod:`repro.service.protocol`) whose event frames are the exact typed
 events of :mod:`repro.core.events` -- the event stream is the wire
 protocol.  :func:`solve_grid` shards the Eq. 7 ``problems x runs`` grid
@@ -25,9 +25,9 @@ heartbeat gossip loop, and place work and cache entries on a
 consistent-hash :class:`~repro.service.ring.HashRing` -- so
 ``solve_grid(ring=True)`` and the cache fabric's remote tiers send each
 cell to the same member, and a member dying mid-sweep only moves its
-own share of the keyspace.  :class:`MultiplexedClient` runs any number
-of concurrent requests over one connection (protocol v3), while legacy
-v1/v2 clients keep working one request at a time.
+own share of the keyspace.  :class:`MultiplexedClient` is the one
+client: any number of concurrent requests of every kind over one
+connection.
 """
 
 from repro.service.broker import (
@@ -41,7 +41,6 @@ from repro.service.broker import (
 from repro.service.client import (
     GridReport,
     MultiplexedClient,
-    ServiceClient,
     ServiceError,
     SolveOutcome,
     fetch_peers,
@@ -55,7 +54,6 @@ from repro.service.client import (
 from repro.service.metrics import render_prometheus
 from repro.service.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     Ack,
     CacheGet,
     CachePut,
@@ -111,7 +109,6 @@ __all__ = [
     "PeerHello",
     "PeerList",
     "ProtocolError",
-    "ServiceClient",
     "ServiceError",
     "ServiceResult",
     "ServiceStats",
@@ -119,7 +116,6 @@ __all__ = [
     "SolveRequest",
     "SolveServer",
     "StatsReply",
-    "SUPPORTED_VERSIONS",
     "Subscription",
     "Worker",
     "encode_frame",

@@ -1,30 +1,21 @@
-"""Clients for the solve service: blocking, multiplexed, and sharded grids.
+"""The solve service client and the sharded grid built on it.
 
-Two client classes speak the length-framed protocol:
+:class:`MultiplexedClient` is the one client: one socket, any number of
+in-flight requests from any number of threads, with reply frames
+demultiplexed by request id on a background reader thread.  A grid
+shard's worth of concurrent solves runs over a single connection, and
+every request kind the server answers -- solves, control (``ping``,
+``stats``, ``peers``, ``shutdown``), cache probes and pushes, and
+membership hellos -- goes over the same socket.  The one-shot helpers
+(:func:`fetch_stats`, :func:`fetch_peers`, :func:`hello_peer`,
+:func:`stop_server`) each open one for a single request.
 
-- :class:`ServiceClient` -- the simple one: requests are pipelined
-  strictly one at a time per connection, so frames never interleave.
-  This is also the legacy (v1/v2) client shape; the server echoes
-  whatever protocol version a client speaks.
-- :class:`MultiplexedClient` -- the v3 shape: one socket, any number of
-  in-flight requests from any number of threads, with reply frames
-  demultiplexed by request id on a background reader thread.  A grid
-  shard's worth of concurrent solves runs over a single connection.
-
-Three solve entry points:
-
-- :meth:`ServiceClient.solve` / :meth:`MultiplexedClient.solve` --
-  blocking; return a :class:`SolveOutcome`, optionally forwarding the
-  event stream to a sink as it arrives;
-- :meth:`ServiceClient.iter_solve` -- a generator yielding each typed
-  :class:`~repro.core.events.Event` live, then raising ``StopIteration``
-  whose value is the outcome (also stored on ``last_outcome``);
-- :func:`solve_grid` -- the Eq. 7 ``problems x runs`` grid fanned over
-  one or more server shards with a deterministic merge: results are
-  keyed by ``(problem, run)``, and the reassembled
-  :class:`~repro.evaluation.harness.EvalResult` is bit-identical to a
-  local ``evaluate_many`` at the same seeds no matter how many shards
-  served it or in what order cells finished.
+:func:`solve_grid` runs the Eq. 7 ``problems x runs`` grid fanned over
+one or more server shards with a deterministic merge: results are
+keyed by ``(problem, run)``, and the reassembled
+:class:`~repro.evaluation.harness.EvalResult` is bit-identical to a
+local ``evaluate_many`` at the same seeds no matter how many shards
+served it or in what order cells finished.
 
 **Elasticity.**  ``solve_grid`` survives shard death: a cell that hits
 a transport failure (connection severed, half-written frame, server
@@ -49,7 +40,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.core.events import (
     BatchFinished,
@@ -67,6 +58,7 @@ from repro.service.protocol import (
     Done,
     ErrorFrame,
     EventFrame,
+    Frame,
     PeerGone,
     PeerHello,
     PeerList,
@@ -119,247 +111,6 @@ def parse_shards(spec: str) -> list[str]:
     return shards
 
 
-class ServiceClient:
-    """One connection to one solve server, one request at a time.
-
-    ``timeout`` bounds every read; the default (None) blocks until the
-    server answers -- a queued cold cell may legitimately wait behind a
-    long sweep, and a half-finished grid is worse than a patient one.
-    ``connect_timeout`` only bounds the initial connection, so dead
-    addresses still fail fast.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        timeout: float | None = None,
-        connect_timeout: float | None = 10.0,
-    ):
-        self.address = address
-        self.timeout = timeout
-        host, port = parse_address(address)
-        self._sock = socket.create_connection(
-            (host, port), timeout=connect_timeout
-        )
-        self._sock.settimeout(timeout)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
-        self._next_id = 0
-        self.last_outcome: SolveOutcome | None = None
-
-    def close(self) -> None:
-        for closer in (self._rfile.close, self._wfile.close, self._sock.close):
-            try:
-                closer()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _request_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    def _read(self):
-        frame = read_frame(self._rfile)
-        if frame is None:
-            raise ServiceError("server closed the connection")
-        return frame
-
-    def iter_solve(
-        self,
-        system: str,
-        problem: str,
-        seed: int = 0,
-        priority: int = 0,
-        stream: bool = True,
-    ) -> Iterator[Event]:
-        """Submit one cell; yield its events, return the outcome.
-
-        The generator's ``StopIteration.value`` (i.e. ``return`` value)
-        is the :class:`SolveOutcome`; it is also stored on
-        ``self.last_outcome`` for plain ``for`` loops.  Abandoning the
-        generator mid-stream (``break``/``close``) drains the rest of
-        the reply up to its terminal frame, so the connection stays
-        usable for the next request.
-        """
-        request_id = self._request_id()
-        write_frame(
-            self._wfile,
-            SolveRequest(
-                id=request_id,
-                system=system,
-                problem=problem,
-                seed=seed,
-                priority=priority,
-                stream=stream,
-            ),
-        )
-        ack = self._read()
-        if isinstance(ack, ErrorFrame):
-            raise ServiceError(ack.message)
-        if not isinstance(ack, Ack):
-            raise ProtocolError(f"expected ack, got {ack.type!r}")
-        dedup = ack.dedup
-        terminal_seen = False
-        try:
-            while True:
-                frame = self._read()
-                if isinstance(frame, EventFrame):
-                    yield frame.event
-                elif isinstance(frame, Done):
-                    terminal_seen = True
-                    outcome = SolveOutcome(
-                        source=frame.source,
-                        passed=frame.passed,
-                        score=frame.score,
-                        seconds=frame.seconds,
-                        system=frame.system,
-                        cached=frame.cached,
-                        dedup=frame.dedup or dedup,
-                    )
-                    self.last_outcome = outcome
-                    return outcome
-                elif isinstance(frame, ErrorFrame):
-                    terminal_seen = True
-                    raise ServiceError(frame.message)
-                else:
-                    raise ProtocolError(f"unexpected frame {frame.type!r}")
-        finally:
-            if not terminal_seen:
-                self._drain_reply()
-
-    def _drain_reply(self, grace: float = 5.0) -> None:
-        """Consume frames up to the terminal one (abandoned stream).
-
-        Drains for at most ``grace`` seconds -- an abandoned *cold*
-        solve may not finish for minutes, and blocking a caller that
-        already walked away is worse than reconnecting.  If the stream
-        can't be drained cleanly in time the connection is closed
-        instead of being left desynchronised.
-        """
-        deadline = time.monotonic() + grace
-        try:
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._sock.settimeout(remaining)
-                frame = self._read()
-                if isinstance(frame, (Done, ErrorFrame)):
-                    self._sock.settimeout(self.timeout)
-                    return
-                if not isinstance(frame, EventFrame):
-                    break
-        except (ServiceError, ProtocolError, OSError):
-            pass
-        self.close()
-
-    def solve(
-        self,
-        system: str,
-        problem: str,
-        seed: int = 0,
-        priority: int = 0,
-        events: EventSink | Callable[[Event], None] | None = None,
-    ) -> SolveOutcome:
-        """Blocking submit; streams events into ``events`` if given."""
-        sink = as_sink(events)
-        stream = events is not None
-        iterator = self.iter_solve(
-            system, problem, seed=seed, priority=priority, stream=stream
-        )
-        while True:
-            try:
-                event = next(iterator)
-            except StopIteration as stop:
-                return stop.value
-            sink.emit(event)
-
-    def _cache_request(self, frame) -> CacheReply:
-        write_frame(self._wfile, frame)
-        reply = self._read()
-        if isinstance(reply, ErrorFrame):
-            raise ServiceError(reply.message)
-        if not isinstance(reply, CacheReply):
-            raise ProtocolError(f"expected cache reply, got {reply.type!r}")
-        return reply
-
-    def cache_get(self, layer: str, key: str) -> str | None:
-        """Probe the server's ``layer`` cache; the base64 blob or None.
-
-        The transport primitive behind
-        :class:`~repro.runtime.cache.RemoteTier`: decoding (and type
-        guarding) the blob is the caller's job, so this client never
-        unpickles peer data itself.
-        """
-        reply = self._cache_request(
-            CacheGet(id=self._request_id(), layer=layer, key=key)
-        )
-        return reply.blob if reply.found else None
-
-    def cache_put(self, layer: str, key: str, blob: str) -> bool:
-        """Push one encoded entry into the server's ``layer`` cache."""
-        reply = self._cache_request(
-            CachePut(id=self._request_id(), layer=layer, key=key, blob=blob)
-        )
-        return reply.stored
-
-    def _control(self, op: str):
-        request_id = self._request_id()
-        write_frame(self._wfile, ControlRequest(id=request_id, op=op))
-        frame = self._read()
-        if isinstance(frame, ErrorFrame):
-            raise ServiceError(frame.message)
-        return frame
-
-    def ping(self) -> bool:
-        return isinstance(self._control("ping"), Ack)
-
-    def stats(self) -> dict:
-        frame = self._control("stats")
-        if not isinstance(frame, StatsReply):
-            raise ProtocolError(f"expected stats, got {frame.type!r}")
-        return frame.stats
-
-    def peers(self) -> tuple[str, ...]:
-        """The server's current view of the ring membership."""
-        frame = self._control("peers")
-        if not isinstance(frame, PeerList):
-            raise ProtocolError(f"expected peer list, got {frame.type!r}")
-        return tuple(frame.peers)
-
-    def hello(
-        self, self_address: str, peers: tuple[str, ...] = ()
-    ) -> tuple[str, ...]:
-        """Introduce ``self_address`` to this server's ring.
-
-        Sends a ``PeerHello`` carrying our own membership view and
-        returns the server's merged view -- the gossip primitive behind
-        ``serve --join`` and the heartbeat loop.
-        """
-        request_id = self._request_id()
-        write_frame(
-            self._wfile,
-            PeerHello(id=request_id, address=self_address, peers=tuple(peers)),
-        )
-        frame = self._read()
-        if isinstance(frame, ErrorFrame):
-            raise ServiceError(frame.message)
-        if not isinstance(frame, PeerList):
-            raise ProtocolError(f"expected peer list, got {frame.type!r}")
-        return tuple(frame.peers)
-
-    def shutdown_server(self) -> None:
-        """Ask the server to drain and stop (connection closes after)."""
-        self._control("shutdown")
-        self.close()
-
-
 class MultiplexedClient:
     """One socket, many in-flight requests, demuxed by request id.
 
@@ -373,7 +124,15 @@ class MultiplexedClient:
 
     Frames for requests nobody is waiting on (an abandoned or timed-out
     solve's stragglers) are discarded by the reader, so one slow or
-    dropped request can never desynchronise the others.
+    dropped request can never desynchronise the others.  An
+    ``ErrorFrame`` with id 0 is the server refusing the connection
+    itself (a malformed frame, a protocol version mismatch): it fails
+    every in-flight request with the server's message.
+
+    ``timeout`` bounds each wait for a reply frame; the default (None)
+    blocks until the server answers -- a queued cold cell may
+    legitimately wait behind a long sweep.  ``connect_timeout`` only
+    bounds the initial connection, so dead addresses still fail fast.
     """
 
     def __init__(
@@ -426,8 +185,10 @@ class MultiplexedClient:
                 frame = read_frame(self._rfile)
                 if frame is None:
                     raise ServiceError("server closed the connection")
+                if isinstance(frame, ErrorFrame) and frame.id == 0:
+                    raise ServiceError(frame.message)
                 with self._pending_lock:
-                    waiter = self._pending.get(getattr(frame, "id", 0))
+                    waiter = self._pending.get(frame.id)
                 if waiter is not None:
                     waiter.put(frame)
                 # else: a stray frame for an abandoned request; drop it.
@@ -556,42 +317,83 @@ class MultiplexedClient:
         finally:
             self._unregister(request_id)
 
-    def _control(self, op: str):
+    def _request(
+        self, frame_cls: type[Frame], reply_cls: type[Frame], **fields
+    ) -> Frame:
+        """Send one request frame and return its single reply frame."""
         request_id, waiter = self._register()
         try:
-            self._send(ControlRequest(id=request_id, op=op))
-            frame = self._await(waiter)
-            if isinstance(frame, ErrorFrame):
-                raise ServiceError(frame.message)
-            return frame
+            self._send(frame_cls(id=request_id, **fields))
+            reply = self._await(waiter)
         finally:
             self._unregister(request_id)
+        if isinstance(reply, ErrorFrame):
+            raise ServiceError(reply.message)
+        if not isinstance(reply, reply_cls):
+            raise ProtocolError(
+                f"expected {reply_cls.type}, got {reply.type!r}"
+            )
+        return reply
 
     def ping(self) -> bool:
-        return isinstance(self._control("ping"), Ack)
+        self._request(ControlRequest, Ack, op="ping")
+        return True
 
     def stats(self) -> dict:
-        frame = self._control("stats")
-        if not isinstance(frame, StatsReply):
-            raise ProtocolError(f"expected stats, got {frame.type!r}")
-        return frame.stats
+        return self._request(ControlRequest, StatsReply, op="stats").stats
 
     def peers(self) -> tuple[str, ...]:
-        frame = self._control("peers")
-        if not isinstance(frame, PeerList):
-            raise ProtocolError(f"expected peer list, got {frame.type!r}")
-        return tuple(frame.peers)
+        """The server's current view of the ring membership."""
+        reply = self._request(ControlRequest, PeerList, op="peers")
+        return tuple(reply.peers)
+
+    def hello(
+        self, self_address: str, peers: tuple[str, ...] = ()
+    ) -> tuple[str, ...]:
+        """Introduce ``self_address`` to this server's ring.
+
+        Sends a ``PeerHello`` carrying our own membership view and
+        returns the server's merged view -- the gossip primitive behind
+        ``serve --join`` and the heartbeat loop.
+        """
+        reply = self._request(
+            PeerHello, PeerList, address=self_address, peers=tuple(peers)
+        )
+        return tuple(reply.peers)
+
+    def cache_get(self, layer: str, key: str) -> str | None:
+        """Probe the server's ``layer`` cache; the base64 blob or None.
+
+        The transport primitive behind
+        :class:`~repro.runtime.cache.RemoteTier`: decoding (and type
+        guarding) the blob is the caller's job, so this client never
+        unpickles peer data itself.
+        """
+        reply = self._request(CacheGet, CacheReply, layer=layer, key=key)
+        return reply.blob if reply.found else None
+
+    def cache_put(self, layer: str, key: str, blob: str) -> bool:
+        """Push one encoded entry into the server's ``layer`` cache."""
+        reply = self._request(
+            CachePut, CacheReply, layer=layer, key=key, blob=blob
+        )
+        return reply.stored
+
+    def shutdown_server(self) -> None:
+        """Ask the server to drain and stop (connection closes after)."""
+        self._request(ControlRequest, Ack, op="shutdown")
+        self.close()
 
 
 def fetch_stats(address: str, timeout: float | None = 10.0) -> dict:
     """One-shot stats snapshot from a running server."""
-    with ServiceClient(address, timeout=timeout) as client:
+    with MultiplexedClient(address, timeout=timeout) as client:
         return client.stats()
 
 
 def fetch_peers(address: str, timeout: float | None = 10.0) -> tuple[str, ...]:
     """One-shot ring-membership fetch from a running server."""
-    with ServiceClient(address, timeout=timeout) as client:
+    with MultiplexedClient(address, timeout=timeout) as client:
         return client.peers()
 
 
@@ -602,13 +404,13 @@ def hello_peer(
     timeout: float | None = 10.0,
 ) -> tuple[str, ...]:
     """One-shot ``PeerHello`` to ``address``; returns its merged view."""
-    with ServiceClient(address, timeout=timeout) as client:
+    with MultiplexedClient(address, timeout=timeout) as client:
         return client.hello(self_address, peers)
 
 
 def stop_server(address: str, timeout: float | None = 10.0) -> None:
     """One-shot graceful shutdown of a running server."""
-    with ServiceClient(address, timeout=timeout) as client:
+    with MultiplexedClient(address, timeout=timeout) as client:
         client.shutdown_server()
 
 
@@ -684,10 +486,11 @@ def _is_transient(exc: Exception) -> bool:
     """Transport-ish failures that justify a retry on a new connection.
 
     Deterministic server errors ("unknown system ...", "unknown
-    problem ...") would fail identically everywhere; retrying those
+    problem ...", or a connection refused with "protocol version
+    mismatch ...") would fail identically everywhere; retrying those
     only hides real bugs, so they abort the grid instead.
     """
-    if isinstance(exc, (OSError, PeerGone)):
+    if isinstance(exc, OSError):
         return True
     if isinstance(exc, ProtocolError):
         return True  # desynchronised stream: only a reconnect recovers
@@ -710,19 +513,26 @@ def _is_transient(exc: Exception) -> bool:
     return False
 
 
-class _ShardLink:
-    """Lazy, shared, regenerating connection to one shard.
+class ClientLink:
+    """Lazy, shared, regenerating connection to one server.
 
-    All of a shard's grid workers multiplex over one
-    :class:`MultiplexedClient`; when the connection dies, the first
-    worker to notice invalidates it (by the generation it was using,
-    so racing workers don't tear down a fresh replacement) and the
-    next :meth:`get` dials anew.
+    Every caller multiplexes over one :class:`MultiplexedClient`; when
+    the connection dies, the first caller to notice invalidates it (by
+    the generation it was using, so racing callers don't tear down a
+    fresh replacement) and the next :meth:`get` dials anew.  A grid
+    shard's workers share one link, and so do all the threads reading
+    one :class:`~repro.runtime.cache.RemoteTier`.
     """
 
-    def __init__(self, shard: str, timeout: float | None):
-        self.shard = shard
+    def __init__(
+        self,
+        address: str,
+        timeout: float | None,
+        connect_timeout: float | None = 10.0,
+    ):
+        self.address = address
         self.timeout = timeout
+        self.connect_timeout = connect_timeout
         self._lock = threading.Lock()
         self._client: MultiplexedClient | None = None
         self._generation = 0
@@ -731,7 +541,9 @@ class _ShardLink:
         with self._lock:
             if self._client is None or self._client.closed:
                 self._client = MultiplexedClient(
-                    self.shard, timeout=self.timeout
+                    self.address,
+                    timeout=self.timeout,
+                    connect_timeout=self.connect_timeout,
                 )
                 self._generation += 1
             return self._client, self._generation
@@ -853,7 +665,7 @@ def solve_grid(
     finished = threading.Event()
     dead: set[str] = set()
     cond = threading.Condition()
-    links = {shard: _ShardLink(shard, timeout) for shard in shards}
+    links = {shard: ClientLink(shard, timeout) for shard in shards}
 
     def flush_progress() -> None:
         # Progress lines in suite order, like evaluate_many.

@@ -1,26 +1,16 @@
-"""Versioned, length-framed JSON wire format for the solve service.
+"""Length-framed JSON wire format for the solve service.
 
 One frame on the wire is a 4-byte big-endian payload length followed by
 a UTF-8 JSON object.  Every payload carries ``"v"`` (the protocol
-version) and ``"type"`` (which frame dataclass below it deserialises
-to).  Three protocol generations share this framing:
+version, :data:`PROTOCOL_VERSION`) and ``"type"`` (which frame
+dataclass below it deserialises to).  Every frame also carries ``id``
+(the request id): a client may interleave any number of in-flight
+requests on one connection, and replies are matched by id, not by
+order.  A frame stamped with any other version is refused with a typed
+:class:`ProtocolError` -- every client lives in this repository, so
+there is exactly one dialect.
 
-- **v1** -- the original strictly client-driven conversation: one
-  request on the wire at a time, replies in request order;
-- **v2** -- v1 plus the cache-fabric frames (``CacheGet``/``CachePut``);
-- **v3** -- multiplexing: every frame carries ``id`` (the request id),
-  and a client may interleave any number of in-flight requests on one
-  connection -- replies are matched by id, not by order.  v3 also adds
-  the peer-discovery frames ``PeerHello``/``PeerList`` that servers use
-  to form an elastic consistent-hash ring.
-
-Readers accept any supported version and remember which one the peer
-spoke, so a v3 server answers a legacy v1/v2 client in its own dialect
-(legacy clients pipeline strictly one request at a time, which is a
-degenerate -- and therefore automatically compatible -- multiplexing
-schedule).  Unknown versions are rejected with a typed error.
-
-The per-request conversation is unchanged across versions:
+The per-request conversation:
 
 - ``SolveRequest``  -> :class:`Ack`, then zero or more
   :class:`EventFrame` (the run's typed event stream, live on a cold
@@ -40,6 +30,9 @@ The per-request conversation is unchanged across versions:
   the receiver merges them into its directory and answers with its
   full member list.
 
+A malformed frame ends the connection: the server answers it with an
+``ErrorFrame`` of id 0 (no request owns it) and closes.
+
 Events cross the wire via
 :meth:`repro.core.events.Event.to_json`/``from_json``, so the stream a
 remote client sees is field-identical to a local run's -- the event
@@ -50,8 +43,7 @@ clean EOF (``read_frame`` returns None), while a stream ending *inside*
 a frame raises :class:`PeerGone` -- the peer died or the connection was
 severed mid-write.  ``PeerGone`` subclasses :class:`ProtocolError`, so
 callers that only care about "the bytes were bad" keep working, while
-gossip/ring paths can catch it specifically and skip the peer
-instead of logging corruption.
+the server can tell a vanished client from a corrupt one.
 """
 
 from __future__ import annotations
@@ -63,17 +55,9 @@ from typing import Any, BinaryIO, ClassVar
 
 from repro.core.events import Event
 
-#: The version this process speaks natively (stamped on outgoing frames
-#: unless a reply deliberately echoes a legacy peer's version).
+#: The one version this process speaks, stamped on every frame and
+#: required of every frame it reads.
 PROTOCOL_VERSION = 3
-
-#: Versions this process can read.  v1/v2 peers predate multiplexing;
-#: their frames are valid v3 frames with a degenerate (one-at-a-time)
-#: schedule, so accepting them *is* the compat shim.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3})
-
-#: Versions whose speakers must be answered in their own dialect.
-LEGACY_VERSIONS = frozenset({1, 2})
 
 # Generous ceiling: frames hold one JSON-encoded event or result, not
 # bulk data.  Anything larger is a corrupt or hostile stream.
@@ -93,9 +77,9 @@ class PeerGone(ProtocolError):
     """The peer vanished mid-frame (or refused the connection).
 
     Distinct from corrupt data: the bytes that did arrive were fine,
-    the stream just ended inside a frame.  Ring and gossip paths catch
-    this to mark the peer down and move on, rather than treating a
-    crashed server as a protocol bug.
+    the stream just ended inside a frame.  The server and the client
+    catch this to treat a crashed peer as a lost connection rather
+    than a protocol bug.
     """
 
 
@@ -302,23 +286,23 @@ class StatsReply(Frame):
     stats: dict
 
 
-def encode_frame(frame: Frame, version: int = PROTOCOL_VERSION) -> bytes:
-    """Length-prefixed wire bytes for one frame.
-
-    ``version`` stamps the payload -- servers pass the version the
-    connection's client spoke so legacy peers get replies in their own
-    dialect.
-    """
+def encode_frame(frame: Frame) -> bytes:
+    """Length-prefixed wire bytes for one frame."""
     payload = frame.to_wire()
-    payload["v"] = version
+    payload["v"] = PROTOCOL_VERSION
     data = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
     if len(data) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame too large ({len(data)} bytes)")
     return _HEADER.pack(len(data)) + data
 
 
-def decode_payload_versioned(data: bytes) -> tuple[Frame, int]:
-    """Parse one frame payload; returns ``(frame, spoken version)``."""
+def decode_payload_versioned(data: bytes) -> Frame:
+    """Parse one frame payload (the bytes after the length header).
+
+    The payload must be stamped with exactly :data:`PROTOCOL_VERSION`
+    (an int, not a bool or float lookalike); anything else is refused
+    with a :class:`ProtocolError`.
+    """
     try:
         payload = json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -326,28 +310,18 @@ def decode_payload_versioned(data: bytes) -> tuple[Frame, int]:
     if not isinstance(payload, dict):
         raise ProtocolError("frame payload is not an object")
     version = payload.get("v")
-    if (
-        not isinstance(version, int)
-        or isinstance(version, bool)
-        or version not in SUPPORTED_VERSIONS
-    ):
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version mismatch: got {version!r}, "
-            f"want one of {sorted(SUPPORTED_VERSIONS)}"
+            f"want {PROTOCOL_VERSION}"
         )
     frame_cls = FRAME_TYPES.get(payload.get("type"))
     if frame_cls is None or frame_cls is Frame:
         raise ProtocolError(f"unknown frame type {payload.get('type')!r}")
     try:
-        return frame_cls.from_wire(payload), version
+        return frame_cls.from_wire(payload)
     except TypeError as exc:
         raise ProtocolError(f"bad {frame_cls.type} frame: {exc}") from exc
-
-
-def decode_payload(data: bytes) -> Frame:
-    """Parse one frame payload (the bytes after the length header)."""
-    frame, _ = decode_payload_versioned(data)
-    return frame
 
 
 def read_frame(stream: BinaryIO) -> Frame | None:
@@ -360,14 +334,6 @@ def read_frame(stream: BinaryIO) -> Frame | None:
     bytes raise plain :class:`ProtocolError`.  Neither hangs or returns
     a partial frame.
     """
-    frame_and_version = read_frame_versioned(stream)
-    if frame_and_version is None:
-        return None
-    return frame_and_version[0]
-
-
-def read_frame_versioned(stream: BinaryIO) -> tuple[Frame, int] | None:
-    """Like :func:`read_frame`, but also reports the spoken version."""
     header = b""
     while len(header) < _HEADER.size:
         chunk = stream.read(_HEADER.size - len(header))
@@ -388,21 +354,18 @@ def read_frame_versioned(stream: BinaryIO) -> tuple[Frame, int] | None:
     return decode_payload_versioned(data)
 
 
-def write_frame(
-    stream: BinaryIO, frame: Frame, version: int = PROTOCOL_VERSION
-) -> None:
+def write_frame(stream: BinaryIO, frame: Frame) -> None:
     """Serialise and flush one frame."""
-    stream.write(encode_frame(frame, version=version))
+    stream.write(encode_frame(frame))
     stream.flush()
 
 
-async def read_frame_async(reader) -> tuple[Frame, int] | None:
-    """Async twin of :func:`read_frame_versioned` for asyncio streams.
+async def read_frame_async(reader) -> Frame | None:
+    """Async twin of :func:`read_frame` for asyncio streams.
 
-    Returns ``(frame, spoken version)``, or None on clean EOF at a
-    frame boundary; raises :class:`PeerGone` on EOF mid-frame and
-    :class:`ProtocolError` on corrupt bytes, never hangs on a short
-    read.
+    Returns the frame, or None on clean EOF at a frame boundary; raises
+    :class:`PeerGone` on EOF mid-frame and :class:`ProtocolError` on
+    corrupt bytes, never hangs on a short read.
     """
     import asyncio
 
@@ -420,11 +383,3 @@ async def read_frame_async(reader) -> tuple[Frame, int] | None:
     except asyncio.IncompleteReadError as exc:
         raise PeerGone("truncated frame body") from exc
     return decode_payload_versioned(data)
-
-
-async def write_frame_async(
-    writer, frame: Frame, version: int = PROTOCOL_VERSION
-) -> None:
-    """Serialise one frame to an asyncio writer and drain it."""
-    writer.write(encode_frame(frame, version=version))
-    await writer.drain()

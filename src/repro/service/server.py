@@ -5,11 +5,10 @@ client connection on a single asyncio event loop: one reader coroutine
 and one writer task per connection, with each *request* dispatched to a
 thread pool.  Frames carry request ids, so any number of requests can
 be in flight on one connection and their reply streams interleave
-frame-by-frame -- a v3 multiplexing client runs a whole grid shard over
-one socket.  Legacy v1/v2 clients pipeline strictly one request at a
-time, which is simply a degenerate schedule of the same machinery;
-replies echo the client's protocol version, so old clients never see a
-frame dialect they don't speak.
+frame-by-frame -- a :class:`~repro.service.client.MultiplexedClient`
+runs a whole grid shard over one socket.  A malformed frame (bad
+bytes, wrong protocol version) is answered with an id-0 ``ErrorFrame``
+naming the problem, then the connection closes.
 
 Requests route through a shared :class:`~repro.service.broker.Broker`
 into a pool of long-lived :class:`~repro.service.worker.Worker`
@@ -110,9 +109,6 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.loop = asyncio.get_running_loop()
-        # The protocol version this client speaks (from its last frame);
-        # replies are stamped with it, which is the whole legacy shim.
-        self.version = PROTOCOL_VERSION
         self._outbox: asyncio.Queue = asyncio.Queue()
         self._tasks: set = set()
         self._closed = False
@@ -152,7 +148,7 @@ class _Connection:
             if frame is None:
                 return
             try:
-                data = encode_frame(frame, version=self.version)
+                data = encode_frame(frame)
             except ProtocolError as exc:
                 # The frame itself is unsendable (e.g. a payload past
                 # the frame ceiling); tell the client with a typed error
@@ -161,8 +157,7 @@ class _Connection:
                     ErrorFrame(
                         id=getattr(frame, "id", 0),
                         message=f"unsendable reply: {exc}",
-                    ),
-                    version=self.version,
+                    )
                 )
             try:
                 self.writer.write(data)
@@ -176,16 +171,14 @@ class _Connection:
         try:
             while True:
                 try:
-                    item = await read_frame_async(self.reader)
+                    frame = await read_frame_async(self.reader)
                 except PeerGone:
                     break  # client died mid-frame
                 except ProtocolError as exc:
                     self._enqueue(ErrorFrame(id=0, message=str(exc)))
                     break
-                if item is None:
+                if frame is None:
                     break  # clean EOF
-                frame, version = item
-                self.version = version
                 if not self._dispatch(frame):
                     break  # shutdown request: close after the ack
         finally:

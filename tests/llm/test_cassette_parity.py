@@ -11,7 +11,7 @@ from repro.core.events import ListSink
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem
 from repro.llm.gateway import GATEWAY_STATS, GatewaySettings
-from repro.service import ServiceClient, SolveServer
+from repro.service import MultiplexedClient, SolveServer
 
 SYSTEM_KEYS = ["mage", "vanilla-claude"]
 PROBLEM_IDS = ["cb_kmap_mux", "fs_vending"]
@@ -125,7 +125,7 @@ class TestServiceReplay:
         with SolveServer(workers=1, solve_cache=False) as server:
             assert server.gateway is not None
             assert server.gateway.mode == "replay"
-            with ServiceClient(server.address) as client:
+            with MultiplexedClient(server.address) as client:
                 for key in SYSTEM_KEYS:
                     for problem_id in PROBLEM_IDS:
                         sink = ListSink()
@@ -156,7 +156,7 @@ class TestServiceReplay:
         with SolveServer(workers=1, solve_cache=False) as server:
             record = CassetteRecord(completions=("x",), backend="sim")
             server.cassette().put_local("gateway-peer-test", record)
-            with ServiceClient(server.address) as client:
+            with MultiplexedClient(server.address) as client:
                 # An unknown key is a typed miss, not an error.
                 assert client.cache_get("llm", "no-such-key") is None
                 blob = client.cache_get("llm", "gateway-peer-test")

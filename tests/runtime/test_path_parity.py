@@ -31,7 +31,6 @@ from repro.runtime.executor import SerialExecutor, ThreadExecutor
 from repro.service import (
     HashRing,
     MultiplexedClient,
-    ServiceClient,
     ServiceError,
     SolveServer,
     fetch_peers,
@@ -147,7 +146,7 @@ class TestServicePathParity:
     ):
         for problem_id in PROBLEM_IDS:
             sink = ListSink()
-            with ServiceClient(server.address) as client:
+            with MultiplexedClient(server.address) as client:
                 outcome = client.solve(
                     key, problem_id, seed=SEED, events=sink
                 )
@@ -176,7 +175,7 @@ class TestServicePathParity:
         self, serial_reference, server
     ):
         sink = ListSink()
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             outcome = client.solve(
                 "mage", PROBLEM_IDS[0], seed=SEED, events=sink
             )

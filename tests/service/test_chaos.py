@@ -40,7 +40,6 @@ from repro.runtime.cache import SimulationCache, SolveCellCache, SolveCellRecord
 from repro.service import (
     HashRing,
     MultiplexedClient,
-    ServiceClient,
     ServiceError,
     SolveServer,
     fetch_peers,
@@ -337,7 +336,7 @@ class TestGossipPartition:
                 tier = next(
                     t for t in cache.tiers if t.kind == "remote"
                 )
-                tier.connect_timeout = 0.5
+                tier._link.connect_timeout = 0.5
                 tier.down_cooldown = 0.5
                 cache._gossip.retry_interval = 0.1
 
@@ -389,7 +388,7 @@ class TestHalfWrittenFrame:
         retries on a new connection and the row matches an unproxied
         solve exactly."""
         with SolveServer(workers=1) as server:
-            with ServiceClient(server.address) as direct:
+            with MultiplexedClient(server.address) as direct:
                 expected = direct.solve("mage", "cb_kmap_mux", seed=1)
             proxy = ChaosProxy(server.address)
             try:

@@ -1,8 +1,10 @@
 """Sharded grids: ≥2 real server processes, bit-identical merge."""
 
 import os
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,14 @@ from repro.baselines.registry import SYSTEMS
 from repro.core.events import ListSink
 from repro.evalsets import get_problem
 from repro.runtime import SerialExecutor, evaluate_many
-from repro.service import ServiceError, solve_grid, stop_server
+from repro.service import (
+    ErrorFrame,
+    ServiceError,
+    encode_frame,
+    read_frame,
+    solve_grid,
+    stop_server,
+)
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 PROBLEMS = ["cb_mux2", "cb_kmap_mux", "fs_seq_det_110"]
@@ -164,3 +173,49 @@ class TestShardedGrid:
                 shards=["not-an-address"],
                 problems=[get_problem("cb_mux2")],
             )
+
+
+class TestConnectionRefusal:
+    def test_grid_aborts_with_the_servers_reason(self):
+        """A server that refuses the connection itself (an id-0 error
+        frame, then close) aborts the grid with its reason: the refusal
+        is deterministic, so no retry, no dead shard, no migration."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+
+        def refuse_everything():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return  # listener closed: the test is over
+                accepted.append(conn)
+                with conn, conn.makefile("rb") as stream:
+                    read_frame(stream)
+                    conn.sendall(
+                        encode_frame(
+                            ErrorFrame(
+                                id=0,
+                                message="protocol version mismatch: "
+                                "got 3, want 4",
+                            )
+                        )
+                    )
+
+        thread = threading.Thread(target=refuse_everything, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        try:
+            with pytest.raises(ServiceError) as caught:
+                solve_grid(
+                    "mage",
+                    "verilogeval-v2",
+                    problems=[get_problem("cb_mux2")],
+                    shards=[f"{host}:{port}"],
+                )
+        finally:
+            listener.close()
+            thread.join(timeout=10)
+        assert "version mismatch" in str(caught.value)
+        assert "dead" not in str(caught.value)
+        assert len(accepted) == 1

@@ -6,6 +6,8 @@ import io
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -28,10 +30,11 @@ from repro.service import (
     CacheGet,
     CachePut,
     CacheReply,
-    ServiceClient,
+    MultiplexedClient,
     ServiceError,
     SolveServer,
     encode_frame,
+    parse_address,
     read_frame,
     solve_grid,
     stop_server,
@@ -79,7 +82,7 @@ class TestCacheFrames:
 class TestServerCacheFrames:
     def test_put_then_get_round_trips_a_record(self, server):
         record = SolveCellRecord(source="module m; endmodule", system="s")
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.cache_put("solve", "k1", encode_value(record))
             blob = client.cache_get("solve", "k1")
         assert blob is not None
@@ -88,7 +91,7 @@ class TestServerCacheFrames:
         assert server.stats.snapshot()["peer_hits"] == 1
 
     def test_missing_key_is_not_found(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.cache_get("solve", "absent") is None
         snapshot = server.stats.snapshot()
         assert snapshot["peer_gets"] == 1
@@ -98,16 +101,16 @@ class TestServerCacheFrames:
         """A solve-cell record cannot be pushed into the sim layer: the
         receiver type-guards like a disk-tier read."""
         record = SolveCellRecord(source="x", system="s")
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert not client.cache_put("sim", "k", encode_value(record))
             assert client.cache_get("sim", "k") is None
 
     def test_garbage_blob_is_refused(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert not client.cache_put("solve", "k", "!!not-base64!!")
 
     def test_unknown_layer_is_a_miss(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.cache_get("martian", "k") is None
             assert not client.cache_put("martian", "k", encode_value(1))
 
@@ -126,6 +129,65 @@ class TestRemoteTier:
         assert reader.stats.hits == 1
         writer.close()
         reader.close()
+
+    def test_threads_share_one_connection_that_redials(self, monkeypatch):
+        """Concurrent readers multiplex over one lazily dialled
+        connection; after the peer dies and comes back on the same
+        port, exactly one new connection is dialled."""
+        import repro.service.client as client_module
+
+        dialled = []
+        real_client = client_module.MultiplexedClient
+
+        def counting_client(*args, **kwargs):
+            client = real_client(*args, **kwargs)
+            dialled.append(client)
+            return client
+
+        monkeypatch.setattr(client_module, "MultiplexedClient", counting_client)
+        record = SolveCellRecord(source="module m; endmodule", system="s")
+
+        def read_concurrently(tier, readers=8):
+            barrier = threading.Barrier(readers)
+            results = [None] * readers
+
+            def read(index):
+                barrier.wait()
+                results[index] = tier.get("k")
+
+            threads = [
+                threading.Thread(target=read, args=(index,))
+                for index in range(readers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            return results
+
+        server = SolveServer(workers=1).start()
+        port = parse_address(server.address)[1]
+        tier = RemoteTier(
+            server.address, layer="solve", value_type=SolveCellRecord
+        )
+        try:
+            server.solve_cache.put("k", record)
+            assert read_concurrently(tier) == [record] * 8
+            assert len(dialled) == 1
+
+            server.kill()
+            deadline = time.monotonic() + 10
+            while not dialled[0].closed and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert dialled[0].closed
+            server = SolveServer(port=port, workers=1).start()
+            server.solve_cache.put("k", record)
+            assert read_concurrently(tier) == [record] * 8
+            assert len(dialled) == 2
+            assert tier.stats.hits == 16
+        finally:
+            tier.close()
+            server.shutdown()
 
     def test_dead_peer_is_a_fast_miss_then_marked_down(self):
         tier = RemoteTier(
@@ -163,7 +225,7 @@ class TestPeerReplayServing:
         source, same typed event stream, zero pipeline executions."""
         with SolveServer(workers=1) as warm:
             sink_a = ListSink()
-            with ServiceClient(warm.address) as client:
+            with MultiplexedClient(warm.address) as client:
                 outcome_a = client.solve(
                     "mage", "cb_kmap_mux", seed=0, events=sink_a
                 )
@@ -172,7 +234,7 @@ class TestPeerReplayServing:
                 workers=1, cache_peers=(warm.address,)
             ) as cold:
                 sink_b = ListSink()
-                with ServiceClient(cold.address) as client:
+                with MultiplexedClient(cold.address) as client:
                     outcome_b = client.solve(
                         "mage", "cb_kmap_mux", seed=0, events=sink_b
                     )
@@ -257,7 +319,7 @@ class TestRemoteTierParity:
                 DesignTask.from_problem(problems[0]), seed=0, sink=local_sink
             )
             remote_sink = ListSink()
-            with ServiceClient(addr_b) as client:
+            with MultiplexedClient(addr_b) as client:
                 client.solve(
                     "mage", problems[0].id, seed=0, events=remote_sink
                 )

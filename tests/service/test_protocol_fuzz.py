@@ -18,8 +18,6 @@ import pytest
 
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     Ack,
     ControlRequest,
     ErrorFrame,
@@ -105,19 +103,18 @@ def check_version_skew(version) -> None:
     assert "version" in str(caught.value)
 
 
-def check_round_trip(message: str, version: int) -> None:
-    """Every supported dialect round-trips frames losslessly."""
+def check_round_trip(message: str) -> None:
+    """The one dialect round-trips frames losslessly."""
     for frame in (
         Ack(id=7, cached=True),
         ErrorFrame(id=7, message=message),
         ControlRequest(id=9, op="ping"),
         SolveRequest(id=3, system=message or "mage", problem="p", seed=4),
     ):
-        wire = encode_frame(frame, version=version)
+        wire = encode_frame(frame)
         (length,) = _HEADER.unpack(wire[:_HEADER.size])
         assert length == len(wire) - _HEADER.size
-        decoded, spoken = decode_payload_versioned(wire[_HEADER.size:])
-        assert spoken == version
+        decoded = decode_payload_versioned(wire[_HEADER.size:])
         assert type(decoded) is type(frame)
         assert decoded == frame
 
@@ -128,10 +125,13 @@ def _sample_wire() -> bytes:
     )
 
 
-# Only an exact (non-bool) int in SUPPORTED_VERSIONS is a version:
-# JSON-representable lookalikes (floats, bools, strings, containers)
-# must all be refused, typed, without crashing the decoder.
-SKEW_VALUES = [0, 4, 99, -1, None, True, "3", "two", 2.5, 3.0, [3], {"v": 3}]
+# Only the exact (non-bool) int PROTOCOL_VERSION is a version: the
+# retired dialects 1 and 2 and JSON-representable lookalikes (floats,
+# bools, strings, containers) must all be refused, typed, without
+# crashing the decoder.
+SKEW_VALUES = [
+    0, 1, 2, 4, 99, -1, None, True, "3", "two", 2.5, 3.0, [3], {"v": 3},
+]
 
 
 # -- drivers -----------------------------------------------------------
@@ -166,12 +166,9 @@ if HAVE_HYPOTHESIS:
         check_corruption(_sample_wire(), offset, value)
 
     @common
-    @given(
-        message=st.text(max_size=40),
-        version=st.sampled_from(sorted(SUPPORTED_VERSIONS)),
-    )
-    def test_supported_dialects_round_trip(message, version):
-        check_round_trip(message, version)
+    @given(message=st.text(max_size=40))
+    def test_frames_round_trip(message):
+        check_round_trip(message)
 
 else:
 
@@ -200,20 +197,16 @@ else:
         for _ in range(20):
             check_corruption(wire, rng.randint(0, 4096), rng.randint(0, 255))
 
-    def test_supported_dialects_round_trip():
+    def test_frames_round_trip():
         rng = random.Random(0xFD00)
-        for version in sorted(SUPPORTED_VERSIONS):
-            for _ in range(5):
-                message = "".join(
-                    rng.choice("abc \"\\{}\u00e9") for _ in range(rng.randint(0, 40))
-                )
-                check_round_trip(message, version)
+        for _ in range(15):
+            message = "".join(
+                rng.choice("abc \"\\{}\u00e9") for _ in range(rng.randint(0, 40))
+            )
+            check_round_trip(message)
 
 
 def test_version_skew_is_refused():
     for value in SKEW_VALUES:
         check_version_skew(value)
 
-
-def test_current_version_is_supported():
-    assert PROTOCOL_VERSION in SUPPORTED_VERSIONS

@@ -1,6 +1,9 @@
 """End-to-end server tests: streaming, caching, dedup, drain."""
 
+import json
+import struct
 import threading
+import time
 
 import pytest
 
@@ -8,7 +11,12 @@ from repro.baselines.registry import SYSTEMS
 from repro.core.events import ListSink
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem, golden_testbench
-from repro.service import ServiceClient, ServiceError, SolveServer
+from repro.service import (
+    MultiplexedClient,
+    ServiceError,
+    SolveServer,
+    hello_peer,
+)
 from repro.tb.runner import run_testbench
 
 
@@ -26,7 +34,7 @@ class TestSolveStream:
         local_source = system.solve(task, seed=0, sink=local_sink)
 
         remote_sink = ListSink()
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             outcome = client.solve(
                 "mage", "cb_kmap_mux", seed=0, events=remote_sink
             )
@@ -46,44 +54,24 @@ class TestSolveStream:
         assert outcome.passed == golden.passed
         assert outcome.score == golden.score
 
-    def test_iter_solve_yields_events_then_outcome(self, server):
-        with ServiceClient(server.address) as client:
-            iterator = client.iter_solve("mage", "cb_mux2", seed=0)
-            kinds = [event.kind for event in iterator]
-            outcome = client.last_outcome
-        assert kinds[0] == "run-started"
-        assert kinds[-1] == "run-finished"
-        assert outcome is not None and outcome.source
-
-    def test_abandoned_stream_keeps_connection_usable(self, server):
-        """Breaking out of iter_solve mid-stream must not desync the
-        next request on the same connection."""
-        with ServiceClient(server.address) as client:
-            iterator = client.iter_solve("mage", "fs_vending", seed=1)
-            first = next(iterator)
-            assert first.kind == "run-started"
-            iterator.close()  # abandon mid-stream; reply is drained
-            outcome = client.solve("mage", "cb_mux2", seed=0)
-            assert outcome.source
-
     def test_unknown_system_is_an_error_frame(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             with pytest.raises(ServiceError, match="unknown system"):
                 client.solve("martian", "cb_mux2")
 
     def test_unknown_problem_is_an_error_frame(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             with pytest.raises(ServiceError):
                 client.solve("mage", "no_such_problem")
         # The connection survives an error and serves the next request.
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.solve("mage", "cb_mux2").source
 
 
 class TestWarmServing:
     def test_repeat_submit_is_served_from_cache(self, server):
         first_sink, second_sink = ListSink(), ListSink()
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             first = client.solve("mage", "cb_kmap_mux", events=first_sink)
             second = client.solve("mage", "cb_kmap_mux", events=second_sink)
         assert not first.cached and second.cached
@@ -94,7 +82,7 @@ class TestWarmServing:
         assert (second.passed, second.score) == (first.passed, first.score)
 
     def test_warm_serving_never_touches_a_worker(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             client.solve("mage", "cb_mux2")
             before = client.stats()
             client.solve("mage", "cb_mux2")
@@ -108,7 +96,7 @@ class TestWarmServing:
         assert after["broker"]["submitted"] == before["broker"]["submitted"]
 
     def test_stats_snapshot_reports_both_cache_layers(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             client.solve("mage", "cb_mux2")
             stats = client.stats()
         assert stats["caches"]["simulation"]["stores"] > 0
@@ -127,7 +115,7 @@ class TestInFlightDedup:
         barrier = threading.Barrier(clients)
 
         def submit(index):
-            with ServiceClient(server.address) as client:
+            with MultiplexedClient(server.address) as client:
                 barrier.wait()
                 outcomes[index] = client.solve(
                     "mage", "fs_vending", seed=7, events=streams[index]
@@ -161,7 +149,7 @@ class TestConcurrentDistinctCells:
         barrier = threading.Barrier(len(ids))
 
         def submit(problem_id):
-            with ServiceClient(server.address) as client:
+            with MultiplexedClient(server.address) as client:
                 barrier.wait()
                 outcomes[problem_id] = client.solve("mage", problem_id, seed=3)
 
@@ -178,7 +166,7 @@ class TestConcurrentDistinctCells:
             assert outcomes[problem_id].source == system.solve(task, seed=3)
 
     def test_unknown_system_fails_only_its_job(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             with pytest.raises(ServiceError, match="unknown system"):
                 client.solve("martian", "cb_mux2")
             # Same connection, next job: unaffected by the failure.
@@ -186,7 +174,7 @@ class TestConcurrentDistinctCells:
         assert server.executed_count() == 1
 
     def test_stats_carry_no_scheduler_sections(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             stats = client.stats()
         assert stats["workers"] == 2
         assert not {"rollout_batch", "scheduler", "steal"} & set(stats)
@@ -194,16 +182,24 @@ class TestConcurrentDistinctCells:
 
 class TestLifecycle:
     def test_ping(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.ping()
+
+    def test_hello_peer_merges_membership(self, server):
+        """The one-shot gossip helper: the server merges the sender and
+        answers with its full view."""
+        newcomer = "127.0.0.1:1"
+        merged = hello_peer(server.address, newcomer, ("127.0.0.1:2",))
+        assert set(merged) == {server.advertised, newcomer, "127.0.0.1:2"}
+        assert newcomer in server.directory
 
     def test_client_initiated_graceful_shutdown(self):
         server = SolveServer(workers=1).start()
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             client.shutdown_server()
         assert server.wait(timeout=30)
         with pytest.raises(OSError):
-            ServiceClient(server.address, timeout=2)
+            MultiplexedClient(server.address, timeout=2)
 
     def test_shutdown_is_idempotent(self):
         server = SolveServer(workers=1).start()
@@ -215,4 +211,26 @@ class TestLifecycle:
         server = SolveServer(workers=1).start()
         server.shutdown()
         with pytest.raises(OSError):
-            ServiceClient(server.address, timeout=2)
+            MultiplexedClient(server.address, timeout=2)
+
+
+class TestConnectionErrors:
+    def test_stale_dialect_error_reaches_the_client(self, server):
+        """A frame in a retired dialect (v2) is refused by the server
+        with an id-0 error frame; the client must surface the server's
+        reason, not a bare "server closed the connection"."""
+        client = MultiplexedClient(server.address)
+        payload = json.dumps(
+            {"v": 2, "type": "control", "id": 1, "op": "ping"}
+        ).encode()
+        with client._write_lock:
+            client._wfile.write(struct.pack(">I", len(payload)) + payload)
+            client._wfile.flush()
+        deadline = time.monotonic() + 10
+        while not client.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(ServiceError, match="version mismatch"):
+            client.ping()
+        # The server survives a bad client and keeps serving others.
+        with MultiplexedClient(server.address) as fresh:
+            assert fresh.ping()
