@@ -69,6 +69,15 @@ class StageClock:
                 for name, entry in sorted(self._stages.items())
             }
 
+    def merge(self, snapshot: dict) -> None:
+        """Add another clock's :meth:`snapshot` (a service worker
+        process's per-job delta) into this one."""
+        with self._lock:
+            for name, entry in snapshot.items():
+                mine = self._stages.setdefault(name, [0, 0.0])
+                mine[0] += entry["runs"]
+                mine[1] += entry["seconds"]
+
     def reset(self) -> None:
         with self._lock:
             self._stages.clear()

@@ -151,10 +151,9 @@ def solve_streaming(
 
     Returns ``(source, served_from_cache)``.  A cache hit *replays* the
     recorded event stream into ``sink``, so subscribers see exactly the
-    frames a live solve would have produced -- the property the solve
-    service's warm path and the CLI's warm ``run`` both rely on.  A miss
-    solves live (events flow to ``sink`` as they happen) and stores the
-    record for the next caller.
+    frames a live solve would have produced -- the property the CLI's
+    warm ``run`` relies on.  A miss solves live (events flow to ``sink``
+    as they happen) and stores the record for the next caller.
     """
     from repro.core.events import Broadcast, ListSink, as_sink
 

@@ -3,8 +3,9 @@
 The one-shot :func:`~repro.runtime.batch.evaluate_many` model, turned
 into a service: a localhost TCP :class:`SolveServer` owns a priority
 :class:`Broker` (with backpressure and in-flight dedup), a pool of
-long-lived :class:`~repro.service.worker.Worker` threads running the
-existing staged pipeline, and both content-addressed cache layers.
+long-lived :class:`~repro.service.worker.Worker` s -- each a broker
+consumer thread driving one child process that runs the existing staged
+pipeline -- and both content-addressed cache layers.
 Clients speak a length-framed JSON protocol
 (:mod:`repro.service.protocol`) whose event frames are the exact typed
 events of :mod:`repro.core.events` -- the event stream is the wire

@@ -125,7 +125,7 @@ def render_prometheus(stats: dict) -> str:
     exp.add(
         "repro_workers",
         stats.get("workers"),
-        help_text="Worker threads in the pool.",
+        help_text="Worker processes in the pool.",
         kind="gauge",
     )
     exp.add(

@@ -11,9 +11,11 @@ bytes, wrong protocol version) is answered with an id-0 ``ErrorFrame``
 naming the problem, then the connection closes.
 
 Requests route through a shared :class:`~repro.service.broker.Broker`
-into a pool of long-lived :class:`~repro.service.worker.Worker`
-threads.  Both cache layers live in the server process, so the layered
-serving ladder is:
+into a pool of long-lived :class:`~repro.service.worker.Worker` s, each
+a broker consumer thread driving one child process, so ``--workers N``
+solves on N processes.  Both cache layers live in the server process
+(workers store what their children solve), so the layered serving
+ladder is:
 
 1. **solve-cell cache hit** -- served inline by the request's handler
    thread (events replayed, scoring via the simulation cache); no
@@ -42,9 +44,12 @@ which is how ``solve_grid`` re-shards mid-sweep when a ring member
 dies.
 
 Shutdown is a graceful drain: new submissions are refused, queued jobs
-finish, workers exit, then the sockets close.  :meth:`SolveServer.kill`
-is the chaos-test path: queued jobs are aborted and every connection is
-severed mid-frame, exactly like a SIGKILL.
+finish, workers and their processes exit, then the sockets close.
+:meth:`SolveServer.kill` is the chaos-test path: queued jobs are
+aborted, every connection is severed mid-frame and the worker processes
+are killed, exactly like a SIGKILL.  Worker processes are *spawned*, so
+a script that starts a server in-process needs the usual ``if __name__
+== "__main__":`` guard.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from repro.runtime.cache import (
     SolveCellCache,
     decode_value,
     encode_value,
-    solve_cell_key,
 )
 from repro.service.broker import Broker, BrokerClosed, BrokerFull
 from repro.service.protocol import (
@@ -87,8 +91,8 @@ from repro.service.ring import PeerDirectory
 from repro.service.worker import (
     ServiceStats,
     Worker,
-    registered_fingerprint,
     serve_cached_record,
+    service_cell_key,
 )
 
 
@@ -385,26 +389,8 @@ class SolveServer:
         """
         if self.solve_cache is None:
             return None
-        from repro.evalsets import get_problem
-        from repro.runtime.context import RuntimeContext, runtime_session
-        from repro.runtime.executor import SerialExecutor
-
-        # Resolve under the server's pinned gateway so the fingerprint
-        # matches what the workers' pinned sessions compute.
-        inner = RuntimeContext(
-            executor=SerialExecutor(),
-            cache=self.sim_cache,
-            gateway=self.gateway,
-        )
-        with runtime_session(context=inner):
-            fingerprint = registered_fingerprint(system)
-        if fingerprint is None:
-            return None
-        try:
-            key = solve_cell_key(fingerprint, get_problem(problem_id), seed)
-        except Exception:
-            return None
-        return self.solve_cache.get(key)
+        key = service_cell_key(system, problem_id, seed, self.gateway)
+        return None if key is None else self.solve_cache.get(key)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -452,6 +438,12 @@ class SolveServer:
             loop.close()
 
     async def _serve_connection(self, reader, writer) -> None:
+        # asyncio sets TCP_NODELAY only when the listening socket's proto
+        # is IPPROTO_TCP, and ours is 0: without this, Nagle holds each
+        # Done written right after an Ack for the client's delayed ACK.
+        writer.get_extra_info("socket").setsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+        )
         conn = _Connection(self, reader, writer)
         self._connections.add(conn)
         try:
@@ -544,9 +536,10 @@ class SolveServer:
         """Abrupt stop, as close to SIGKILL as in-process gets.
 
         Queued jobs are aborted (their subscribers get a terminal
-        error), every connection is severed mid-whatever, the listener
-        closes, and nothing is drained.  Chaos tests use this to prove
-        clients re-shard; production paths should call
+        error), worker processes are killed (failing the jobs they were
+        running), every connection is severed mid-whatever, the
+        listener closes, and nothing is drained.  Chaos tests use this
+        to prove clients re-shard; production paths should call
         :meth:`shutdown`.
         """
         with self._shutdown_lock:
@@ -561,6 +554,13 @@ class SolveServer:
                 self._stop_loop()
             else:
                 self._listen_sock.close()
+            # After the connections are severed, as with a real SIGKILL:
+            # no client hears about the jobs this fails.
+            for worker in self._workers:
+                worker.halt()
+            for worker in self._workers:
+                if worker.ident is not None:
+                    worker.join(timeout=10.0)
             self._pool.shutdown(wait=False)
             self._stopped.set()
 

@@ -1,27 +1,48 @@
-"""Long-lived solve workers: pull cells, run the pipeline, stream events.
+"""Long-lived solve workers: a broker consumer thread driving one process.
 
 A :class:`Worker` is a daemon thread bound to a
-:class:`~repro.service.broker.Broker`.  For each job it resolves the
-registered system and benchmark problem, then runs exactly the
-computation an :func:`~repro.runtime.batch.evaluate_many` cell would
-run -- a fresh system instance under a pinned-serial runtime session,
-scored against the hidden golden testbench -- while streaming the typed
-event stream to every subscriber via ``job.publish``.  Bit-for-bit
-parity with the local executor is therefore structural, not aspirational:
-both paths share :func:`repro.runtime.workers.solve_streaming`.
+:class:`~repro.service.broker.Broker`, so priority, in-flight dedup and
+the graceful drain live where they always did.  Each worker owns one
+child process (``multiprocessing`` *spawn* context) that runs the
+CPU-bound part, :func:`solve_service_request` -- exactly the computation
+an :func:`~repro.runtime.batch.evaluate_many` cell runs, a fresh system
+instance under a pinned-serial runtime session scored against the hidden
+golden testbench -- so ``serve --workers N`` solves on N processes
+rather than N threads sharing one GIL.  Bit-for-bit parity with the
+local executor is structural: both paths share
+:func:`repro.runtime.workers.solve_streaming`.
 
-Workers populate (and are fronted by) both cache layers: the solve-cell
-cache memoizes whole runs, the simulation cache the golden scoring, so
-a repeated submit replays its event stream and re-scores entirely from
-cache.  ``executed`` counts only jobs whose pipeline actually ran --
-the counter the dedup and cache contracts are verified against.
+One ``Pipe`` per worker carries the job ``(system, problem, seed)`` to
+the child and, back to the parent, one ``("event", Event.to_json())``
+message per run event followed by one terminal ``done`` or ``error``.
+The parent relays each event to ``job.publish`` as it arrives; sharing
+one pipe is what orders the live stream before the outcome.
+
+The parent owns the cache fabric.  It looks the cell up in the
+solve-cell cache before dispatching (a dedup-raced store may have
+landed since the server's own probe), stores ``SolveCellRecord(source,
+system, relayed events)`` afterwards, and puts the golden ``TestReport``
+the child returns into the server's simulation cache, so a repeated
+submit replays its event stream and re-scores entirely from cache.  The
+child's own simulation cache is built from the server's directory and
+peers.  ``STAGE_CLOCK`` and ``GATEWAY_STATS`` are per-process, so each
+terminal message carries the job's deltas and the parent merges them.
+``executed`` counts only jobs whose pipeline actually ran -- the counter
+the dedup and cache contracts are verified against.
+
+A child that dies mid-job fails that job with an error naming its exit
+code (counted in ``errors``) and is respawned.  Children ignore SIGINT,
+so Ctrl-C drains through the server, and exit on pipe EOF, so a killed
+server leaves no orphans.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
@@ -30,17 +51,29 @@ if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
 from repro.runtime.cache import (
     SimulationCache,
     SolveCellCache,
+    SolveCellRecord,
     cached_run_testbench,
+    simulation_key,
+    solve_cell_key,
     system_fingerprint,
 )
 from repro.runtime.context import RuntimeContext, runtime_session
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.workers import solve_streaming
+from repro.tb.runner import TestReport
+
+_SPAWN = multiprocessing.get_context("spawn")
+
+
+class WorkerError(Exception):
+    """A job failed in (or with) a worker process; the message is the
+    error frame's text."""
 
 
 @dataclass(frozen=True)
 class ServiceResult:
-    """One solved cell: what the terminal ``done`` frame carries."""
+    """One solved cell: what the terminal ``done`` frame carries, plus
+    the golden scoring's report for the process owning the caches."""
 
     source: str
     passed: bool
@@ -48,6 +81,7 @@ class ServiceResult:
     seconds: float
     system: str
     solve_cached: bool = False
+    report: TestReport | None = field(default=None, compare=False, repr=False)
 
 
 class ServiceStats:
@@ -130,6 +164,50 @@ def registered_fingerprint(key: str) -> str | None:
         return _FINGERPRINT_CACHE[memo_key]
 
 
+def service_cell_key(
+    system: str,
+    problem_id: str,
+    seed: int,
+    gateway: "GatewaySettings | None" = None,
+) -> str | None:
+    """The solve-cell cache key of one request, or None when the cell
+    has no stable identity (unknown system or problem, or a factory
+    without a fingerprint).
+
+    Resolved under the server's pinned gateway so the fingerprint
+    matches what a solve under that gateway would store.
+    """
+    from repro.evalsets import get_problem
+
+    inner = RuntimeContext(
+        executor=SerialExecutor(), cache=None, gateway=gateway
+    )
+    with runtime_session(context=inner):
+        fingerprint = registered_fingerprint(system)
+    if fingerprint is None:
+        return None
+    try:
+        return solve_cell_key(fingerprint, get_problem(problem_id), seed)
+    except Exception:  # noqa: BLE001 -- unknown or unhashable: not cached
+        return None
+
+
+# Golden testbenches by problem id, in the server process.  A golden
+# testbench is a pure function of its problem, and each worker's child
+# ships the one it scored against, so a warm replay neither re-derives
+# it nor re-runs the probe simulation derivation needs.
+_GOLDEN: dict = {}
+
+
+def _golden_for(problem):
+    golden = _GOLDEN.get(problem.id)
+    if golden is None:
+        from repro.evalsets import golden_testbench
+
+        golden = _GOLDEN.setdefault(problem.id, golden_testbench(problem))
+    return golden
+
+
 def serve_cached_record(
     system: str,
     problem_id: str,
@@ -145,10 +223,10 @@ def serve_cached_record(
     never touches the worker pool.
     """
     from repro.core.events import as_sink
-    from repro.evalsets import get_problem, golden_testbench
+    from repro.evalsets import get_problem
 
     problem = get_problem(problem_id)
-    golden = golden_testbench(problem)
+    golden = _golden_for(problem)
     started = time.perf_counter()
     if sink is not None:
         live = as_sink(sink)
@@ -175,13 +253,14 @@ def solve_service_request(
     seed: int,
     sink=None,
     sim_cache: SimulationCache | None = None,
-    solve_cache: SolveCellCache | None = None,
     gateway: "GatewaySettings | None" = None,
 ) -> ServiceResult:
     """Run one (system, problem, seed) cell exactly as a grid cell would.
 
-    Raises ``KeyError`` for an unknown system or problem id; the caller
-    turns that into an error frame.
+    The solve-cell cache is the caller's business (the worker looks the
+    cell up before dispatching and stores what comes back).  Raises
+    ``KeyError`` for an unknown system or problem id; the caller turns
+    that into an error frame.
     """
     from repro.baselines.registry import SYSTEMS, system_names
     from repro.evalsets import get_problem, golden_testbench
@@ -196,24 +275,13 @@ def solve_service_request(
     started = time.perf_counter()
     # Same isolation as a batch cell: the whole request runs under a
     # serial inner runtime (pinning the server's gateway settings), so
-    # worker threads never nest parallelism and LLM-call ordering
-    # matches a plain local solve.  The fingerprint is resolved inside
-    # the session so it sees the same gateway the solve will.
+    # workers never nest parallelism and LLM-call ordering matches a
+    # plain local solve.
     inner = RuntimeContext(
         executor=SerialExecutor(), cache=sim_cache, gateway=gateway
     )
     with runtime_session(context=inner):
-        fingerprint = (
-            registered_fingerprint(system) if solve_cache is not None else None
-        )
-        source, cached = solve_streaming(
-            spec.factory,
-            problem,
-            seed,
-            sink=sink,
-            solve_cache=solve_cache,
-            fingerprint=fingerprint,
-        )
+        source, _ = solve_streaming(spec.factory, problem, seed, sink=sink)
         report = cached_run_testbench(source, golden, problem.top, cache=sim_cache)
     return ServiceResult(
         source=source,
@@ -221,12 +289,53 @@ def solve_service_request(
         score=report.score,
         seconds=time.perf_counter() - started,
         system=registered_system_name(system),
-        solve_cached=cached,
+        report=report,
     )
 
 
+def _child_main(conn, sim_cache, gateway) -> None:
+    """A worker process: solve jobs from ``conn`` until EOF.
+
+    ``sim_cache`` is None (layer disabled) or the ``(directory, peers)``
+    of the server's simulation cache.  The clocks are reset before each
+    job, so the snapshots sent with its terminal message are its deltas.
+    """
+    # The parent spawned us with SIGINT blocked: ignore it before
+    # unblocking, so a Ctrl-C at the terminal reaches only the server,
+    # which drains us itself.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    from repro.core.pipeline import STAGE_CLOCK
+    from repro.llm.gateway.client import GATEWAY_STATS
+
+    cache = None
+    if sim_cache is not None:
+        directory, peers = sim_cache
+        cache = SimulationCache(directory, peers=peers)
+
+    def relay(event) -> None:
+        conn.send(("event", event.to_json()))
+
+    try:
+        while True:
+            job = conn.recv()
+            STAGE_CLOCK.reset()
+            GATEWAY_STATS.reset()
+            try:
+                result = solve_service_request(
+                    *job, sink=relay, sim_cache=cache, gateway=gateway
+                )
+                reply = ("done", result)
+            except Exception as exc:  # noqa: BLE001 -- becomes an error frame
+                reply = ("error", f"{type(exc).__name__}: {exc}")
+            clocks = (STAGE_CLOCK.snapshot(), GATEWAY_STATS.snapshot())
+            conn.send((*reply, *clocks))
+    except (EOFError, OSError):
+        pass  # the server is gone: exit with it
+
+
 class Worker(threading.Thread):
-    """One long-lived worker thread draining the broker."""
+    """One broker consumer thread and the child process it drives."""
 
     def __init__(
         self,
@@ -243,27 +352,141 @@ class Worker(threading.Thread):
         self.sim_cache = sim_cache
         self.solve_cache = solve_cache
         self.gateway = gateway
+        self.process = None  # the current child (replaced on respawn)
+        self._conn = None
+        self._lock = threading.Lock()
+        self._halted = False
+
+    def start(self) -> None:
+        """Spawn the child, then start consuming.  Neither waits for
+        the child's imports: the first job queues in the pipe."""
+        self._spawn()
+        super().start()
+
+    def _spawn(self) -> None:
+        with self._lock:
+            if self._halted:
+                return
+            cache = self.sim_cache
+            spec = None if cache is None else (cache.directory, cache.peers)
+            conn, child_end = _SPAWN.Pipe()
+            process = _SPAWN.Process(
+                target=_child_main,
+                args=(child_end, spec, self.gateway),
+                name=f"{self.name}-process",
+                daemon=True,
+            )
+            # The child inherits the blocked mask, so a Ctrl-C during
+            # its imports stays pending until _child_main ignores it.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                process.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            child_end.close()
+            self.process, self._conn = process, conn
+
+    def halt(self) -> None:
+        """Kill the child and never respawn it: after the drain, when
+        the child is idle and killing it loses nothing (nor waits for a
+        child still importing), or on the server's kill."""
+        with self._lock:
+            self._halted = True
+            process = self.process
+        if process is not None:
+            process.kill()
 
     def run(self) -> None:
-        while True:
-            job = self.broker.next_job()
-            if job is None:
-                return  # broker closed and drained
-            try:
-                result = solve_service_request(
+        try:
+            while (job := self.broker.next_job()) is not None:
+                self._run(job)
+        finally:
+            # This thread is the child's only reaper: two threads
+            # joining one process race for its exit code.
+            self.halt()
+            if self.process is not None:
+                self.process.join()
+                self._conn.close()
+
+    def _run(self, job) -> None:
+        key = None
+        if self.solve_cache is not None:
+            key = service_cell_key(
+                job.system, job.problem, job.seed, self.gateway
+            )
+        record = self.solve_cache.get(key) if key is not None else None
+        try:
+            if record is not None:
+                result = serve_cached_record(
                     job.system,
                     job.problem,
-                    job.seed,
+                    record,
                     sink=job.publish,
                     sim_cache=self.sim_cache,
-                    solve_cache=self.solve_cache,
-                    gateway=self.gateway,
                 )
-            except Exception as exc:  # noqa: BLE001 -- becomes an error frame
-                self.stats.count("errors")
-                self.broker.fail(job, f"{type(exc).__name__}: {exc}")
-                continue
-            self.stats.count(
-                "cache_served" if result.solve_cached else "executed"
+            else:
+                result = self._solve(job, key)
+        except Exception as exc:  # noqa: BLE001 -- becomes an error frame
+            self.stats.count("errors")
+            message = str(exc)
+            if not isinstance(exc, WorkerError):
+                message = f"{type(exc).__name__}: {message}"
+            self.broker.fail(job, message)
+            return
+        self.stats.count("cache_served" if result.solve_cached else "executed")
+        self.broker.finish(job, result)
+
+    def _solve(self, job, key: str | None) -> ServiceResult:
+        """Run one cold job in the child, relaying its events live."""
+        from repro.core.events import Event
+        from repro.core.pipeline import STAGE_CLOCK
+        from repro.llm.gateway.client import GATEWAY_STATS
+
+        events = []
+        try:
+            self._conn.send((job.system, job.problem, job.seed))
+            while True:
+                kind, payload, *clocks = self._conn.recv()
+                if kind != "event":
+                    break
+                event = Event.from_json(payload)
+                events.append(event)
+                job.publish(event)
+        except (EOFError, OSError):
+            raise WorkerError(self._child_died()) from None
+        stages, gateway = clocks
+        STAGE_CLOCK.merge(stages)
+        GATEWAY_STATS.add(**gateway)
+        if kind == "error":
+            raise WorkerError(payload)
+        if key is not None:
+            self.solve_cache.put(
+                key,
+                SolveCellRecord(
+                    source=payload.source,
+                    system=payload.system,
+                    events=tuple(events),
+                ),
             )
-            self.broker.finish(job, result)
+        if self.sim_cache is not None and payload.report is not None:
+            self._store_golden(job.problem, payload)
+        return payload
+
+    def _store_golden(self, problem_id: str, result: ServiceResult) -> None:
+        """Put the child's golden scoring into the server's caches, so
+        the warm replay of this cell simulates nothing."""
+        from repro.evalsets import get_problem
+
+        problem = get_problem(problem_id)
+        golden = _GOLDEN.setdefault(problem_id, result.report.testbench)
+        self.sim_cache.put(
+            simulation_key(result.source, golden, problem.top), result.report
+        )
+
+    def _child_died(self) -> str:
+        """Reap the dead child, respawn it (unless halted), and name it."""
+        process = self.process
+        process.join(10.0)
+        self._conn.close()
+        self._spawn()
+        return f"worker process died mid-job (exit code {process.exitcode})"
