@@ -39,18 +39,17 @@ CHAIN`` (ordered fallback chain, e.g. ``openai,anthropic,sim``;
 role=model`` (per-agent-role routing for tb/rtl/judge/debug), and the
 cassette pair ``--record``/``--replay`` with ``--cassette-dir DIR``:
 record writes every completion into a content-addressed cassette
-store (shareable over cache peers as the ``llm`` layer), replay
+store (shared by every process on that directory), replay
 serves from it with zero network and fails loudly on a miss.  Replay
 rows and event streams are bit-identical to the recording run.  The
 ``stats`` command reports gateway call/retry/fallback/token counters
 and per-stage wall-clock.
 
-Cache fabric: both cache layers are tiered (memory -> disk -> remote
-peers).  ``eval --cache-peer ADDR`` and ``serve --cache-peer ADDR``
-join one or more running solve servers to the local fabric as remote
-tiers -- cells and simulations warmed anywhere in the peer ring replay
-locally (rows and event streams stay bit-identical), and fresh results
-gossip back over the service protocol's ``CachePut`` frames.
+Caches: both cache layers are tiered (memory -> disk).  Processes
+share warm cells through one directory: a ``serve`` and a local
+``eval --solve-cache`` started with the same ``REPRO_SOLVE_CACHE_DIR``
+/ ``REPRO_SIM_CACHE_DIR`` replay each other's cells (rows and event
+streams stay bit-identical), because the disk tier writes atomically.
 
 Throughput and latency are measured by ``perfbench/run.py`` (see
 ``perfbench/README.md``), not by this CLI.
@@ -316,8 +315,7 @@ def _render_counter_line(stats: dict) -> str:
     rate = 100.0 * hits / lookups if lookups else 0.0
     line = (
         f"lookups {lookups}, hits {hits} "
-        f"(disk {stats.get('disk_hits', 0)}, "
-        f"peer {stats.get('remote_hits', 0)}), "
+        f"(disk {stats.get('disk_hits', 0)}), "
         f"misses {stats.get('misses', 0)}, "
         f"stores {stats.get('stores', 0)}, hit-rate {rate:.1f}%"
     )
@@ -327,7 +325,7 @@ def _render_counter_line(stats: dict) -> str:
 
 
 def _render_tier_lines(tiers: list[dict]) -> list[str]:
-    """One indented line per cache tier (the fabric's stats surface)."""
+    """One indented line per cache tier."""
     lines = []
     for tier in tiers:
         entries = tier.get("entries")
@@ -407,7 +405,7 @@ def _cmd_cache(args) -> int:
 
     The two layers (simulation vs solve-cell) are reported separately
     and identically (entry counts + bytes for the disk tier, counters
-    for every tier of the live fabric); ``--service`` queries a running
+    for every tier of the live cache); ``--service`` queries a running
     solve server's live counters instead of this process's, and
     ``--clear`` wipes the selected on-disk tier(s) instead of
     reporting.
@@ -443,11 +441,6 @@ def _cmd_cache(args) -> int:
             f"  workers: executed {workers.get('executed', 0)}, "
             f"cache-served {workers.get('cache_served', 0)}, "
             f"errors {workers.get('errors', 0)}"
-        )
-        print(
-            f"  peer traffic: gets {workers.get('peer_gets', 0)} "
-            f"(hits {workers.get('peer_hits', 0)}), "
-            f"puts {workers.get('peer_puts', 0)}"
         )
         for line in _render_service_caches(stats.get("caches", {}), " cache"):
             print(line)
@@ -499,7 +492,6 @@ def _cmd_cache(args) -> int:
                         "misses": stats.misses,
                         "stores": stats.stores,
                         "disk_hits": stats.disk_hits,
-                        "remote_hits": stats.remote_hits,
                         "corrupt": stats.corrupt,
                     }
                 )
@@ -645,7 +637,6 @@ def _cmd_eval(args) -> int:
                 ("--executor", args.executor),
                 ("--cache/--no-cache", args.cache),
                 ("--solve-cache/--no-solve-cache", args.solve_cache),
-                ("--cache-peer", args.cache_peer),
                 ("--gateway/--record/--replay", gateway_settings),
             )
             if value is not None
@@ -659,35 +650,8 @@ def _cmd_eval(args) -> int:
             )
             return 2
         return _eval_via_service(args, runs, events)
-    if args.ring:
-        print("error: --ring requires --service (ring members are servers)")
-        return 2
     if gateway_settings is not None:
         os.environ.update(gateway_settings.to_env())
-    cache_arg = args.cache
-    solve_arg = args.solve_cache
-    if args.cache_peer:
-        # Peered local evaluation: both cache fabrics gain one remote
-        # tier per peer address, so cells warmed anywhere in the ring
-        # replay here (and local results gossip back out).  Layer
-        # enablement and directories still resolve exactly as without
-        # peers (flags beat env vars beat defaults) -- --cache-peer
-        # must never re-enable a layer the user disabled.
-        from repro.runtime import RuntimeConfig, SimulationCache, SolveCellCache
-        from repro.service import parse_shards
-
-        try:
-            peers = tuple(parse_shards(args.cache_peer))
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        resolved = RuntimeConfig.from_env(
-            cache=args.cache, solve_cache=args.solve_cache
-        )
-        if resolved.cache:
-            cache_arg = SimulationCache(resolved.cache_dir, peers=peers)
-        if resolved.solve_cache:
-            solve_arg = SolveCellCache(resolved.solve_cache_dir, peers=peers)
     from repro.runtime.config import default_jobs
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
@@ -704,8 +668,8 @@ def _cmd_eval(args) -> int:
             seed0=args.seed0,
             problems=_choose_problems(args.suite, args.limit),
             executor=executor,
-            cache=cache_arg,
-            solve_cache=solve_arg,
+            cache=args.cache,
+            solve_cache=args.solve_cache,
             progress=(lambda line: print("  " + line)) if args.verbose else None,
             events=events,
         )
@@ -748,7 +712,6 @@ def _eval_via_service(args, runs: int, events) -> int:
             shards=shards,
             progress=(lambda line: print("  " + line)) if args.verbose else None,
             events=events,
-            ring=args.ring,
         )
     except (KeyError, ValueError, OSError, ServiceError, ProtocolError) as exc:
         print(f"error: {exc}")
@@ -779,48 +742,19 @@ def _cmd_serve(args) -> int:
     solve_dir = (
         args.solve_cache_dir or os.environ.get("REPRO_SOLVE_CACHE_DIR") or None
     )
-    peers: tuple = ()
-    if args.cache_peer:
-        from repro.service import parse_shards
-
-        try:
-            peers = tuple(parse_shards(args.cache_peer))
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-    join: tuple = ()
-    if args.join:
-        from repro.service import parse_shards
-
-        try:
-            join = tuple(parse_shards(args.join))
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
     try:
-        # Server-owned caches gossip write-behind: peer CachePuts ride a
-        # background queue instead of the solve path, and a partitioned
-        # peer's backlog drains when it comes back.
         server = SolveServer(
             host=args.host,
             port=args.port,
             workers=args.workers,
-            sim_cache=SimulationCache(
-                sim_dir, peers=peers, write_behind=True
-            ),
-            solve_cache=SolveCellCache(
-                solve_dir, peers=peers, write_behind=True
-            ),
+            sim_cache=SimulationCache(sim_dir),
+            solve_cache=SolveCellCache(solve_dir),
             max_pending=args.max_pending,
-            join=join,
-            advertise=args.advertise,
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
     server.start()
-    if join:
-        print(f"joining ring via {', '.join(join)}")
     if server.gateway is not None:
         print(
             f"gateway: mode {server.gateway.mode}, "
@@ -994,24 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--service",
         default=None,
         metavar="HOST:PORT[,HOST:PORT...]",
-        help="route the grid through running solve servers (sharded, "
-        "deterministic merge; bit-identical to local --jobs 1)",
-    )
-    evaluate.add_argument(
-        "--ring",
-        action="store_true",
-        help="with --service: treat the given address(es) as members of "
-        "an elastic peer ring -- discover the full membership, place "
-        "cells by consistent hash, and migrate cells off members that "
-        "die mid-grid (rows stay bit-identical)",
-    )
-    evaluate.add_argument(
-        "--cache-peer",
-        default=None,
-        metavar="ADDR[,ADDR...]",
-        help="peer solve servers whose caches join the local fabric as "
-        "remote tiers (cells warmed anywhere in the ring replay here; "
-        "rows stay bit-identical)",
+        help="route the grid through running solve servers (round-robin "
+        "shards, deterministic merge; a dead shard's cells migrate to the "
+        "others; bit-identical to local --jobs 1)",
     )
     _add_gateway_flags(evaluate)
     evaluate.set_defaults(fn=_cmd_eval)
@@ -1091,36 +1010,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--sim-cache-dir",
         default=None,
-        help="on-disk simulation cache (default: $REPRO_SIM_CACHE_DIR)",
+        help="on-disk simulation cache (default: $REPRO_SIM_CACHE_DIR); "
+        "processes on one directory share its entries",
     )
     serve.add_argument(
         "--solve-cache-dir",
         default=None,
-        help="on-disk solve-cell cache (default: $REPRO_SOLVE_CACHE_DIR)",
-    )
-    serve.add_argument(
-        "--cache-peer",
-        default=None,
-        metavar="ADDR[,ADDR...]",
-        help="peer solve servers whose caches join this server's fabric "
-        "as remote tiers (warm cells replay across the ring; fresh "
-        "results gossip back)",
-    )
-    serve.add_argument(
-        "--join",
-        default=None,
-        metavar="ADDR[,ADDR...]",
-        help="join an elastic peer ring through any existing member: "
-        "membership is gossiped over PeerHello/PeerList frames, ring "
-        "members' caches become remote tiers automatically, and "
-        "solve_grid(ring=True) places cells by consistent hash",
-    )
-    serve.add_argument(
-        "--advertise",
-        default=None,
-        metavar="HOST:PORT",
-        help="the address other ring members should reach this server "
-        "on (default: the bound address)",
+        help="on-disk solve-cell cache (default: $REPRO_SOLVE_CACHE_DIR); "
+        "a local eval --solve-cache on the same directory replays the "
+        "cells this server solved",
     )
     serve.add_argument(
         "--stop",

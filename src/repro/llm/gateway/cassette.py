@@ -1,4 +1,4 @@
-"""Recorded-replay cassettes on the tiered cache fabric.
+"""Recorded-replay cassettes on the tiered caches.
 
 A cassette entry is content-addressed by the *full request*: operation,
 model, role, every message, and the sampling parameters -- plus an
@@ -9,10 +9,8 @@ network and raises :class:`CassetteMiss` on anything unrecorded, so a
 replay run can never silently fall through to a provider.
 
 The store is a :class:`~repro.runtime.cache.TieredCache`
-(memory -> disk -> remote peers), which buys cassette sharing across
-machines for free: a recording made on one host replays on another
-through the existing ``CacheGet``/``CachePut`` peer fabric under the
-``llm`` layer tag.
+(memory -> disk): every process pointed at one cassette directory
+records into and replays from the same entries.
 """
 
 from __future__ import annotations
@@ -81,20 +79,15 @@ def cassette_key(
 # Process-local store registry, mirroring the worker-side cache
 # registries in :mod:`repro.runtime.workers`: every cell in a worker
 # process that targets the same cassette directory shares one store
-# (one memory tier, one set of peer connections).
+# (one memory tier).
 _STORES: dict = {}
 _STORES_LOCK = threading.Lock()
 
 
-def cassette_store(
-    directory: str | None, peers: tuple[str, ...] = ()
-) -> CassetteStore:
-    """The process-shared store for one (directory, peers) target."""
-    key = (directory, tuple(peers))
+def cassette_store(directory: str | None) -> CassetteStore:
+    """The process-shared store for one cassette directory."""
     with _STORES_LOCK:
-        store = _STORES.get(key)
+        store = _STORES.get(directory)
         if store is None:
-            store = _STORES[key] = CassetteStore(
-                directory=directory, peers=peers
-            )
+            store = _STORES[directory] = CassetteStore(directory=directory)
         return store

@@ -226,9 +226,7 @@ class Gateway:
     # ------------------------------------------------------------------
 
     def _store(self) -> CassetteStore:
-        return cassette_store(
-            self.settings.cassette_dir, self.settings.cache_peers
-        )
+        return cassette_store(self.settings.cassette_dir)
 
     def _next_key(
         self, op: str, messages: list[ChatMessage], params: SamplingParams

@@ -88,7 +88,6 @@ class GatewaySettings:
     backoff_cap: float = 2.0
     rate: float = 0.0  # calls/second through the token bucket (0 = off)
     burst: int = 8
-    cache_peers: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -165,11 +164,8 @@ class GatewaySettings:
         backoff_base: float | None = None,
         rate: float | None = None,
         burst: int | None = None,
-        cache_peers: tuple[str, ...] | list[str] | None = None,
     ) -> "GatewaySettings":
         """Resolve settings: explicit args beat env vars beat defaults."""
-        from repro.runtime.config import _env_addresses
-
         return GatewaySettings(
             enabled=(
                 enabled
@@ -208,11 +204,6 @@ class GatewaySettings:
             ),
             rate=rate if rate is not None else _env_float("REPRO_GATEWAY_RATE", 0.0),
             burst=burst if burst is not None else _env_int("REPRO_GATEWAY_BURST", 8),
-            cache_peers=(
-                tuple(cache_peers)
-                if cache_peers is not None
-                else _env_addresses("REPRO_CACHE_PEERS")
-            ),
         )
 
 

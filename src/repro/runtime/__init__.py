@@ -4,13 +4,13 @@ The scaling layer under the MAGE engine and the evaluation harness:
 
 - :mod:`repro.runtime.executor` -- serial / thread / process executors
   behind one ``map``/``submit`` API with deterministic result ordering;
-- :mod:`repro.runtime.cache` -- the tiered cache fabric: two
+- :mod:`repro.runtime.cache` -- the tiered caches: two
   content-addressed memoizers (``run_testbench`` keyed by
   ``hash(design_source, testbench, top_module)``, whole solve cells
   keyed by ``hash(config, problem, seed)`` -- source + typed event
-  stream), each a :class:`TieredCache` stacking memory -> disk ->
-  remote-peer tiers with read-through promotion, write-through gossip,
-  and per-tier hit/miss counters;
+  stream), each a :class:`TieredCache` stacking memory -> disk tiers
+  with read-through promotion, write-through stores, and per-tier
+  hit/miss counters;
 - :mod:`repro.runtime.context` -- the ambient (executor, caches) set the
   engine's hot paths pick up without signature threading;
 - :mod:`repro.runtime.batch` -- ``evaluate_many``, fanning the Eq. 7
@@ -31,7 +31,6 @@ from repro.runtime.cache import (
     DiskCacheInfo,
     DiskTier,
     MemoryTier,
-    RemoteTier,
     SimulationCache,
     SolveCellCache,
     SolveCellRecord,
@@ -70,7 +69,6 @@ __all__ = [
     "Executor",
     "MemoryTier",
     "ProcessExecutor",
-    "RemoteTier",
     "RuntimeConfig",
     "RuntimeContext",
     "SerialExecutor",

@@ -100,13 +100,6 @@ class BatchReport:
                 f"misses {self.solve_cache.misses}, "
                 f"hit-rate {100.0 * self.solve_cache.hit_rate:.1f}%)"
             )
-        peer_hits = self.cache.remote_hits + self.solve_cache.remote_hits
-        if peer_hits:
-            lines.append(
-                f"peer hits       {peer_hits:8d}  "
-                f"(sim {self.cache.remote_hits}, "
-                f"solve {self.solve_cache.remote_hits})"
-            )
         return "\n".join(lines)
 
 
@@ -298,11 +291,6 @@ def evaluate_many(
                         live_solve.directory if live_solve is not None else None
                     ),
                     fingerprint=fingerprint,
-                    cache_peers=(
-                        live_cache.peers
-                        if live_cache is not None
-                        else (live_solve.peers if live_solve is not None else ())
-                    ),
                     gateway=gateway,
                 )
             )

@@ -12,9 +12,6 @@ Environment variables:
 - ``REPRO_SOLVE_CACHE``      ``1``/``0`` to enable the solve-cell cache
                              (whole-run memoization; default off)
 - ``REPRO_SOLVE_CACHE_DIR``  directory for the on-disk solve-cell tier
-- ``REPRO_CACHE_PEERS``      comma-separated ``host:port`` peer solve
-                             servers whose caches join both fabrics as
-                             remote tiers (default none)
 - ``REPRO_CACHE_MAX_ENTRIES``  LRU cap of each in-memory cache tier
                              (default 8192)
 - ``REPRO_CACHE_DISK_MAX_BYTES``  size bound of each on-disk cache tier;
@@ -71,11 +68,6 @@ def _env_flag(name: str, fallback: bool) -> bool:
     return value.strip().lower() not in ("0", "false", "no", "off")
 
 
-def _env_addresses(name: str) -> tuple[str, ...]:
-    value = os.environ.get(name) or ""
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Resolved runtime settings (see module docstring for env vars)."""
@@ -86,7 +78,6 @@ class RuntimeConfig:
     cache_dir: str | None = None
     solve_cache: bool = False
     solve_cache_dir: str | None = None
-    cache_peers: tuple[str, ...] = ()
     cache_max_entries: int = 8192
     # None = resolve lazily from the environment at each use, so
     # long-lived processes see env flips (record -> replay) without a
@@ -112,7 +103,6 @@ class RuntimeConfig:
         cache_dir: str | None = None,
         solve_cache: bool | None = None,
         solve_cache_dir: str | None = None,
-        cache_peers: tuple[str, ...] | list[str] | None = None,
         cache_max_entries: int | None = None,
         gateway: "GatewaySettings | None" = None,
     ) -> "RuntimeConfig":
@@ -148,11 +138,6 @@ class RuntimeConfig:
                 solve_cache_dir
                 if solve_cache_dir is not None
                 else os.environ.get("REPRO_SOLVE_CACHE_DIR") or None
-            ),
-            cache_peers=(
-                tuple(cache_peers)
-                if cache_peers is not None
-                else _env_addresses("REPRO_CACHE_PEERS")
             ),
             cache_max_entries=(
                 cache_max_entries

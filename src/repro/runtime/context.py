@@ -77,7 +77,6 @@ def _build(config: RuntimeConfig, executor: Executor | None = None) -> RuntimeCo
             SimulationCache(
                 config.cache_dir,
                 max_entries=config.cache_max_entries,
-                peers=config.cache_peers,
             )
             if config.cache
             else None
@@ -87,7 +86,6 @@ def _build(config: RuntimeConfig, executor: Executor | None = None) -> RuntimeCo
             SolveCellCache(
                 config.solve_cache_dir,
                 max_entries=config.cache_max_entries,
-                peers=config.cache_peers,
             )
             if config.solve_cache
             else None
@@ -116,7 +114,6 @@ def configure(
     cache_dir: str | None = None,
     solve_cache: bool | None = None,
     solve_cache_dir: str | None = None,
-    cache_peers: tuple[str, ...] | list[str] | None = None,
     cache_max_entries: int | None = None,
     gateway: "GatewaySettings | None" = None,
 ) -> RuntimeContext:
@@ -135,7 +132,6 @@ def configure(
         cache_dir=cache_dir,
         solve_cache=solve_cache,
         solve_cache_dir=solve_cache_dir,
-        cache_peers=cache_peers,
         cache_max_entries=cache_max_entries,
         gateway=gateway,
     )
@@ -155,7 +151,6 @@ def runtime_session(
     cache_dir: str | None = None,
     solve_cache: bool | None = None,
     solve_cache_dir: str | None = None,
-    cache_peers: tuple[str, ...] | list[str] | None = None,
     cache_max_entries: int | None = None,
     gateway: "GatewaySettings | None" = None,
     context: RuntimeContext | None = None,
@@ -176,7 +171,6 @@ def runtime_session(
             cache_dir=cache_dir,
             solve_cache=solve_cache,
             solve_cache_dir=solve_cache_dir,
-            cache_peers=cache_peers,
             cache_max_entries=cache_max_entries,
             gateway=gateway,
         )

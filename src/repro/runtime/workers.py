@@ -50,12 +50,10 @@ from repro.tb.stimulus import Testbench
 class EvalCell:
     """One (problem, run) evaluation: everything a worker needs.
 
-    ``cache_peers`` rides along so cells shipped to pool processes
-    rebuild the same tier stack (memory -> disk -> remote peers) the
-    parent's cache fabric has.  ``gateway`` carries the LLM gateway
-    settings the same way: the cell's inner runtime context pins them,
-    so a system built inside a pool process resolves the identical
-    gateway (mode, chain, cassette target) the parent configured.
+    ``gateway`` carries the LLM gateway settings: the cell's inner
+    runtime context pins them, so a system built inside a pool process
+    resolves the identical gateway (mode, chain, cassette target) the
+    parent configured.
     """
 
     problem_index: int
@@ -69,7 +67,6 @@ class EvalCell:
     solve_enabled: bool = False
     solve_dir: str | None = None
     fingerprint: str | None = None
-    cache_peers: tuple[str, ...] = ()
     gateway: "GatewaySettings | None" = None
 
 
@@ -100,34 +97,31 @@ class CellResult:
 
 
 # Per-process cache registries for pool workers: cells landing in the
-# same worker process share one cache per tier configuration (keyed by
-# disk directory + peer addresses).
-_WORKER_CACHES: dict[tuple, SimulationCache] = {}
-_WORKER_SOLVE_CACHES: dict[tuple, SolveCellCache] = {}
+# same worker process share one cache per disk directory.
+_WORKER_CACHES: dict[str | None, SimulationCache] = {}
+_WORKER_SOLVE_CACHES: dict[str | None, SolveCellCache] = {}
 
 
 def _resolve_cache(cell: EvalCell) -> SimulationCache | None:
     """The worker-process simulation cache for a cell shipped without a
     live cache: cells landing in the same process share one cache per
-    (disk directory, peer list)."""
+    disk directory."""
     if not cell.cache_enabled:
         return None
-    config = (cell.cache_dir, tuple(cell.cache_peers))
-    cache = _WORKER_CACHES.get(config)
+    cache = _WORKER_CACHES.get(cell.cache_dir)
     if cache is None:
-        cache = SimulationCache(cell.cache_dir, peers=cell.cache_peers)
-        _WORKER_CACHES[config] = cache
+        cache = _WORKER_CACHES[cell.cache_dir] = SimulationCache(cell.cache_dir)
     return cache
 
 
 def _resolve_solve_cache(cell: EvalCell) -> SolveCellCache | None:
     if not cell.solve_enabled or cell.fingerprint is None:
         return None
-    config = (cell.solve_dir, tuple(cell.cache_peers))
-    cache = _WORKER_SOLVE_CACHES.get(config)
+    cache = _WORKER_SOLVE_CACHES.get(cell.solve_dir)
     if cache is None:
-        cache = SolveCellCache(cell.solve_dir, peers=cell.cache_peers)
-        _WORKER_SOLVE_CACHES[config] = cache
+        cache = _WORKER_SOLVE_CACHES[cell.solve_dir] = SolveCellCache(
+            cell.solve_dir
+        )
     return cache
 
 

@@ -10,25 +10,15 @@ Clients speak a length-framed JSON protocol
 (:mod:`repro.service.protocol`) whose event frames are the exact typed
 events of :mod:`repro.core.events` -- the event stream is the wire
 protocol.  :func:`solve_grid` shards the Eq. 7 ``problems x runs`` grid
-across servers with a deterministic merge, bit-identical to local
-serial evaluation.
+round-robin across a static list of servers with a deterministic merge,
+bit-identical to local serial evaluation; a shard that dies mid-grid
+has its cells migrated to the survivors.  :class:`MultiplexedClient`
+is the one client: any number of concurrent requests of every kind
+over one connection.
 
-Servers are also cache peers: ``CacheGet``/``CachePut`` frames let a
-:class:`~repro.runtime.cache.RemoteTier` read and populate another
-server's cache layers, so warm solve cells and simulation reports
-travel the peer ring instead of being recomputed (the serving ladder's
-peer-replay rung).
-
-The peer ring is *elastic*: servers discover each other over
-``PeerHello``/``PeerList`` frames (``serve --join ADDR`` bootstraps a
-new member from any existing one), agree on membership through a
-heartbeat gossip loop, and place work and cache entries on a
-consistent-hash :class:`~repro.service.ring.HashRing` -- so
-``solve_grid(ring=True)`` and the cache fabric's remote tiers send each
-cell to the same member, and a member dying mid-sweep only moves its
-own share of the keyspace.  :class:`MultiplexedClient` is the one
-client: any number of concurrent requests of every kind over one
-connection.
+Servers share warm cells with each other, and with local evaluations,
+through one cache directory: point them at the same
+``REPRO_SOLVE_CACHE_DIR`` / ``REPRO_SIM_CACHE_DIR``.
 """
 
 from repro.service.broker import (
@@ -44,9 +34,7 @@ from repro.service.client import (
     MultiplexedClient,
     ServiceError,
     SolveOutcome,
-    fetch_peers,
     fetch_stats,
-    hello_peer,
     parse_address,
     parse_shards,
     solve_grid,
@@ -56,17 +44,12 @@ from repro.service.metrics import render_prometheus
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     Ack,
-    CacheGet,
-    CachePut,
-    CacheReply,
     ControlRequest,
     Done,
     ErrorFrame,
     EventFrame,
     Frame,
     PeerGone,
-    PeerHello,
-    PeerList,
     ProtocolError,
     SolveRequest,
     StatsReply,
@@ -74,7 +57,6 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
-from repro.service.ring import HashRing, PeerDirectory, ring_key
 from repro.service.server import SolveServer
 from repro.service.worker import (
     ServiceResult,
@@ -93,22 +75,15 @@ __all__ = [
     "BrokerClosed",
     "BrokerFull",
     "BrokerStats",
-    "CacheGet",
-    "CachePut",
-    "CacheReply",
     "ControlRequest",
     "Done",
     "ErrorFrame",
     "EventFrame",
     "Frame",
     "GridReport",
-    "HashRing",
     "Job",
     "MultiplexedClient",
-    "PeerDirectory",
     "PeerGone",
-    "PeerHello",
-    "PeerList",
     "ProtocolError",
     "ServiceError",
     "ServiceResult",
@@ -120,16 +95,13 @@ __all__ = [
     "Subscription",
     "Worker",
     "encode_frame",
-    "fetch_peers",
     "fetch_stats",
-    "hello_peer",
     "parse_address",
     "parse_shards",
     "read_frame",
     "registered_fingerprint",
     "registered_system_name",
     "render_prometheus",
-    "ring_key",
     "serve_cached_record",
     "solve_grid",
     "solve_service_request",

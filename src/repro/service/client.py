@@ -4,11 +4,10 @@
 in-flight requests from any number of threads, with reply frames
 demultiplexed by request id on a background reader thread.  A grid
 shard's worth of concurrent solves runs over a single connection, and
-every request kind the server answers -- solves, control (``ping``,
-``stats``, ``peers``, ``shutdown``), cache probes and pushes, and
-membership hellos -- goes over the same socket.  The one-shot helpers
-(:func:`fetch_stats`, :func:`fetch_peers`, :func:`hello_peer`,
-:func:`stop_server`) each open one for a single request.
+every request kind the server answers -- solves and control (``ping``,
+``stats``, ``shutdown``) -- goes over the same socket.  The one-shot
+helpers (:func:`fetch_stats`, :func:`stop_server`) each open one for a
+single request.
 
 :func:`solve_grid` runs the Eq. 7 ``problems x runs`` grid fanned over
 one or more server shards with a deterministic merge: results are
@@ -17,18 +16,14 @@ keyed by ``(problem, run)``, and the reassembled
 local ``evaluate_many`` at the same seeds no matter how many shards
 served it or in what order cells finished.
 
-**Elasticity.**  ``solve_grid`` survives shard death: a cell that hits
-a transport failure (connection severed, half-written frame, server
+**Shard death.**  ``solve_grid`` survives it: a cell that hits a
+transport failure (connection severed, half-written frame, server
 killed) is retried once on a fresh connection, and if the shard is
-really gone its remaining cells migrate to the surviving shards -- by
-consistent-hash preference when ``ring=True``, round-robin otherwise.
-Re-running a cell is harmless by construction (the outcome is a pure
-function of ``(system, problem, seed)`` and the server dedups in-flight
-work), so the merged grid stays bit-identical through failures.  With
-``ring=True`` the shard list is first expanded to the full ring
-membership (fetched from any given member) and cells are placed by
-:func:`~repro.service.ring.ring_key`, which co-locates each cell with
-its cached record on every machine that agrees on the member list.
+really gone its remaining cells migrate round-robin to the surviving
+shards.  Re-running a cell is harmless by construction (the outcome is
+a pure function of ``(system, problem, seed)`` and the server dedups
+in-flight work), so the merged grid stays bit-identical through
+failures.
 """
 
 from __future__ import annotations
@@ -51,24 +46,18 @@ from repro.core.events import (
 )
 from repro.service.protocol import (
     Ack,
-    CacheGet,
-    CachePut,
-    CacheReply,
     ControlRequest,
     Done,
     ErrorFrame,
     EventFrame,
     Frame,
     PeerGone,
-    PeerHello,
-    PeerList,
     ProtocolError,
     SolveRequest,
     StatsReply,
     read_frame,
     write_frame,
 )
-from repro.service.ring import HashRing, ring_key
 
 
 class ServiceError(Exception):
@@ -101,13 +90,22 @@ def parse_address(address: str) -> tuple[str, int]:
     return host or "127.0.0.1", port
 
 
+def _check_shards(shards: list[str]) -> None:
+    """Fail fast on a malformed or repeated shard address."""
+    seen = set()
+    for shard in shards:
+        endpoint = parse_address(shard)  # ":1" and "127.0.0.1:1" are one
+        if endpoint in seen:
+            raise ValueError(f"service address {shard!r} given twice")
+        seen.add(endpoint)
+
+
 def parse_shards(spec: str) -> list[str]:
     """Comma-separated ``host:port`` list -> validated address list."""
     shards = [part.strip() for part in spec.split(",") if part.strip()]
     if not shards:
         raise ValueError("no service addresses given")
-    for shard in shards:
-        parse_address(shard)
+    _check_shards(shards)
     return shards
 
 
@@ -342,43 +340,6 @@ class MultiplexedClient:
     def stats(self) -> dict:
         return self._request(ControlRequest, StatsReply, op="stats").stats
 
-    def peers(self) -> tuple[str, ...]:
-        """The server's current view of the ring membership."""
-        reply = self._request(ControlRequest, PeerList, op="peers")
-        return tuple(reply.peers)
-
-    def hello(
-        self, self_address: str, peers: tuple[str, ...] = ()
-    ) -> tuple[str, ...]:
-        """Introduce ``self_address`` to this server's ring.
-
-        Sends a ``PeerHello`` carrying our own membership view and
-        returns the server's merged view -- the gossip primitive behind
-        ``serve --join`` and the heartbeat loop.
-        """
-        reply = self._request(
-            PeerHello, PeerList, address=self_address, peers=tuple(peers)
-        )
-        return tuple(reply.peers)
-
-    def cache_get(self, layer: str, key: str) -> str | None:
-        """Probe the server's ``layer`` cache; the base64 blob or None.
-
-        The transport primitive behind
-        :class:`~repro.runtime.cache.RemoteTier`: decoding (and type
-        guarding) the blob is the caller's job, so this client never
-        unpickles peer data itself.
-        """
-        reply = self._request(CacheGet, CacheReply, layer=layer, key=key)
-        return reply.blob if reply.found else None
-
-    def cache_put(self, layer: str, key: str, blob: str) -> bool:
-        """Push one encoded entry into the server's ``layer`` cache."""
-        reply = self._request(
-            CachePut, CacheReply, layer=layer, key=key, blob=blob
-        )
-        return reply.stored
-
     def shutdown_server(self) -> None:
         """Ask the server to drain and stop (connection closes after)."""
         self._request(ControlRequest, Ack, op="shutdown")
@@ -389,23 +350,6 @@ def fetch_stats(address: str, timeout: float | None = 10.0) -> dict:
     """One-shot stats snapshot from a running server."""
     with MultiplexedClient(address, timeout=timeout) as client:
         return client.stats()
-
-
-def fetch_peers(address: str, timeout: float | None = 10.0) -> tuple[str, ...]:
-    """One-shot ring-membership fetch from a running server."""
-    with MultiplexedClient(address, timeout=timeout) as client:
-        return client.peers()
-
-
-def hello_peer(
-    address: str,
-    self_address: str,
-    peers: tuple[str, ...] = (),
-    timeout: float | None = 10.0,
-) -> tuple[str, ...]:
-    """One-shot ``PeerHello`` to ``address``; returns its merged view."""
-    with MultiplexedClient(address, timeout=timeout) as client:
-        return client.hello(self_address, peers)
 
 
 def stop_server(address: str, timeout: float | None = 10.0) -> None:
@@ -520,8 +464,7 @@ class ClientLink:
     the connection dies, the first caller to notice invalidates it (by
     the generation it was using, so racing callers don't tear down a
     fresh replacement) and the next :meth:`get` dials anew.  A grid
-    shard's workers share one link, and so do all the threads reading
-    one :class:`~repro.runtime.cache.RemoteTier`.
+    shard's workers share one link.
     """
 
     def __init__(
@@ -573,7 +516,6 @@ def solve_grid(
     timeout: float | None = None,
     progress: Callable[[str], None] | None = None,
     events: EventSink | Callable[[Event], None] | None = None,
-    ring: bool = False,
 ):
     """Evaluate the ``problems x runs`` grid through service shards.
 
@@ -585,18 +527,14 @@ def solve_grid(
     ``--jobs 1`` execution regardless of shard count, per-shard
     connection count, completion order, or mid-grid shard failures.
 
-    Placement: by default cells round-robin over ``shards`` by flat
-    grid index.  With ``ring=True`` the shard list is expanded to the
-    full ring membership (any one given address suffices -- the rest
-    are discovered over a ``peers`` control request) and each cell is
-    placed on ``HashRing.node_for(ring_key(cell))``, the same member
-    its cached record gossips to.
+    Placement: cells round-robin over ``shards`` by flat grid index;
+    a repeated address is refused with a ``ValueError``.
 
     Fault tolerance: each shard's workers share one multiplexed
     connection; a cell that fails with a transport error is retried
     once on a fresh connection, and a shard that fails twice in a row
-    is declared dead -- its unfinished cells migrate to the surviving
-    shards (ring preference order when ``ring=True``).  ``events``
+    is declared dead -- its unfinished cells migrate round-robin to the
+    surviving shards.  ``events``
     receives live :class:`~repro.core.events.CellFinished` frames in
     completion order plus a terminal ``BatchFinished``, like the local
     batch API.
@@ -607,8 +545,7 @@ def solve_grid(
 
     if not shards:
         raise ValueError("solve_grid needs at least one service address")
-    for shard in shards:
-        parse_address(shard)  # fail fast on malformed addresses
+    _check_shards(shards)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     chosen = problems if problems is not None else get_suite(suite)
@@ -616,20 +553,6 @@ def solve_grid(
         raise ValueError("empty problem list")
     resolved_name = registered_system_name(system)
     sink = as_sink(events)
-
-    hash_ring: HashRing | None = None
-    if ring:
-        # Expand to the full membership: any one live member knows the
-        # rest.  Unreachable seed addresses are fine as long as one
-        # answers; placement then uses the discovered ring.
-        members: set[str] = set(shards)
-        for shard in shards:
-            try:
-                members.update(fetch_peers(shard, timeout=10.0))
-            except (ServiceError, ProtocolError, OSError, ValueError):
-                continue
-        shards = sorted(members)
-        hash_ring = HashRing(shards)
 
     cells: list[_GridCell] = []
     for problem_index, problem in enumerate(chosen):
@@ -644,17 +567,10 @@ def solve_grid(
                 )
             )
 
-    # Deterministic placement: ring ownership of the cell's identity
-    # key, or flat-index round-robin in static mode.
+    # Deterministic placement: flat-index round-robin.
     work: dict[str, deque] = {shard: deque() for shard in shards}
     for cell in cells:
-        if hash_ring is not None:
-            owner = hash_ring.node_for(
-                ring_key(resolved_name, cell.problem_id, cell.seed)
-            )
-        else:
-            owner = shards[cell.index % len(shards)]
-        work[owner].append(cell)
+        work[shards[cell.index % len(shards)]].append(cell)
 
     report = GridReport(shards=list(shards))
     outcomes: dict[tuple[int, int], SolveOutcome] = {}
@@ -729,10 +645,9 @@ def solve_grid(
     def declare_dead(shard: str, orphan: _GridCell | None) -> None:
         """Migrate a dead shard's unfinished cells to the survivors.
 
-        Every orphan goes to its highest-preference *surviving* shard
-        (ring mode) or round-robins over the survivors -- the same
-        deterministic answer any client would compute, so concurrent
-        grids re-shard identically.
+        Orphans round-robin over the survivors by flat grid index --
+        the same deterministic answer any client would compute, so
+        concurrent grids re-shard identically.
         """
         with cond:
             orphans = list(work[shard])
@@ -749,18 +664,8 @@ def solve_grid(
                 finished.set()
                 cond.notify_all()
                 return
-            for index, cell in enumerate(orphans):
-                if hash_ring is not None:
-                    order = hash_ring.preference(
-                        ring_key(resolved_name, cell.problem_id, cell.seed)
-                    )
-                    target = next(
-                        (s for s in order if s not in dead),
-                        survivors[index % len(survivors)],
-                    )
-                else:
-                    target = survivors[cell.index % len(survivors)]
-                work[target].append(cell)
+            for cell in orphans:
+                work[survivors[cell.index % len(survivors)]].append(cell)
                 report.migrated_cells += 1
             cond.notify_all()
         links[shard].close()

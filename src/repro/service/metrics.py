@@ -9,10 +9,9 @@ textfile-collector setups -- no HTTP endpoint, no client library, just
 the counters the service already keeps:
 
 - broker and service request totals,
-- per-layer, per-tier cache fabric stats,
+- per-layer, per-tier cache stats,
 - gateway call/retry/fallback/token/cost counters,
-- per-stage wall-clock from the process-wide StageClock,
-- elastic-ring membership.
+- per-stage wall-clock from the process-wide StageClock.
 
 Every section is optional: the renderer skips what a snapshot does not
 carry (old servers), so it never fails on a sparse dict.  Metric names are stable API -- dashboards depend on them.
@@ -92,7 +91,6 @@ def _add_flat(
     prefix: str,
     section: dict,
     help_prefix: str,
-    labels: dict | None = None,
 ) -> None:
     """One metric per numeric key of a flat counter dict."""
     for key, value in section.items():
@@ -101,7 +99,6 @@ def _add_flat(
         exp.add(
             f"{prefix}_{key}",
             value,
-            labels=labels,
             help_text=f"{help_prefix}: {key}.",
         )
 
@@ -159,28 +156,6 @@ def render_prometheus(stats: dict) -> str:
             help_text="Cumulative stage wall-clock seconds.",
         )
 
-    ring = stats.get("ring")
-    if isinstance(ring, dict):
-        exp.add(
-            "repro_ring_members",
-            len(ring.get("members") or ()),
-            help_text="Servers in the elastic peer ring (including self).",
-            kind="gauge",
-        )
-        for member in ring.get("members") or ():
-            exp.add(
-                "repro_ring_member",
-                1,
-                labels={
-                    "address": str(member),
-                    "self": (
-                        "true" if member == ring.get("self") else "false"
-                    ),
-                },
-                help_text="Ring membership (one sample per member).",
-                kind="gauge",
-            )
-
     for layer, cache in (stats.get("caches") or {}).items():
         if not isinstance(cache, dict):
             continue
@@ -192,24 +167,14 @@ def render_prometheus(stats: dict) -> str:
             "misses",
             "stores",
             "disk_hits",
-            "remote_hits",
             "corrupt",
         ):
             exp.add(
                 f"repro_cache_{key}",
                 cache.get(key),
                 labels=layer_labels,
-                help_text=f"Cache fabric counter: {key}.",
+                help_text=f"Cache counter: {key}.",
                 kind="gauge" if key == "entries" else "counter",
-            )
-        gossip = cache.get("gossip")
-        if isinstance(gossip, dict):
-            _add_flat(
-                exp,
-                "repro_cache_gossip",
-                gossip,
-                "Write-behind gossip queue counter",
-                labels=layer_labels,
             )
         for tier in cache.get("tiers") or []:
             if not isinstance(tier, dict):

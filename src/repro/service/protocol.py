@@ -16,19 +16,8 @@ The per-request conversation:
   :class:`EventFrame` (the run's typed event stream, live on a cold
   cell, replayed on a warm one), then exactly one :class:`Done` or
   :class:`ErrorFrame`;
-- ``ControlRequest`` -> one :class:`StatsReply`, :class:`PeerList`
-  (``peers``), :class:`Ack` (``ping``/``shutdown``), or
-  :class:`ErrorFrame`;
-- ``CacheGet``/``CachePut`` -> one :class:`CacheReply` -- the cache
-  fabric's peer-sharing rungs: a
-  :class:`~repro.runtime.cache.RemoteTier` probes or populates another
-  server's cache layers (``layer`` routes to the simulation,
-  solve-cell, or LLM-cassette cache; values travel as base64-pickled
-  blobs, type-guarded on receipt exactly like the disk tier's files);
-- ``PeerHello`` -> one :class:`PeerList` -- membership gossip: the
-  sender advertises its own public address plus every member it knows,
-  the receiver merges them into its directory and answers with its
-  full member list.
+- ``ControlRequest`` -> one :class:`StatsReply` (``stats``),
+  :class:`Ack` (``ping``/``shutdown``), or :class:`ErrorFrame`.
 
 A malformed frame ends the connection: the server answers it with an
 ``ErrorFrame`` of id 0 (no request owns it) and closes.
@@ -127,8 +116,7 @@ class SolveRequest(Frame):
 
 @dataclass(frozen=True)
 class ControlRequest(Frame):
-    """Out-of-band server control: ``op`` is ping | stats | peers |
-    shutdown."""
+    """Out-of-band server control: ``op`` is ping | stats | shutdown."""
 
     type: ClassVar[str] = "control"
     id: int
@@ -198,81 +186,6 @@ class ErrorFrame(Frame):
     type: ClassVar[str] = "error"
     id: int
     message: str
-
-
-@dataclass(frozen=True)
-class CacheGet(Frame):
-    """Probe a peer's cache fabric for one content-addressed key.
-
-    ``layer`` picks the server-side cache (``sim`` | ``solve`` |
-    ``llm``).  The
-    peer answers from its local tiers only (memory + disk), never its
-    own remote tiers, so mutually peered servers cannot loop.
-    """
-
-    type: ClassVar[str] = "cache_get"
-    id: int
-    layer: str
-    key: str
-
-
-@dataclass(frozen=True)
-class CachePut(Frame):
-    """Push one cache entry to a peer (gossip).
-
-    ``blob`` is the base64-pickled value; the receiver type-guards it
-    before storing, exactly like a disk-tier read.  Senders normally
-    queue these on a write-behind gossip queue so a put never sits on
-    the solve path.
-    """
-
-    type: ClassVar[str] = "cache_put"
-    id: int
-    layer: str
-    key: str
-    blob: str
-
-
-@dataclass(frozen=True)
-class CacheReply(Frame):
-    """Answer to a cache frame: the blob (get) or a store ack (put)."""
-
-    type: ClassVar[str] = "cache_reply"
-    id: int
-    found: bool = False
-    stored: bool = False
-    blob: str = ""
-
-
-@dataclass(frozen=True)
-class PeerHello(Frame):
-    """Membership gossip: "I am ``address``, and I know ``peers``".
-
-    Sent by a server to every ring member it knows (on ``--join``
-    bootstrap and on each heartbeat tick).  The receiver merges the
-    sender and its peer list into its own directory and answers with a
-    :class:`PeerList` of everything *it* knows, so two partially
-    informed servers converge in one exchange.
-    """
-
-    type: ClassVar[str] = "peer_hello"
-    id: int
-    address: str
-    peers: tuple = ()
-
-
-@dataclass(frozen=True)
-class PeerList(Frame):
-    """The responder's full membership view (its own address included).
-
-    Also the answer to a client's ``peers`` control request, which is
-    how ``eval --service`` pointed at any one ring member discovers the
-    whole ring.
-    """
-
-    type: ClassVar[str] = "peer_list"
-    id: int
-    peers: tuple = ()
 
 
 @dataclass(frozen=True)

@@ -20,28 +20,15 @@ ladder is:
 1. **solve-cell cache hit** -- served inline by the request's handler
    thread (events replayed, scoring via the simulation cache); no
    worker is touched and no queue slot is consumed;
-2. **peer replay** -- the same rung through the cache fabric's remote
-   tiers: a cell warm on a peer server is fetched over ``CacheGet``
-   frames, promoted into the local memory/disk tiers, and served
-   inline exactly like a local cache hit;
-3. **in-flight dedup** -- an identical queued/running cell adopts the
+2. **in-flight dedup** -- an identical queued/running cell adopts the
    new subscriber; one execution, n streams;
-4. **cold cell** -- queued by priority, executed by the next free
-   worker, and stored in both caches on the way out (gossiped to peers
-   through a write-behind queue, so the put never sits on the solve
-   path and the whole ring still warms).
+3. **cold cell** -- queued by priority, executed by the next free
+   worker, and stored in both caches on the way out.
 
-The server also *answers* ``CacheGet``/``CachePut`` frames from its
-local tiers, making it a peer for other machines' remote tiers.
-
-**The elastic ring.**  Servers discover each other over
-``PeerHello``/``PeerList`` frames: ``join`` bootstraps membership from
-any existing member, and a heartbeat loop re-hellos every known member,
-merging peer lists (so views converge) and expelling members that stop
-answering.  Membership changes resync the cache fabric's remote tiers,
-and clients fetch the member list with a ``peers`` control request --
-which is how ``solve_grid`` re-shards mid-sweep when a ring member
-dies.
+Servers and local evaluations that should share warm cells point at
+the same cache directories: the disk tier writes atomically, so a cell
+one process stored is a cache hit for every other process reading that
+directory.
 
 Shutdown is a graceful drain: new submissions are refused, queued jobs
 finish, workers and their processes exit, then the sockets close.
@@ -60,34 +47,23 @@ import socket
 import threading
 import time
 
-from repro.runtime.cache import (
-    SimulationCache,
-    SolveCellCache,
-    decode_value,
-    encode_value,
-)
+from repro.runtime.cache import SimulationCache, SolveCellCache
 from repro.service.broker import Broker, BrokerClosed, BrokerFull
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     Ack,
-    CacheGet,
-    CachePut,
-    CacheReply,
     ControlRequest,
     Done,
     ErrorFrame,
     EventFrame,
     Frame,
     PeerGone,
-    PeerHello,
-    PeerList,
     ProtocolError,
     SolveRequest,
     StatsReply,
     encode_frame,
     read_frame_async,
 )
-from repro.service.ring import PeerDirectory
 from repro.service.worker import (
     ServiceStats,
     Worker,
@@ -129,7 +105,7 @@ class _Connection:
         except RuntimeError:
             running = None
         if running is self.loop:
-            # Already on the loop (control/hello handlers): enqueue now,
+            # Already on the loop (control handlers): enqueue now,
             # so the reader's close sentinel can never overtake a reply
             # that was sent before it.
             self._enqueue(frame)
@@ -211,17 +187,7 @@ class _Connection:
         service = self.service
         if isinstance(frame, ControlRequest):
             return service._handle_control(self, frame)
-        if isinstance(frame, PeerHello):
-            service._handle_peer_hello(self, frame)
-            return True
-        handler = None
-        if isinstance(frame, SolveRequest):
-            handler = service._handle_solve
-        elif isinstance(frame, CacheGet):
-            handler = service._handle_cache_get
-        elif isinstance(frame, CachePut):
-            handler = service._handle_cache_put
-        if handler is None:
+        if not isinstance(frame, SolveRequest):
             self._enqueue(
                 ErrorFrame(
                     id=getattr(frame, "id", 0),
@@ -230,10 +196,10 @@ class _Connection:
             )
             return True
         # Each request runs on its own pool thread: a streaming solve
-        # can wait minutes on the broker while pings, cache probes, and
-        # other solves keep flowing on this same connection.
+        # can wait minutes on the broker while pings, stats, and other
+        # solves keep flowing on this same connection.
         task = self.loop.run_in_executor(
-            service._pool, service._run_handler, handler, self, frame
+            service._pool, service._handle_solve, self, frame
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -245,30 +211,13 @@ class SolveServer:
 
     ``sim_cache``/``solve_cache`` accept an instance, ``False`` to
     disable the layer, or ``None`` for a fresh in-memory cache (pass
-    instances with a ``directory`` to persist across restarts).
-    ``cache_peers`` adds one :class:`~repro.runtime.cache.RemoteTier`
-    per address to each default-built cache (instances carry their own
-    tier stacks), so a cold server replays cells warmed anywhere in the
-    peer ring -- and answers the same ``CacheGet``/``CachePut`` frames
-    for its peers in turn.  Default-built caches gossip write-behind:
-    a worker's ``CachePut`` to peers rides a background queue, never
-    the solve path.
-
-    ``join`` bootstraps the elastic ring: each address is sent a
-    ``PeerHello`` on start and the membership it answers with is
-    merged.  Ring members learned this way (from joins, incoming
-    hellos, or heartbeat gossip) are automatically added to -- and,
-    when they die, removed from -- the caches' remote tiers, on top of
-    any static ``cache_peers``.  ``advertise`` overrides the address
-    other members should reach this server on (defaults to the bound
-    address).
+    instances with a ``directory`` to persist across restarts, or to
+    share warm cells with every other process on that directory).
 
     ``gateway`` pins the LLM gateway settings every worker solve runs
     under (``None`` resolves from the environment at construction, and
-    stays ``None`` when the gateway is not enabled).  When a cassette
-    directory is configured the server also exposes the cassette store
-    as the ``llm`` cache layer, so peers can share recorded completions
-    over the same wire protocol as the other tiers.
+    stays ``None`` when the gateway is not enabled).  With a gateway,
+    the stats report the cassette store as a third cache layer.
     """
 
     def __init__(
@@ -279,22 +228,12 @@ class SolveServer:
         sim_cache: SimulationCache | bool | None = None,
         solve_cache: SolveCellCache | bool | None = None,
         max_pending: int = 256,
-        cache_peers: tuple[str, ...] | list[str] | None = None,
         gateway=None,
-        join: tuple[str, ...] | list[str] | None = None,
-        advertise: str | None = None,
-        peer_interval: float = 1.0,
-        peer_failures: int = 3,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self._static_peers = tuple(cache_peers or ())
-        self.sim_cache = self._resolve(
-            sim_cache, SimulationCache, self._static_peers
-        )
-        self.solve_cache = self._resolve(
-            solve_cache, SolveCellCache, self._static_peers
-        )
+        self.sim_cache = self._resolve(sim_cache, SimulationCache)
+        self.solve_cache = self._resolve(solve_cache, SolveCellCache)
         if gateway is None:
             from repro.llm.gateway.settings import GatewaySettings
 
@@ -311,13 +250,9 @@ class SolveServer:
         )
         self._listen_sock.bind((host, port))
         self._listen_sock.listen(128)
-        self.advertised = advertise or self.address
-        self.directory = PeerDirectory(
-            self.advertised, on_change=self._membership_changed
-        )
-        self.join = tuple(join or ())
-        self.peer_interval = peer_interval
-        self.peer_failures = peer_failures
+        bound_host, bound_port = self._listen_sock.getsockname()[:2]
+        # Kept past shutdown, so a stopped server can still be named.
+        self.address = f"{bound_host}:{bound_port}"
         self._workers = [
             Worker(
                 self.broker,
@@ -346,20 +281,14 @@ class SolveServer:
         self._shutdown_lock = threading.Lock()
         self._active_solves = 0
         self._idle = threading.Condition()
-        self._heartbeat: threading.Thread | None = None
 
     @staticmethod
-    def _resolve(cache, default_cls, peers=()):
+    def _resolve(cache, default_cls):
         if cache is False:
             return None
         if cache is None or cache is True:
-            return default_cls(peers=peers, write_behind=True)
+            return default_cls()
         return cache
-
-    @property
-    def address(self) -> str:
-        host, port = self._listen_sock.getsockname()[:2]
-        return f"{host}:{port}"
 
     def cassette(self):
         """The server's cassette store, or None without a gateway."""
@@ -367,15 +296,7 @@ class SolveServer:
             return None
         from repro.llm.gateway.cassette import cassette_store
 
-        return cassette_store(
-            self.gateway.cassette_dir, self.gateway.cache_peers
-        )
-
-    def cache_layer(self, layer: str):
-        """The cache a wire-level ``layer`` tag routes to (or None)."""
-        if layer == "llm":
-            return self.cassette()
-        return {"sim": self.sim_cache, "solve": self.solve_cache}.get(layer)
+        return cassette_store(self.gateway.cassette_dir)
 
     def fetch_cached(self, system: str, problem_id: str, seed: int):
         """The cell's solve-cell record, or None to take the cold path.
@@ -402,8 +323,6 @@ class SolveServer:
         )
         self._loop_thread.start()
         self._loop_ready.wait()
-        if self.join or self.directory.others():
-            self._start_heartbeat()
         return self
 
     def _run_loop(self) -> None:
@@ -575,87 +494,7 @@ class SolveServer:
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=10.0)
 
-    # -- elastic ring ---------------------------------------------------
-
-    def _start_heartbeat(self) -> None:
-        if self._heartbeat is not None or self._stopped.is_set():
-            return
-        self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop,
-            name="repro-service-heartbeat",
-            daemon=True,
-        )
-        self._heartbeat.start()
-
-    def _heartbeat_loop(self) -> None:
-        """Gossip membership and expel peers that stop answering.
-
-        Every tick hellos each known member (and any still-pending
-        ``join`` seed) with this server's view; the answers are merged,
-        so partial views converge in one round trip per edge.  A member
-        failing ``peer_failures`` consecutive hellos is removed --
-        which fires the membership hook and drops its cache tiers.
-        """
-        from repro.service.client import hello_peer
-
-        pending = list(self.join)
-        failures: dict[str, int] = {}
-        while not self._stopped.is_set():
-            targets = sorted(set(pending) | set(self.directory.others()))
-            for address in targets:
-                if self._stopped.is_set():
-                    return
-                try:
-                    peers = hello_peer(
-                        address,
-                        self.advertised,
-                        self.directory.members(),
-                        timeout=max(2.0, self.peer_interval),
-                    )
-                except Exception:  # noqa: BLE001 -- peer down or draining
-                    failures[address] = failures.get(address, 0) + 1
-                    if (
-                        failures[address] >= self.peer_failures
-                        and address in self.directory
-                    ):
-                        self.directory.remove(address)
-                    continue
-                failures.pop(address, None)
-                if address in pending:
-                    pending.remove(address)
-                self.directory.add((address, *peers))
-            self._stopped.wait(self.peer_interval)
-
-    def _membership_changed(self, members: tuple[str, ...]) -> None:
-        """Resync the cache fabric's remote tiers to the ring."""
-        ring_peers = tuple(
-            address
-            for address in members
-            if address not in (self.advertised, self.address)
-        )
-        merged = tuple(
-            dict.fromkeys(self._static_peers + ring_peers)
-        )
-        for cache in (self.sim_cache, self.solve_cache):
-            if cache is not None:
-                try:
-                    cache.set_peers(merged)
-                except Exception:  # noqa: BLE001 -- never kill the caller
-                    pass
-
     # -- request handlers (pool threads) --------------------------------
-
-    def _run_handler(self, handler, conn: _Connection, frame) -> None:
-        try:
-            handler(conn, frame)
-        except Exception as exc:  # noqa: BLE001 -- keep the loop alive
-            self.stats.count("errors")
-            conn.send(
-                ErrorFrame(
-                    id=getattr(frame, "id", 0),
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            )
 
     def _handle_solve(self, conn: _Connection, req: SolveRequest) -> None:
         # Tracked so shutdown() can wait for the terminal frame of
@@ -663,6 +502,11 @@ class SolveServer:
         self._solve_started()
         try:
             self._solve_request(conn, req)
+        except Exception as exc:  # noqa: BLE001 -- keep the loop alive
+            self.stats.count("errors")
+            conn.send(
+                ErrorFrame(id=req.id, message=f"{type(exc).__name__}: {exc}")
+            )
         finally:
             self._solve_finished()
 
@@ -746,68 +590,12 @@ class SolveServer:
             )
         )
 
-    def _handle_cache_get(self, conn: _Connection, req: CacheGet) -> None:
-        """The peer-sharing read rung: answer from LOCAL tiers only.
-
-        A peer's :class:`~repro.runtime.cache.RemoteTier` is asking; if
-        this server consulted its *own* remote tiers here, two mutually
-        peered servers would chase a missing key around the ring.
-        """
-        from repro.service.protocol import MAX_FRAME_BYTES
-
-        self.stats.count("peer_gets")
-        cache = self.cache_layer(req.layer)
-        value = cache.peek_local(req.key) if cache is not None else None
-        if value is None:
-            conn.send(CacheReply(id=req.id))
-            return
-        try:
-            blob = encode_value(value)
-        except Exception:  # noqa: BLE001 -- unpicklable value: report a miss
-            conn.send(CacheReply(id=req.id))
-            return
-        if len(blob) > MAX_FRAME_BYTES - 4096:
-            # A value past the frame ceiling must be a typed miss, not
-            # an 'unsendable reply' error the peer would hold against
-            # this server's health.
-            conn.send(CacheReply(id=req.id))
-            return
-        self.stats.count("peer_hits")
-        conn.send(CacheReply(id=req.id, found=True, blob=blob))
-
-    def _handle_cache_put(self, conn: _Connection, req: CachePut) -> None:
-        """The peer-sharing write rung: store locally, never re-gossip."""
-        cache = self.cache_layer(req.layer)
-        if cache is None:
-            conn.send(CacheReply(id=req.id))
-            return
-        value = decode_value(req.blob, cache.value_type)
-        if value is None:
-            # Garbage or wrong-typed blob: refuse, exactly like the
-            # disk tier refuses a corrupt file.
-            conn.send(CacheReply(id=req.id))
-            return
-        cache.put_local(req.key, value)
-        self.stats.count("peer_puts")
-        conn.send(CacheReply(id=req.id, stored=True))
-
-    # -- control + discovery (loop thread; all fast) ---------------------
-
-    def _handle_peer_hello(self, conn: _Connection, frame: PeerHello) -> None:
-        """Merge the sender's view, answer with ours, start gossiping."""
-        self.directory.add((frame.address, *frame.peers))
-        conn.send(PeerList(id=frame.id, peers=self.directory.members()))
-        # A server that *receives* a hello is in a ring even if it was
-        # started without --join: begin heartbeating its members.
-        self._start_heartbeat()
+    # -- control (loop thread; all fast) ---------------------------------
 
     def _handle_control(self, conn: _Connection, req: ControlRequest) -> bool:
         """Returns False when the connection should close."""
         if req.op == "ping":
             conn.send(Ack(id=req.id))
-            return True
-        if req.op == "peers":
-            conn.send(PeerList(id=req.id, peers=self.directory.members()))
             return True
         if req.op == "stats":
             # Snapshotting walks worker and cache locks: off the loop.
@@ -859,12 +647,9 @@ class SolveServer:
                 "misses": stats.misses,
                 "stores": stats.stores,
                 "disk_hits": stats.disk_hits,
-                "remote_hits": stats.remote_hits,
                 "corrupt": stats.corrupt,
                 "directory": cache.directory,
-                "peers": list(cache.peers),
                 "tiers": cache.tier_report(),
-                "gossip": cache.gossip_report(),
             }
 
         from repro.core.pipeline import STAGE_CLOCK
@@ -882,12 +667,6 @@ class SolveServer:
                 self.gateway.mode if self.gateway is not None else None
             ),
             "stages": STAGE_CLOCK.snapshot(),
-            "ring": {
-                "self": self.advertised,
-                "members": list(self.directory.members()),
-                "join": list(self.join),
-                "interval": self.peer_interval,
-            },
             "caches": {
                 "simulation": cache_stats(self.sim_cache),
                 "solve_cell": cache_stats(self.solve_cache),

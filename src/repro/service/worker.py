@@ -18,14 +18,14 @@ message per run event followed by one terminal ``done`` or ``error``.
 The parent relays each event to ``job.publish`` as it arrives; sharing
 one pipe is what orders the live stream before the outcome.
 
-The parent owns the cache fabric.  It looks the cell up in the
+The parent owns the caches.  It looks the cell up in the
 solve-cell cache before dispatching (a dedup-raced store may have
 landed since the server's own probe), stores ``SolveCellRecord(source,
 system, relayed events)`` afterwards, and puts the golden ``TestReport``
 the child returns into the server's simulation cache, so a repeated
 submit replays its event stream and re-scores entirely from cache.  The
-child's own simulation cache is built from the server's directory and
-peers.  ``STAGE_CLOCK`` and ``GATEWAY_STATS`` are per-process, so each
+child's own simulation cache is built on the server's directory.
+``STAGE_CLOCK`` and ``GATEWAY_STATS`` are per-process, so each
 terminal message carries the job's deltas and the parent merges them.
 ``executed`` counts only jobs whose pipeline actually ran -- the counter
 the dedup and cache contracts are verified against.
@@ -86,16 +86,13 @@ class ServiceResult:
 
 class ServiceStats:
     """Thread-safe service counters (worker executions, cache serves,
-    and the peer-sharing traffic answered for other machines)."""
+    and errors)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.executed = 0  # pipelines actually run (not cache-served)
         self.cache_served = 0  # results served from the solve-cell cache
         self.errors = 0
-        self.peer_gets = 0  # CacheGet frames answered
-        self.peer_hits = 0  # ... of which found a local entry
-        self.peer_puts = 0  # CachePut frames stored
 
     def count(self, field: str) -> None:
         with self._lock:
@@ -107,9 +104,6 @@ class ServiceStats:
                 "executed": self.executed,
                 "cache_served": self.cache_served,
                 "errors": self.errors,
-                "peer_gets": self.peer_gets,
-                "peer_hits": self.peer_hits,
-                "peer_puts": self.peer_puts,
             }
 
 
@@ -296,9 +290,10 @@ def solve_service_request(
 def _child_main(conn, sim_cache, gateway) -> None:
     """A worker process: solve jobs from ``conn`` until EOF.
 
-    ``sim_cache`` is None (layer disabled) or the ``(directory, peers)``
-    of the server's simulation cache.  The clocks are reset before each
-    job, so the snapshots sent with its terminal message are its deltas.
+    ``sim_cache`` is False (layer disabled) or the directory of the
+    server's simulation cache (None for a memory-only cache).  The
+    clocks are reset before each job, so the snapshots sent with its
+    terminal message are its deltas.
     """
     # The parent spawned us with SIGINT blocked: ignore it before
     # unblocking, so a Ctrl-C at the terminal reaches only the server,
@@ -308,10 +303,7 @@ def _child_main(conn, sim_cache, gateway) -> None:
     from repro.core.pipeline import STAGE_CLOCK
     from repro.llm.gateway.client import GATEWAY_STATS
 
-    cache = None
-    if sim_cache is not None:
-        directory, peers = sim_cache
-        cache = SimulationCache(directory, peers=peers)
+    cache = None if sim_cache is False else SimulationCache(sim_cache)
 
     def relay(event) -> None:
         conn.send(("event", event.to_json()))
@@ -368,7 +360,7 @@ class Worker(threading.Thread):
             if self._halted:
                 return
             cache = self.sim_cache
-            spec = None if cache is None else (cache.directory, cache.peers)
+            spec = False if cache is None else cache.directory
             conn, child_end = _SPAWN.Pipe()
             process = _SPAWN.Process(
                 target=_child_main,

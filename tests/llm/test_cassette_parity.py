@@ -146,19 +146,29 @@ class TestServiceReplay:
         assert cassette_stats is not None
         assert cassette_stats["entries"] > 0
 
-    def test_cassette_is_a_peer_shareable_layer(self, cassette):
-        """The ``llm`` wire layer serves cassette entries like any
-        other tier: peers can read recorded completions over
-        ``CacheGet`` frames."""
-        from repro.llm.gateway.cassette import CassetteRecord
-        from repro.runtime.cache import decode_value
+    def test_one_store_per_directory_per_process(self, tmp_path):
+        """Every cell in a process that names one cassette directory
+        shares one store (one memory tier); other directories do not."""
+        from repro.llm.gateway.cassette import CassetteRecord, cassette_store
 
-        with SolveServer(workers=1, solve_cache=False) as server:
-            record = CassetteRecord(completions=("x",), backend="sim")
-            server.cassette().put_local("gateway-peer-test", record)
-            with MultiplexedClient(server.address) as client:
-                # An unknown key is a typed miss, not an error.
-                assert client.cache_get("llm", "no-such-key") is None
-                blob = client.cache_get("llm", "gateway-peer-test")
-                assert blob is not None
-                assert decode_value(blob, CassetteRecord) == record
+        first = str(tmp_path / "a")
+        store = cassette_store(first)
+        assert cassette_store(first) is store
+        assert cassette_store(str(tmp_path / "b")) is not store
+        record = CassetteRecord(completions=("y",), backend="sim")
+        store.put("registry-test", record)
+        assert cassette_store(first).get("registry-test") == record
+        assert store.stats.disk_hits == 0  # answered from shared memory
+
+    def test_cassette_is_shared_through_its_directory(self, tmp_path):
+        """Two stores on one cassette directory -- two processes, or a
+        server and a local run -- serve each other's recordings."""
+        from repro.llm.gateway.cassette import CassetteRecord, CassetteStore
+
+        directory = str(tmp_path / "cassettes")
+        record = CassetteRecord(completions=("x",), backend="sim")
+        CassetteStore(directory=directory).put("shared-dir-test", record)
+        reader = CassetteStore(directory=directory)
+        assert reader.get("shared-dir-test") == record
+        assert reader.stats.disk_hits == 1
+        assert reader.get("no-such-key") is None

@@ -1,6 +1,7 @@
 """Cross-path determinism matrix: {mage, vanilla-claude, single-agent,
 aivril} x {serial, thread pool, process pool, service, multiplexed
-service, ring, ring+kill}.
+service, two static shards, two static shards with one killed
+mid-grid}.
 
 Every grid path must be *bit-identical* to a ``--jobs 1`` serial run:
 same final sources, same result rows, and the same typed event stream
@@ -11,8 +12,6 @@ counts, stage order -- must match exactly.
 """
 
 import threading
-import time
-from collections import Counter
 
 import pytest
 
@@ -28,15 +27,7 @@ from repro.runtime.cache import (
     system_fingerprint,
 )
 from repro.runtime.executor import SerialExecutor, ThreadExecutor
-from repro.service import (
-    HashRing,
-    MultiplexedClient,
-    ServiceError,
-    SolveServer,
-    fetch_peers,
-    ring_key,
-    solve_grid,
-)
+from repro.service import MultiplexedClient, SolveServer, solve_grid
 
 # One representative per row of the matrix: the full engine, the
 # single-stage baseline, the Table III single-agent ablation, and the
@@ -184,72 +175,15 @@ class TestServicePathParity:
         assert canonical(sink.events) == events
 
 
-def _converged_ring(size=3, workers=2):
-    """``size`` in-process servers joined into one converged ring."""
-    seed = SolveServer(workers=workers, peer_interval=0.1).start()
-    servers = [seed]
-    try:
-        for _ in range(size - 1):
-            servers.append(
-                SolveServer(
-                    workers=workers,
-                    join=(seed.address,),
-                    peer_interval=0.1,
-                ).start()
-            )
-        members = {server.advertised for server in servers}
-        deadline = time.monotonic() + 20.0
-        while time.monotonic() < deadline:
-            try:
-                views = [
-                    set(fetch_peers(server.address, timeout=5.0))
-                    for server in servers
-                ]
-            except (ServiceError, OSError):
-                views = []
-            if views and all(view >= members for view in views):
-                return servers
-            time.sleep(0.05)
-        raise AssertionError("ring never converged to full membership")
-    except BaseException:
-        for server in servers:
-            server.kill()
-        raise
+class TestStaticShardParity:
+    """The static-shard matrix rows: cells placed round-robin over two
+    servers -- with and without one of them killed mid-grid -- must
+    produce the exact rows a serial local run does, for every system in
+    the matrix.
 
-
-def _ring_victim(servers, key, problems, runs, seed0):
-    """The member owning the most cells of this grid (and a survivor)."""
-    from repro.service.worker import registered_system_name
-
-    ring = HashRing(sorted(server.advertised for server in servers))
-    resolved = registered_system_name(key)  # placement uses this name
-    owners = Counter(
-        ring.node_for(ring_key(resolved, problem.id, seed0 + run))
-        for problem in problems
-        for run in range(runs)
-    )
-    victim_address = owners.most_common(1)[0][0]
-    victim = next(
-        server for server in servers
-        if server.advertised == victim_address
-    )
-    survivor = next(
-        server for server in servers
-        if server.advertised != victim_address
-    )
-    return victim, survivor
-
-
-class TestElasticRingParity:
-    """The ring and ring+kill matrix rows: cells placed by consistent
-    hash over a 3-member elastic ring -- with and without a member
-    dying mid-grid -- must produce the exact rows a serial local run
-    does, for every system in the matrix.
-
-    Four runs per problem give the busiest member at least four cells,
-    so the mid-grid kill always lands while it still has queued work
-    -- the re-shard path is exercised on every parametrization, not
-    just when the scheduler happens to race a certain way."""
+    Four runs per problem give each shard six cells, so a kill on the
+    first finished cell always lands while the victim still has queued
+    work: the migration path is exercised on every parametrization."""
 
     RUNS = 4
 
@@ -273,44 +207,39 @@ class TestElasticRingParity:
         return reference
 
     @pytest.fixture(scope="class")
-    def ring_servers(self):
-        servers = _converged_ring()
+    def shard_servers(self):
+        servers = [SolveServer(workers=1).start() for _ in range(2)]
         yield servers
         for server in servers:
             server.kill()
 
     @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_ring_grid_rows_match_serial(
-        self, key, serial_grids, ring_servers
+    def test_two_shard_grid_rows_match_serial(
+        self, key, serial_grids, shard_servers
     ):
-        """One seed address suffices: membership is discovered, cells
-        are hash-placed, and the merged rows match serial exactly."""
         result, report = solve_grid(
             key,
             "verilogeval-v2",
             runs=self.RUNS,
             seed0=SEED,
             problems=[get_problem(problem_id) for problem_id in PROBLEM_IDS],
-            shards=[ring_servers[0].address],
-            ring=True,
+            shards=[server.address for server in shard_servers],
         )
         assert result.outcomes == serial_grids[key].outcomes
-        assert set(report.shards) == {
-            server.advertised for server in ring_servers
+        assert report.shard_cells == {
+            server.address: len(PROBLEM_IDS) * self.RUNS // 2
+            for server in shard_servers
         }
-        assert sum(report.shard_cells.values()) == len(PROBLEM_IDS) * self.RUNS
         assert report.dead_shards == []
 
     @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_ring_kill_grid_rows_match_serial(self, key, serial_grids):
-        """Killing the busiest member on the first finished cell still
-        yields bit-identical rows: orphans migrate to the survivors."""
+    def test_shard_kill_grid_rows_match_serial(self, key, serial_grids):
+        """Killing one shard on the first finished cell still yields
+        bit-identical rows: its orphans migrate to the survivor."""
         problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
-        servers = _converged_ring()
+        servers = [SolveServer(workers=1).start() for _ in range(2)]
+        victim = servers[0]
         try:
-            victim, survivor = _ring_victim(
-                servers, key, problems, self.RUNS, SEED
-            )
             killed = threading.Event()
 
             def chaos(event):
@@ -324,8 +253,7 @@ class TestElasticRingParity:
                 runs=self.RUNS,
                 seed0=SEED,
                 problems=problems,
-                shards=[survivor.address],
-                ring=True,
+                shards=[server.address for server in servers],
                 events=chaos,
             )
         finally:
@@ -333,5 +261,6 @@ class TestElasticRingParity:
                 server.kill()
         assert killed.is_set()
         assert result.outcomes == serial_grids[key].outcomes
-        assert report.dead_shards == [victim.advertised]
+        assert report.dead_shards == [victim.address]
+        assert report.migrated_cells >= 1
         assert report.cells == len(problems) * self.RUNS

@@ -1,15 +1,20 @@
-"""The tiered cache fabric: tier composition, promotion, eviction,
+"""The tiered caches: tier composition, promotion, eviction,
 disk-tier corruption robustness (seeded-random, mirroring
 tests/service/test_protocol_properties.py), and config wiring."""
 
 import os
 import pickle
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.llm.gateway.cassette import CassetteRecord, CassetteStore
 from repro.runtime.cache import (
-    CacheTier,
     DiskTier,
     MemoryTier,
     SimulationCache,
@@ -17,11 +22,10 @@ from repro.runtime.cache import (
     SolveCellRecord,
     TieredCache,
     clear_disk_cache,
-    decode_value,
     disk_cache_info,
-    encode_value,
 )
 from repro.runtime.config import RuntimeConfig
+from repro.tb import runner, stimulus
 
 
 class TestComposition:
@@ -29,28 +33,11 @@ class TestComposition:
         cache = SimulationCache()
         assert [t.kind for t in cache.tiers] == ["memory"]
         assert cache.directory is None
-        assert cache.peers == ()
 
     def test_directory_adds_a_disk_tier(self, tmp_path):
         cache = SimulationCache(str(tmp_path / "c"))
         assert [t.kind for t in cache.tiers] == ["memory", "disk"]
         assert cache.directory == str(tmp_path / "c")
-
-    def test_peers_add_remote_tiers_last(self, tmp_path):
-        cache = SolveCellCache(
-            str(tmp_path / "c"), peers=("127.0.0.1:1", "127.0.0.1:2")
-        )
-        assert [t.kind for t in cache.tiers] == [
-            "memory",
-            "disk",
-            "remote",
-            "remote",
-        ]
-        assert cache.peers == ("127.0.0.1:1", "127.0.0.1:2")
-        # The remote tiers carry the cache's wire routing tag.
-        assert all(
-            t.layer == "solve" for t in cache.tiers if t.kind == "remote"
-        )
 
     def test_explicit_tier_stack(self):
         cache = TieredCache(tiers=[MemoryTier(4)])
@@ -94,24 +81,6 @@ class TestPromotionAndWritePolicy:
         assert frozen.peek("k") is None
         assert cache.get("k") == "v"
 
-    def test_peek_local_skips_remote_tiers(self):
-        class Exploding(CacheTier):
-            kind = "remote"
-
-            def get(self, key):
-                raise AssertionError("peek_local must not reach remote tiers")
-
-            peek = get
-
-            def put(self, key, value):
-                raise AssertionError("local put must not reach remote tiers")
-
-        cache = TieredCache(tiers=[MemoryTier(8), Exploding()])
-        cache.put_local("k", "v")
-        assert cache.peek_local("k") == "v"
-        assert cache.peek_local("missing") is None
-
-
 class TestMemoryTierEviction:
     def test_lru_eviction_order(self):
         tier = MemoryTier(max_entries=3)
@@ -152,31 +121,43 @@ class TestMemoryTierEviction:
 
 class TestRuntimeConfigWiring:
     def test_config_fields_resolve_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_PEERS", "127.0.0.1:7001, 127.0.0.1:7002")
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "99")
         config = RuntimeConfig.from_env()
-        assert config.cache_peers == ("127.0.0.1:7001", "127.0.0.1:7002")
         assert config.cache_max_entries == 99
 
     def test_explicit_args_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_PEERS", "127.0.0.1:7001")
-        config = RuntimeConfig.from_env(cache_peers=(), cache_max_entries=5)
-        assert config.cache_peers == ()
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "99")
+        config = RuntimeConfig.from_env(cache_max_entries=5)
         assert config.cache_max_entries == 5
 
     def test_bad_max_entries_rejected(self):
         with pytest.raises(ValueError):
             RuntimeConfig(cache_max_entries=0)
 
-    def test_runtime_session_builds_peered_caches(self):
+    def test_runtime_session_builds_capped_caches(self, tmp_path):
         from repro.runtime.context import get_runtime, runtime_session
 
         with runtime_session(
-            cache_peers=("127.0.0.1:7001",), cache_max_entries=11
+            cache_dir=str(tmp_path / "c"), cache_max_entries=11
         ):
             cache = get_runtime().cache
-            assert cache.peers == ("127.0.0.1:7001",)
+            assert [t.kind for t in cache.tiers] == ["memory", "disk"]
             assert cache.tiers[0].max_entries == 11
+
+    def test_peer_list_env_is_not_read(self, tmp_path, monkeypatch):
+        """Caches are memory -> disk; a stale ``REPRO_CACHE_PEERS`` from
+        an older deployment adds no tier and no error."""
+        from repro.runtime.context import get_runtime, runtime_session
+
+        monkeypatch.setenv("REPRO_CACHE_PEERS", "127.0.0.1:1")
+        with runtime_session(
+            cache_dir=str(tmp_path / "sim"),
+            solve_cache=True,
+            solve_cache_dir=str(tmp_path / "solve"),
+        ):
+            runtime = get_runtime()
+            for cache in (runtime.cache, runtime.solve_cache):
+                assert [t.kind for t in cache.tiers] == ["memory", "disk"]
 
 
 def _corrupt(rng: random.Random, path: str) -> str:
@@ -264,23 +245,170 @@ class TestDiskCorruptionProperties:
         assert cache.get("k") == record
 
 
-class TestValueTransport:
-    def test_roundtrip(self):
+# One value of each layer's type, for the shared-directory cases.
+LAYER_VALUES = {
+    "sim": (
+        SimulationCache,
+        runner.TestReport(
+            testbench=stimulus.Testbench(
+                kind="comb", inputs=("a",), outputs=("y",), steps=()
+            )
+        ),
+    ),
+    "solve": (SolveCellCache, SolveCellRecord(source="module m;", system="s")),
+    "llm": (CassetteStore, CassetteRecord(completions=("x",), backend="mock")),
+}
+LAYERS = sorted(LAYER_VALUES)
+
+
+class TestSharedDirectory:
+    """Caches in different processes share warm entries by pointing at
+    one directory; each instance below stands for one process."""
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_second_cache_reads_the_first_caches_entry(self, tmp_path, layer):
+        cls, value = LAYER_VALUES[layer]
+        directory = str(tmp_path / layer)
+        cls(directory).put("k", value)
+        reader = cls(directory)
+        assert reader.get("k") == value
+        assert (reader.stats.hits, reader.stats.disk_hits) == (1, 1)
+        assert reader.stats.misses == 0
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_another_layers_entry_is_a_corrupt_miss(self, tmp_path, layer):
+        """Two layers pointed at one directory by mistake never hand
+        each other's values out: the type guard turns them into misses."""
+        cls, _ = LAYER_VALUES[layer]
+        directory = str(tmp_path / "mixed")
+        foreign = next(v for k, (_, v) in LAYER_VALUES.items() if k != layer)
+        DiskTier(directory).put("k", foreign)
+        reader = cls(directory)
+        assert reader.get("k") is None
+        assert (reader.stats.misses, reader.stats.corrupt) == (1, 1)
+
+    def test_reader_sees_a_write_made_after_its_miss(self, tmp_path):
+        """Misses are not remembered, so a cell another process warms
+        later is found by the next lookup."""
+        directory = str(tmp_path / "c")
+        reader = SolveCellCache(directory)
+        assert reader.get("k") is None
         record = SolveCellRecord(source="module m;", system="s")
-        assert decode_value(encode_value(record), SolveCellRecord) == record
+        SolveCellCache(directory).put("k", record)
+        assert reader.get("k") == record
+        assert (reader.stats.misses, reader.stats.disk_hits) == (1, 1)
 
-    def test_wrong_type_guard(self):
-        blob = encode_value({"not": "a record"})
-        assert decode_value(blob, SolveCellRecord) is None
-        assert decode_value(blob, dict) == {"not": "a record"}
+    def test_shared_hit_is_promoted_into_the_readers_memory(self, tmp_path):
+        directory = str(tmp_path / "c")
+        record = SolveCellRecord(source="module m;", system="s")
+        SolveCellCache(directory).put("k", record)
+        reader = SolveCellCache(directory)
+        assert reader.get("k") == record
+        clear_disk_cache(directory)
+        assert reader.get("k") == record  # answered by the memory tier
+        assert (reader.stats.hits, reader.stats.disk_hits) == (2, 1)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_garbage_blobs_never_raise(self, seed):
-        rng = random.Random(seed)
-        junk = "".join(
-            rng.choice("abcdef0123456789=!@#") for _ in range(rng.randrange(64))
+    def test_entry_written_by_another_process_is_read(self, tmp_path):
+        directory = str(tmp_path / "c")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from repro.runtime.cache import SolveCellCache, SolveCellRecord\n"
+            "SolveCellCache(sys.argv[1]).put(\n"
+            "    'k', SolveCellRecord(source='module child;', system='s')\n"
+            ")\n"
         )
-        assert decode_value(junk, SolveCellRecord) is None
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, directory],
+            check=True,
+            env=env,
+            timeout=60,
+        )
+        reader = SolveCellCache(directory)
+        assert reader.get("k") == SolveCellRecord(
+            source="module child;", system="s"
+        )
+        assert reader.stats.disk_hits == 1
+
+    def test_a_killed_writers_temp_file_is_not_an_entry(self, tmp_path):
+        """A writer killed mid-put leaves only its temp file behind:
+        readers and the size report ignore it, and clearing removes it."""
+        directory = str(tmp_path / "c")
+        record = SolveCellRecord(source="module m;", system="s")
+        SolveCellCache(directory).put("k", record)
+        stray = os.path.join(directory, "half-written.tmp")
+        with open(stray, "wb") as handle:
+            handle.write(pickle.dumps(record)[:5])
+        reader = SolveCellCache(directory)
+        assert reader.get("k") == record
+        assert reader.stats.corrupt == 0
+        assert disk_cache_info(directory).entries == 1
+        assert clear_disk_cache(directory).entries == 1
+        assert os.listdir(directory) == []
+
+    def test_entry_evicted_by_a_bounded_writer_is_a_plain_miss(
+        self, tmp_path
+    ):
+        """One process's ``max_bytes`` bound evicts from the shared
+        directory; another process then sees a clean miss, not damage."""
+        directory = str(tmp_path / "c")
+        old = SolveCellRecord(source="module old;", system="s")
+        new = SolveCellRecord(source="module new;", system="s")
+        writer = DiskTier(directory, SolveCellRecord, max_bytes=1)
+        writer.put("old", old)
+        past = os.path.getmtime(os.path.join(directory, "old.pkl")) - 60
+        os.utime(os.path.join(directory, "old.pkl"), (past, past))
+        writer.put("new", new)
+        assert writer.stats.evictions == 1
+        reader = SolveCellCache(directory)
+        assert reader.get("old") is None
+        assert reader.get("new") == new
+        assert (reader.stats.misses, reader.stats.corrupt) == (1, 0)
+
+    def test_racing_writers_never_expose_a_partial_entry(self, tmp_path):
+        """Processes sharing one directory race on the same key; the
+        atomic write means every read sees a whole value or nothing."""
+        directory = str(tmp_path / "c")
+        records = [
+            SolveCellRecord(source=f"module m{index};" * 20_000, system="s")
+            for index in range(4)
+        ]
+        writers = [DiskTier(directory, SolveCellRecord) for _ in records]
+        reader = DiskTier(directory, SolveCellRecord)
+        done = threading.Event()
+        seen = []
+
+        def write(tier, record):
+            for _ in range(15):
+                tier.put("k", record)
+
+        def read():
+            while not done.is_set():
+                value = reader.peek("k")
+                if value is not None:
+                    seen.append(value)
+
+        reading = threading.Thread(target=read)
+        reading.start()
+        threads = [
+            threading.Thread(target=write, args=pair)
+            for pair in zip(writers, records)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        done.set()
+        reading.join()
+        assert seen
+        assert all(value in records for value in seen)
+        assert reader.stats.corrupt == 0
+        assert reader.get("k") in records
+        assert not [n for n in os.listdir(directory) if n.endswith(".tmp")]
 
 
 class TestClearDiskCache:

@@ -1,16 +1,13 @@
-"""Chaos harness for the elastic ring: a scriptable TCP fault
-injector plus the failure drills the async control plane must survive.
+"""Chaos harness for sharded grids: a scriptable TCP fault injector
+plus the failure drills the async control plane must survive.
 
 :class:`ChaosProxy` is a localhost forwarder that sits between a
 client and a live server and misbehaves on command -- added latency,
-a one-shot mid-frame truncation of the reply stream, a partition that
-refuses and severs connections until healed.  The drills pin the
-recovery contracts down:
+or a one-shot mid-frame truncation of the reply stream.  The drills
+pin the recovery contracts down:
 
-- a ring member SIGKILLed mid-grid re-shards its orphaned cells onto
-  the survivors with bit-identical result rows;
-- a write-behind gossip backlog accumulated against a partitioned
-  peer drains completely once the partition heals;
+- a shard SIGKILLed mid-grid has its orphaned cells migrated onto the
+  surviving shard with bit-identical result rows;
 - a reply stream severed halfway through a frame is retried on a
   fresh connection and converges on the same outcome.
 
@@ -26,7 +23,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,15 +32,12 @@ from repro.baselines.registry import SYSTEMS
 from repro.core.events import CellFinished
 from repro.evalsets import get_problem
 from repro.runtime import SerialExecutor, evaluate_many
-from repro.runtime.cache import SimulationCache, SolveCellCache, SolveCellRecord
+from repro.runtime.cache import SimulationCache
 from repro.service import (
-    HashRing,
     MultiplexedClient,
     ServiceError,
     SolveServer,
-    fetch_peers,
     parse_address,
-    ring_key,
     solve_grid,
 )
 
@@ -63,8 +56,6 @@ class ChaosProxy:
     - ``delay`` -- seconds to sleep before forwarding each chunk;
     - ``truncate_downstream(n)`` -- one-shot: after ``n`` more bytes
       of server->client traffic, sever the connection mid-stream;
-    - ``partition()`` / ``heal()`` -- refuse new connections and sever
-      live ones until healed;
     - ``sever()`` -- drop every live connection once.
     """
 
@@ -77,7 +68,6 @@ class ChaosProxy:
         self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
         self.delay = 0.0
         self._truncate_left: int | None = None
-        self._partitioned = False
         self._closed = False
         self._lock = threading.Lock()
         self._pairs: list[tuple[socket.socket, socket.socket]] = []
@@ -90,15 +80,6 @@ class ChaosProxy:
     def truncate_downstream(self, budget: int) -> None:
         with self._lock:
             self._truncate_left = budget
-
-    def partition(self) -> None:
-        with self._lock:
-            self._partitioned = True
-        self.sever()
-
-    def heal(self) -> None:
-        with self._lock:
-            self._partitioned = False
 
     def sever(self) -> None:
         with self._lock:
@@ -136,7 +117,7 @@ class ChaosProxy:
             except OSError:
                 return
             with self._lock:
-                refused = self._partitioned or self._closed
+                refused = self._closed
             if refused:
                 self._drop((downstream,))
                 continue
@@ -188,7 +169,7 @@ class ChaosProxy:
             self._drop(pair)
 
 
-def _spawn_ring_server(join=None):
+def _spawn_server():
     """A real ``repro serve`` process (the kill drill needs SIGKILL)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + (
@@ -196,10 +177,8 @@ def _spawn_ring_server(join=None):
     )
     command = [
         sys.executable, "-m", "repro", "serve",
-        "--port", "0", "--workers", "2",
+        "--port", "0", "--workers", "1",
     ]
-    if join:
-        command += ["--join", join]
     proc = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
@@ -219,15 +198,15 @@ def _spawn_ring_server(join=None):
     return proc, address
 
 
-class TestRingKillMidGrid:
+class TestShardKillMidGrid:
     PROBLEM_IDS = ["cb_mux2", "cb_kmap_mux", "fs_vending", "ar_addsub8"]
     RUNS = 3
     SEED0 = 5
 
-    def test_sigkilled_peer_resards_bit_identically(self):
-        """SIGKILL the busiest ring member mid-grid: its orphaned cells
-        migrate to the survivors and every result row still matches a
-        local ``--jobs 1`` run bit-for-bit."""
+    def test_sigkilled_shard_migrates_bit_identically(self):
+        """SIGKILL one of two ``--service A,B`` shards mid-grid: its
+        orphaned cells migrate to the survivor and every result row
+        still matches a local ``--jobs 1`` run bit-for-bit."""
         problems = [get_problem(p) for p in self.PROBLEM_IDS]
         with SerialExecutor() as executor:
             local, _ = evaluate_many(
@@ -242,50 +221,11 @@ class TestRingKillMidGrid:
 
         servers = []
         try:
-            seed_proc, seed_address = _spawn_ring_server()
-            servers.append((seed_proc, seed_address))
             for _ in range(2):
-                servers.append(_spawn_ring_server(join=seed_address))
-            members = {address for _, address in servers}
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                try:
-                    views = [
-                        set(fetch_peers(address, timeout=5.0))
-                        for _, address in servers
-                    ]
-                except (ServiceError, OSError):
-                    views = []
-                if views and all(view >= members for view in views):
-                    break
-                time.sleep(0.1)
-            else:
-                pytest.fail("ring never converged to full membership")
-
-            # The victim is whoever owns the most cells, so the kill
-            # provably orphans work.  Placement hashes the registered
-            # system name, not the CLI alias.
-            from repro.service.worker import registered_system_name
-
-            ring = HashRing(sorted(members))
-            resolved = registered_system_name("mage")
-            owners = Counter(
-                ring.node_for(
-                    ring_key(resolved, problem.id, self.SEED0 + run)
-                )
-                for problem in problems
-                for run in range(self.RUNS)
-            )
-            victim_address = owners.most_common(1)[0][0]
-            victim_proc = next(
-                proc for proc, address in servers
-                if address == victim_address
-            )
-            survivor = next(
-                address for _, address in servers
-                if address != victim_address
-            )
-
+                servers.append(_spawn_server())
+            # Round-robin gives each shard six of the twelve cells, so
+            # a kill on the first finished cell provably orphans work.
+            victim_proc, victim_address = servers[0]
             killed = threading.Event()
 
             def chaos(event):
@@ -299,8 +239,7 @@ class TestRingKillMidGrid:
                 runs=self.RUNS,
                 seed0=self.SEED0,
                 problems=problems,
-                shards=[survivor],
-                ring=True,
+                shards=[address for _, address in servers],
                 events=chaos,
             )
         finally:
@@ -313,56 +252,6 @@ class TestRingKillMidGrid:
         assert report.dead_shards == [victim_address]
         assert report.migrated_cells >= 1
         assert report.cells == len(problems) * self.RUNS
-
-
-class TestGossipPartition:
-    def test_backlog_drains_after_partition_heals(self):
-        """Puts issued during a partition queue in the write-behind
-        backlog (the solve path never blocks on them) and every one of
-        them reaches the peer once the partition heals."""
-        records = {
-            f"cell-{index}": SolveCellRecord(
-                source=f"module m{index}; endmodule", system="s"
-            )
-            for index in range(8)
-        }
-        with SolveServer(workers=1) as server:
-            proxy = ChaosProxy(server.address)
-            cache = SolveCellCache(
-                peers=(proxy.address,), write_behind=True
-            )
-            try:
-                # Tighten the recovery knobs so the drill stays quick.
-                tier = next(
-                    t for t in cache.tiers if t.kind == "remote"
-                )
-                tier._link.connect_timeout = 0.5
-                tier.down_cooldown = 0.5
-                cache._gossip.retry_interval = 0.1
-
-                proxy.partition()
-                started = time.monotonic()
-                for key, record in records.items():
-                    cache.put(key, record)
-                # Write-behind contract: enqueueing eight puts against
-                # a dead peer costs microseconds, not connect timeouts.
-                assert time.monotonic() - started < 1.0
-                assert not cache.flush_gossip(timeout=1.5)
-                report = cache.gossip_report()
-                assert report["enqueued"] == len(records)
-                assert report["delivered"] < len(records)
-
-                proxy.heal()
-                assert cache.flush_gossip(timeout=30.0)
-                report = cache.gossip_report()
-                assert report["delivered"] == len(records)
-                assert report["backlog"] == 0
-                assert report["retried"] >= 1  # the partition was real
-                for key, record in records.items():
-                    assert server.solve_cache.peek_local(key) == record
-            finally:
-                cache.close()
-                proxy.close()
 
 
 class TestHalfWrittenFrame:

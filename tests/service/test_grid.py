@@ -16,8 +16,11 @@ from repro.evalsets import get_problem
 from repro.runtime import SerialExecutor, evaluate_many
 from repro.service import (
     ErrorFrame,
+    GridReport,
     ServiceError,
+    SolveServer,
     encode_frame,
+    parse_shards,
     read_frame,
     solve_grid,
     stop_server,
@@ -171,6 +174,145 @@ class TestShardedGrid:
                 "mage",
                 "verilogeval-v2",
                 shards=["not-an-address"],
+                problems=[get_problem("cb_mux2")],
+            )
+
+    def test_repeated_shard_address_is_refused(self):
+        """``A,A`` would start two workers' worth of connections on A
+        and list A twice in the report; it is a typo, so it fails."""
+        assert parse_shards("127.0.0.1:1, 127.0.0.1:2") == [
+            "127.0.0.1:1",
+            "127.0.0.1:2",
+        ]
+        with pytest.raises(ValueError, match="'127.0.0.1:1' given twice"):
+            parse_shards("127.0.0.1:1,127.0.0.1:2, 127.0.0.1:1")
+        with pytest.raises(ValueError, match="'127.0.0.1:1' given twice"):
+            solve_grid(
+                "mage",
+                "verilogeval-v2",
+                shards=["127.0.0.1:1", "127.0.0.1:1"],
+                problems=[get_problem("cb_mux2")],
+            )
+
+
+class TestShardAddresses:
+    """``--service A,B`` parsing and the per-shard report, without
+    starting a server: static shards are the only multi-server mode."""
+
+    @pytest.mark.parametrize(
+        "spec, shards",
+        [
+            ("127.0.0.1:1", ["127.0.0.1:1"]),
+            ("127.0.0.1:1,127.0.0.1:2", ["127.0.0.1:1", "127.0.0.1:2"]),
+            (" 127.0.0.1:1 , 127.0.0.1:2 ", ["127.0.0.1:1", "127.0.0.1:2"]),
+            ("127.0.0.1:1,,127.0.0.1:2,", ["127.0.0.1:1", "127.0.0.1:2"]),
+        ],
+        ids=["one", "two", "padded", "empty-parts"],
+    )
+    def test_parse_shards_keeps_order(self, spec, shards):
+        assert parse_shards(spec) == shards
+
+    @pytest.mark.parametrize(
+        "spec, repeated",
+        [
+            ("127.0.0.1:1,127.0.0.1:1", "127.0.0.1:1"),
+            ("127.0.0.1:1,127.0.0.1:2,127.0.0.1:1", "127.0.0.1:1"),
+            ("127.0.0.1:1, 127.0.0.1:1 ", "127.0.0.1:1"),
+            ("127.0.0.1:1,:1", ":1"),
+        ],
+        ids=["adjacent", "apart", "padded", "default-host"],
+    )
+    def test_parse_shards_names_the_repeated_address(self, spec, repeated):
+        with pytest.raises(ValueError, match=f"{repeated!r} given twice"):
+            parse_shards(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("", "no service addresses"),
+            (" , ", "no service addresses"),
+            ("localhost", "expected host:port"),
+            ("localhost:http", "bad service port"),
+        ],
+        ids=["empty", "only-commas", "no-port", "named-port"],
+    )
+    def test_parse_shards_refuses_malformed_specs(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_shards(spec)
+
+    def test_report_lists_each_shard_once_with_its_cells(self):
+        report = GridReport(
+            shards=["127.0.0.1:1", "127.0.0.1:2"],
+            cells=5,
+            shard_cells={"127.0.0.1:1": 3, "127.0.0.1:2": 2},
+        )
+        rows = [
+            line.split()
+            for line in report.render().splitlines()
+            if line.startswith("  ")
+        ]
+        assert rows == [
+            ["127.0.0.1:1", "3", "cells"],
+            ["127.0.0.1:2", "2", "cells"],
+        ]
+        assert "elasticity" not in report.render()  # nothing migrated
+
+
+def _closed_addresses(count):
+    """Distinct loopback addresses nothing listens on (connections are
+    refused); all ports are held until every one is picked."""
+    sockets = [
+        socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        for _ in range(count)
+    ]
+    try:
+        for sock in sockets:
+            sock.bind(("127.0.0.1", 0))
+        return [f"127.0.0.1:{sock.getsockname()[1]}" for sock in sockets]
+    finally:
+        for sock in sockets:
+            sock.close()
+
+
+class TestDeadShardMigration:
+    """Round-robin migration off a shard that never answers, against an
+    in-process server: the kept half of the grid's fault tolerance."""
+
+    def test_unreachable_shard_migrates_to_the_live_one(self):
+        problems = [get_problem(pid) for pid in PROBLEMS]
+        with SerialExecutor() as executor:
+            local, _ = evaluate_many(
+                SYSTEMS["mage"].factory,
+                "verilogeval-v2",
+                runs=2,
+                seed0=3,
+                problems=problems,
+                executor=executor,
+            )
+        [dead] = _closed_addresses(1)
+        with SolveServer(workers=1) as server:
+            result, report = solve_grid(
+                "mage",
+                "verilogeval-v2",
+                runs=2,
+                seed0=3,
+                problems=problems,
+                shards=[dead, server.address],
+            )
+        assert result.outcomes == local.outcomes
+        assert report.dead_shards == [dead]
+        # Cells 0, 2, 4 were placed on the dead shard and moved.
+        assert report.migrated_cells == 3
+        assert report.shard_cells == {server.address: 6}
+        assert "dead shards: " + dead in report.render()
+
+    def test_all_shards_unreachable_fails_the_grid(self):
+        shards = _closed_addresses(2)
+        with pytest.raises(ServiceError, match="all shards dead"):
+            solve_grid(
+                "mage",
+                "verilogeval-v2",
+                shards=shards,
                 problems=[get_problem("cb_mux2")],
             )
 

@@ -6,6 +6,8 @@ contract (a snapshot without a section renders no metrics for it,
 never an error).
 """
 
+import pytest
+
 from repro.service import SolveServer, render_prometheus
 
 
@@ -20,7 +22,7 @@ class TestRenderPrometheus:
             "workers": 2,
             "pending": 3,
             "broker": {"submitted": 10, "completed": 9},
-            "service": {"requests": 10, "peer_gets": 2},
+            "service": {"requests": 10, "executed": 2},
             "gateway": {"calls": 5, "retries": 1},
             "gateway_mode": "live",
             "stages": {"spec": {"runs": 4, "seconds": 1.25}},
@@ -45,7 +47,7 @@ class TestRenderPrometheus:
         assert "repro_pending_jobs 3" in lines
         assert "# TYPE repro_broker_submitted counter" in lines
         assert "repro_broker_submitted 10" in lines
-        assert "repro_service_peer_gets 2" in lines
+        assert "repro_service_executed 2" in lines
         assert "repro_gateway_calls 5" in lines
         assert 'repro_stage_runs_total{stage="spec"} 4' in lines
         assert 'repro_stage_seconds_total{stage="spec"} 1.25' in lines
@@ -80,11 +82,38 @@ class TestRenderPrometheus:
         for family in (
             "repro_broker_",
             "repro_gateway_",
-            "repro_ring_",
             "repro_cache_",
             "repro_stage_",
         ):
             assert family not in text
+
+    @pytest.mark.parametrize(
+        "legacy, dropped",
+        [
+            ({"ring": {"members": 2, "moves": 1}}, "repro_ring_"),
+            (
+                {
+                    "caches": {
+                        "solve_cell": {
+                            "hits": 1,
+                            "remote_hits": 3,
+                            "gossip": {"queued": 1, "sent": 2},
+                        }
+                    }
+                },
+                "repro_cache_remote_hits",
+            ),
+        ],
+        ids=["ring-section", "peer-cache-keys"],
+    )
+    def test_legacy_peer_sections_render_nothing(self, legacy, dropped):
+        """A snapshot from a server that still carried ring or peer
+        cache sections renders without those families."""
+        text = render_prometheus(legacy)
+        assert dropped not in text
+        assert "repro_cache_gossip" not in text
+        if "caches" in legacy:
+            assert 'repro_cache_hits{layer="solve_cell"} 1' in _lines(text)
 
     def test_non_numeric_and_bool_values_are_skipped(self):
         text = render_prometheus(
@@ -101,5 +130,12 @@ class TestRenderPrometheus:
             text = render_prometheus(server.stats_snapshot())
         lines = _lines(text)
         assert "repro_workers 1" in lines
-        assert "repro_ring_members 1" in lines
         assert any(line.startswith("repro_service_executed") for line in lines)
+        # One host, one cache directory: no ring, gossip or peer families.
+        for family in (
+            "repro_ring_",
+            "repro_cache_gossip",
+            "repro_cache_remote_hits",
+            "repro_service_peer_",
+        ):
+            assert family not in text

@@ -90,10 +90,22 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="unknown frame type"):
             read_frame(stream)
 
-    @pytest.mark.parametrize("frame_type", ["wave_steal", "wave_tasks"])
+    @pytest.mark.parametrize(
+        "frame_type",
+        [
+            "wave_steal",
+            "wave_tasks",
+            "cache_get",
+            "cache_put",
+            "cache_reply",
+            "peer_hello",
+            "peer_list",
+        ],
+    )
     def test_work_stealing_frames_are_unknown(self, frame_type):
-        """No frame carries pickled work from a peer: the former
-        work-stealing frames decode as unknown types."""
+        """No frame carries pickled work or cache values from a peer, or
+        ring membership: the former work-stealing, peer-cache and ring
+        frames decode as unknown types."""
         data = json.dumps(
             {"type": frame_type, "id": 1, "v": PROTOCOL_VERSION, "items": []}
         ).encode()

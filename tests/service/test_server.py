@@ -12,10 +12,12 @@ from repro.core.events import ListSink
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem, golden_testbench
 from repro.service import (
+    PROTOCOL_VERSION,
+    Ack,
+    ControlRequest,
     MultiplexedClient,
     ServiceError,
     SolveServer,
-    hello_peer,
 )
 from repro.tb.runner import run_testbench
 
@@ -179,19 +181,29 @@ class TestConcurrentDistinctCells:
         assert stats["workers"] == 2
         assert not {"rollout_batch", "scheduler", "steal"} & set(stats)
 
+    def test_stats_carry_no_ring_or_peer_sections(self, server):
+        with MultiplexedClient(server.address) as client:
+            stats = client.stats()
+        assert "ring" not in stats
+        assert not {"peer_gets", "peer_hits", "peer_puts"} & set(
+            stats["service"]
+        )
+        for layer in ("simulation", "solve_cell"):
+            cache = stats["caches"][layer]
+            assert not {"peers", "gossip", "remote_hits"} & set(cache)
+            assert [tier["kind"] for tier in cache["tiers"]] == ["memory"]
+
 
 class TestLifecycle:
     def test_ping(self, server):
         with MultiplexedClient(server.address) as client:
             assert client.ping()
 
-    def test_hello_peer_merges_membership(self, server):
-        """The one-shot gossip helper: the server merges the sender and
-        answers with its full view."""
-        newcomer = "127.0.0.1:1"
-        merged = hello_peer(server.address, newcomer, ("127.0.0.1:2",))
-        assert set(merged) == {server.advertised, newcomer, "127.0.0.1:2"}
-        assert newcomer in server.directory
+    def test_peers_control_op_is_unknown(self, server):
+        with MultiplexedClient(server.address) as client:
+            with pytest.raises(ServiceError, match="unknown control op 'peers'"):
+                client._request(ControlRequest, Ack, op="peers")
+            assert client.ping()  # the connection stays usable
 
     def test_client_initiated_graceful_shutdown(self):
         server = SolveServer(workers=1).start()
@@ -234,3 +246,27 @@ class TestConnectionErrors:
         # The server survives a bad client and keeps serving others.
         with MultiplexedClient(server.address) as fresh:
             assert fresh.ping()
+
+    def test_removed_cache_frame_is_refused_with_its_type(self, server):
+        """A peer-cache frame is an unknown type: the server refuses the
+        connection with an id-0 error naming it, and nothing is read
+        from or written to its caches."""
+        client = MultiplexedClient(server.address)
+        payload = json.dumps(
+            {
+                "v": PROTOCOL_VERSION,
+                "type": "cache_get",
+                "id": 1,
+                "layer": "solve",
+                "key": "k",
+            }
+        ).encode()
+        with client._write_lock:
+            client._wfile.write(struct.pack(">I", len(payload)) + payload)
+            client._wfile.flush()
+        deadline = time.monotonic() + 10
+        while not client.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(ServiceError, match="unknown frame type 'cache_get'"):
+            client.ping()
+        assert server.solve_cache.stats.lookups == 0

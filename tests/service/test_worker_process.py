@@ -1,6 +1,6 @@
 """Process-backed service workers: the wire stall, child lifecycle,
-truthful stats, and a server cache fabric that still fills when the
-pipelines run in child processes."""
+truthful stats, and server caches that still fill when the pipelines
+run in child processes."""
 
 import multiprocessing
 import os
@@ -21,7 +21,7 @@ from repro.core.events import ListSink
 from repro.core.pipeline import STAGE_CLOCK
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem
-from repro.runtime.cache import SolveCellRecord, decode_value, simulation_count
+from repro.runtime.cache import SolveCellCache, simulation_count
 from repro.service import MultiplexedClient, ServiceError, SolveServer
 from repro.service.worker import service_cell_key
 
@@ -228,14 +228,17 @@ class TestTruthfulStats:
 
 
 class TestServerCachesStayComplete:
-    def test_cold_solve_in_a_child_fills_the_server_caches(self):
-        with SolveServer(workers=1) as server:
+    def test_cold_solve_in_a_child_fills_the_server_caches(self, tmp_path):
+        directory = str(tmp_path / "solve")
+        with SolveServer(
+            workers=1, solve_cache=SolveCellCache(directory)
+        ) as server:
             with MultiplexedClient(server.address) as client:
                 sink = ListSink()
                 cold = client.solve("mage", "cb_kmap_mux", seed=0, events=sink)
                 assert not cold.cached
                 key = service_cell_key("mage", "cb_kmap_mux", 0)
-                record = server.solve_cache.peek_local(key)
+                record = server.solve_cache.peek(key)
                 assert record is not None
                 assert record.source == cold.source
                 assert canonical(record.events) == canonical(sink.events)
@@ -246,6 +249,6 @@ class TestServerCachesStayComplete:
                 assert simulation_count() == sims_before
                 assert (warm.passed, warm.score) == (cold.passed, cold.score)
 
-                blob = client.cache_get("solve", key)
-        assert blob is not None
-        assert decode_value(blob, SolveCellRecord).source == cold.source
+        # The parent stored the record on disk, where any other process
+        # reading the directory finds it.
+        assert SolveCellCache(directory).get(key).source == cold.source

@@ -357,19 +357,30 @@ class TestCliGridPaths:
             (["eval", "mage", "--rollout-batch", "4"], "unrecognized arguments"),
             (["serve", "--rollout-batch", "3"], "unrecognized arguments"),
             (["serve", "--steal-peer", "127.0.0.1:1"], "unrecognized arguments"),
+            (["eval", "mage", "--ring"], "unrecognized arguments"),
+            (["serve", "--join", "127.0.0.1:1"], "unrecognized arguments"),
+            (["serve", "--advertise", "127.0.0.1:1"], "unrecognized arguments"),
+            (["eval", "mage", "--cache-peer", "127.0.0.1:1"], "unrecognized arguments"),
+            (["serve", "--cache-peer", "127.0.0.1:1"], "unrecognized arguments"),
             (["bench", "mage"], "invalid choice: 'bench'"),
         ],
         ids=[
             "eval-rollout-batch",
             "serve-rollout-batch",
             "serve-steal-peer",
+            "eval-ring",
+            "serve-join",
+            "serve-advertise",
+            "eval-cache-peer",
+            "serve-cache-peer",
             "bench",
         ],
     )
     def test_scheduler_flags_are_unrecognized(self, capsys, argv, error):
-        """The grid runs only on the serial/pool/service paths; the
-        rollout-scheduler flags and the old ``bench`` subcommand are not
-        part of the CLI."""
+        """The grid runs only on the serial/pool/service paths, over
+        static shards and one cache directory per layer; the
+        rollout-scheduler, ring and peer-cache flags and the old
+        ``bench`` subcommand are not part of the CLI."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -572,47 +583,93 @@ class TestCliCacheFabric:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "tier memory" in out
-        assert "peer 0" in out  # counter line includes peer attribution
+        assert "(disk " in out
+        assert "peer" not in out  # one host: no peer attribution
 
-    def test_eval_cache_peer_rejected_with_service(self, capsys):
+    def test_eval_service_rejects_a_repeated_shard(self, capsys):
         argv = [
             "eval", "mage", "--limit", "1",
-            "--service", "127.0.0.1:1", "--cache-peer", "127.0.0.1:2",
+            "--service", "127.0.0.1:1,127.0.0.1:1",
         ]
         assert main(argv) == 2
-        assert "--cache-peer" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "'127.0.0.1:1' given twice" in out
 
-    def test_eval_bad_cache_peer_address(self, capsys):
-        argv = ["eval", "mage", "--limit", "1", "--cache-peer", "nonsense"]
-        assert main(argv) == 2
-        assert "bad service address" in capsys.readouterr().out
+    @pytest.mark.parametrize("via", ["flags", "env"])
+    def test_serve_cache_directories_reach_the_server(
+        self, capsys, tmp_path, via
+    ):
+        """``serve`` takes its sharing directories from
+        ``--sim-cache-dir``/``--solve-cache-dir`` or the environment,
+        stores solved cells there, and names them in ``cache --service``."""
+        sim_dir, solve_dir = tmp_path / "sim", tmp_path / "solve"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        argv = [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--workers", "1",
+        ]
+        if via == "flags":
+            argv += [
+                "--sim-cache-dir", str(sim_dir),
+                "--solve-cache-dir", str(solve_dir),
+            ]
+        else:
+            env["REPRO_SIM_CACHE_DIR"] = str(sim_dir)
+            env["REPRO_SOLVE_CACHE_DIR"] = str(solve_dir)
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline().strip()
+            assert line.startswith("listening on "), line
+            address = line.removeprefix("listening on ")
+            assert main(["submit", "mage", "cb_mux2", "--addr", address,
+                         "--quiet"]) == 0
+            capsys.readouterr()
+            assert main(["cache", "--service", address]) == 0
+            out = capsys.readouterr().out
+            assert main(["serve", "--stop", address]) == 0
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert f"tier disk ({sim_dir})" in out
+        assert f"tier disk ({solve_dir})" in out
+        assert len(list(solve_dir.glob("*.pkl"))) == 1
 
-    def test_eval_via_live_peer_matches_local_row(self, capsys):
-        """serve A -> warm it -> cold eval B --cache-peer A: identical
-        row, peer hits reported."""
+    def test_eval_over_a_servers_cache_directory_matches_local_row(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """serve on directories D/S -> warm it -> cold local eval on the
+        same directories: identical row, every solve cell replayed."""
+        from repro.runtime.cache import SimulationCache, SolveCellCache
         from repro.service import SolveServer
 
         argv = ["eval", "mage", "--runs", "1", "--limit", "2"]
         assert main(argv + ["--jobs", "1"]) == 0
         local_row = capsys.readouterr().out.splitlines()[0]
-        with SolveServer(workers=2) as server:
+        sim_dir, solve_dir = str(tmp_path / "sim"), str(tmp_path / "solve")
+        with SolveServer(
+            workers=2,
+            sim_cache=SimulationCache(sim_dir),
+            solve_cache=SolveCellCache(solve_dir),
+        ) as server:
             assert main(argv + ["--service", server.address]) == 0
-            capsys.readouterr()
-            assert (
-                main(
-                    argv
-                    + [
-                        "--solve-cache", "--verbose",
-                        "--cache-peer", server.address,
-                    ]
-                )
-                == 0
-            )
-            out = capsys.readouterr().out
-        lines = out.splitlines()
-        row = next(line for line in lines if "Pass@1" in line)
-        assert row == local_row
-        assert any("peer hits" in line for line in lines)
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", sim_dir)
+        monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", solve_dir)
+        with runtime_session():
+            assert main(argv + ["--jobs", "1", "--solve-cache", "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert next(line for line in lines if "Pass@1" in line) == local_row
+        solve_line = next(line for line in lines if "solve cells" in line)
+        assert "hit-rate 100.0%" in solve_line
 
 
 class TestCliDocs:
