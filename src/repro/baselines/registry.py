@@ -28,16 +28,26 @@ class RTLSystem(Protocol):
 
     name: str
 
-    def solve(self, task: DesignTask, seed: int = 0) -> str: ...
+    def solve(
+        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
+    ) -> str: ...
 
 
 class MAGESystem:
-    """MAGE wrapped in the harness interface."""
+    """MAGE wrapped in the harness interface.
 
-    def __init__(self, config: MAGEConfig | None = None):
+    ``name`` labels the system's rows; by default it is derived from the
+    model and generation temperature.  Every MAGE-backed entry (the
+    registry rows, the harness's ``evaluate_mage``, the Table III
+    multi-agent arm) is a :func:`functools.partial` of this class.
+    """
+
+    def __init__(self, config: MAGEConfig | None = None, name: str | None = None):
         self.config = config or MAGEConfig.high_temperature()
-        temp = self.config.generation.temperature
-        self.name = f"mage[{self.config.model},T={temp}]"
+        if name is None:
+            temp = self.config.generation.temperature
+            name = f"mage[{self.config.model},T={temp}]"
+        self.name = name
 
     def solve(
         self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
@@ -45,7 +55,7 @@ class MAGESystem:
         return MAGE(self.config).solve(task, seed=seed, sink=sink).source
 
 
-class VerilogCoderStyle:
+def verilogcoder_config(model: str) -> MAGEConfig:
     """VerilogCoder-like system: multi-agent with waveform tracing.
 
     Closed-source in the paper; emulated here as the same multi-agent
@@ -54,20 +64,12 @@ class VerilogCoderStyle:
     debug budget -- the published behaviour (94.2 on VerilogEval-v2,
     below MAGE) comes from the weaker model and missing Step-4 ranking.
     """
-
-    def __init__(self, model: str = "gpt-4-turbo"):
-        self.config = MAGEConfig(
-            model=model,
-            use_sampling=False,
-            debug_iterations=8,
-            generation=SamplingParams(temperature=0.0, top_p=0.01, n=1),
-        )
-        self.name = f"verilogcoder-style[{model}]"
-
-    def solve(
-        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
-    ) -> str:
-        return MAGE(self.config).solve(task, seed=seed, sink=sink).source
+    return MAGEConfig(
+        model=model,
+        use_sampling=False,
+        debug_iterations=8,
+        generation=SamplingParams(temperature=0.0, top_p=0.01, n=1),
+    )
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,11 @@ _register(
         table_label="VerilogCoder",
         system_type="agent-closed",
         model_label="GPT-4 Turbo",
-        factory=partial(VerilogCoderStyle, "gpt-4-turbo"),
+        factory=partial(
+            MAGESystem,
+            verilogcoder_config("gpt-4-turbo"),
+            name="verilogcoder-style[gpt-4-turbo]",
+        ),
         paper_v2=94.2,
     )
 )

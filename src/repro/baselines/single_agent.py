@@ -10,28 +10,19 @@ Two families from the literature the paper compares against:
   history, paying the context-pollution penalty of Sec. II-A; feedback
   is an aggregate pass-rate log, not state checkpoints.
 
-Both run as staged pipelines: :class:`SelfReflection` is a generate
-stage plus one unrolled reflection stage per round, and
+Both run as staged pipelines, in one pass per solve:
+:class:`SelfReflection` is a generate stage plus one unrolled reflection
+stage per round (a clean lint returns ``DONE`` and skips the rest), and
 :class:`SingleAgentPipeline` is the MAGE stage list executed with a
 merged-history configuration.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.core.config import MAGEConfig
 from repro.core.engine import MAGE, MAGEResult
-from repro.core.events import EventSink, InitialGenerated
-from repro.core.pipeline import (
-    DONE,
-    Pipeline,
-    ProgramSpec,
-    RunProgram,
-    RunState,
-    Stage,
-    start_program,
-)
+from repro.core.events import EventSink, InitialGenerated, RunStarted, as_sink
+from repro.core.pipeline import DONE, Pipeline, RunState, Stage
 from repro.core.task import DesignTask
 from repro.hdl.lint import lint
 from repro.llm.factory import build_llm
@@ -91,10 +82,6 @@ def _state_calls(state: RunState) -> int:
     return state.data.get("llm_calls", 0)
 
 
-def _extract_code(state: RunState) -> str:
-    return state.data["code"]
-
-
 def self_reflection_pipeline(rounds: int) -> Pipeline:
     stages = [Stage("generate", _stage_generate)]
     stages += [
@@ -116,8 +103,9 @@ class SelfReflection:
         self.rounds = rounds
         self.name = f"self-reflection[{self.llm.model_name}]"
 
-    def start_run(self, task: DesignTask, seed: int = 0) -> RunProgram:
-        """A resumable program for one run (drives ``solve`` too)."""
+    def solve(
+        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
+    ) -> str:
         state = RunState(
             seed=seed,
             data={
@@ -128,20 +116,10 @@ class SelfReflection:
                 ),
             },
         )
-        spec = ProgramSpec(
-            pipeline_factory=partial(self_reflection_pipeline, self.rounds),
-            system=self.name,
-            task_name=task.name,
-            extractor=_extract_code,
-        )
-        return start_program(spec, state)
-
-    def solve(
-        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
-    ) -> str:
-        program = self.start_run(task, seed=seed)
-        program.advance(sink=sink)
-        return program.source()
+        live = as_sink(sink)
+        live.emit(RunStarted(system=self.name, task_name=task.name, seed=seed))
+        self_reflection_pipeline(self.rounds).run(state, sink=live)
+        return state.data["code"]
 
 
 class SingleAgentPipeline:

@@ -16,24 +16,16 @@ MAGE judge path -- previously the final ``run_testbench`` bypassed it.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.agents.team import AgentTeam
 from repro.core.events import (
     CandidateScored,
     EventSink,
     InitialGenerated,
+    RunStarted,
     TestbenchReady,
+    as_sink,
 )
-from repro.core.pipeline import (
-    DONE,
-    Pipeline,
-    ProgramSpec,
-    RunProgram,
-    RunState,
-    Stage,
-    start_program,
-)
+from repro.core.pipeline import DONE, Pipeline, RunState, Stage
 from repro.core.task import DesignTask
 from repro.llm.factory import build_llm
 from repro.llm.interface import SamplingParams
@@ -103,10 +95,6 @@ def _team_calls(state: RunState) -> int:
     return state.data["team"].llm_calls
 
 
-def _extract_code(state: RunState) -> str:
-    return state.data["code"]
-
-
 class TwoAgentSystem:
     """Coder (RTL + testbench, shared history) plus simulator-reviewer."""
 
@@ -120,8 +108,9 @@ class TwoAgentSystem:
         self.iterations = iterations
         self.name = f"two-agent[{model}]"
 
-    def start_run(self, task: DesignTask, seed: int = 0) -> RunProgram:
-        """A resumable program for one run (drives ``solve`` too)."""
+    def solve(
+        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
+    ) -> str:
         # One shared conversation for everything the coder does.
         team = AgentTeam.build(self.llm, shared_prompt=_CODER_PROMPT)
         state = RunState(
@@ -137,17 +126,7 @@ class TwoAgentSystem:
                 ),
             },
         )
-        spec = ProgramSpec(
-            pipeline_factory=partial(two_agent_pipeline, self.iterations),
-            system=self.name,
-            task_name=task.name,
-            extractor=_extract_code,
-        )
-        return start_program(spec, state)
-
-    def solve(
-        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
-    ) -> str:
-        program = self.start_run(task, seed=seed)
-        program.advance(sink=sink)
-        return program.source()
+        live = as_sink(sink)
+        live.emit(RunStarted(system=self.name, task_name=task.name, seed=seed))
+        two_agent_pipeline(self.iterations).run(state, sink=live)
+        return state.data["code"]

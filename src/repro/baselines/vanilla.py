@@ -2,20 +2,13 @@
 
 Even the single-stage system runs as a :class:`~repro.core.pipeline.
 Pipeline`, so every solve path in the repo shares one execution model
-(typed events, checkpointable states, solve-cell caching).
+(typed events, per-stage accounting, solve-cell caching).
 """
 
 from __future__ import annotations
 
-from repro.core.events import EventSink
-from repro.core.pipeline import (
-    Pipeline,
-    ProgramSpec,
-    RunProgram,
-    RunState,
-    Stage,
-    start_program,
-)
+from repro.core.events import EventSink, RunStarted, as_sink
+from repro.core.pipeline import Pipeline, RunState, Stage
 from repro.core.task import DesignTask
 from repro.llm.factory import build_llm
 from repro.llm.interface import ChatMessage, LLMClient, SamplingParams
@@ -50,10 +43,6 @@ def _state_calls(state: RunState) -> int:
     return state.data.get("llm_calls", 0)
 
 
-def _extract_source(state: RunState) -> str:
-    return state.data["source"]
-
-
 def vanilla_pipeline() -> Pipeline:
     return Pipeline(
         "vanilla", [Stage("generate", _stage_generate)], calls_probe=_state_calls
@@ -73,8 +62,9 @@ class VanillaLLM:
         self.params = params or SamplingParams(temperature=0.0, top_p=0.01, n=1)
         self.name = f"vanilla[{self.llm.model_name}]"
 
-    def start_run(self, task: DesignTask, seed: int = 0) -> RunProgram:
-        """A resumable program for one run (drives ``solve`` too)."""
+    def solve(
+        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
+    ) -> str:
         params = SamplingParams(
             temperature=self.params.temperature,
             top_p=self.params.top_p,
@@ -85,17 +75,7 @@ class VanillaLLM:
             seed=seed,
             data={"task": task, "params": params, "llm": self.llm},
         )
-        spec = ProgramSpec(
-            pipeline_factory=vanilla_pipeline,
-            system=self.name,
-            task_name=task.name,
-            extractor=_extract_source,
-        )
-        return start_program(spec, state)
-
-    def solve(
-        self, task: DesignTask, seed: int = 0, sink: EventSink | None = None
-    ) -> str:
-        program = self.start_run(task, seed=seed)
-        program.advance(sink=sink)
-        return program.source()
+        live = as_sink(sink)
+        live.emit(RunStarted(system=self.name, task_name=task.name, seed=seed))
+        vanilla_pipeline().run(state, sink=live)
+        return state.data["source"]

@@ -3,8 +3,8 @@
 - :mod:`repro.core.config` -- tunables with the paper's defaults;
 - :mod:`repro.core.events` -- typed run events and pluggable sinks;
 - :mod:`repro.core.pipeline` -- the staged ``Pipeline`` runner every
-  solve path (MAGE and all baselines) executes on, with checkpointable
-  ``RunState``;
+  solve path (MAGE and all baselines) executes on, one pass over a
+  ``RunState`` from first stage to last;
 - :mod:`repro.core.scoring` -- Eq. 2 scoring and Eq. 3 Top-K selection;
 - :mod:`repro.core.sampling` -- Step 4 high-temperature sampling/ranking;
 - :mod:`repro.core.debug_loop` -- Step 5 checkpoint debugging with the

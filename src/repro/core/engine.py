@@ -10,14 +10,14 @@ Step 4  high-temperature sampling of c candidates, simulation scoring,
 Step 5  checkpoint debugging with accept/rollback until s(r)=1 or the
         iteration cap.
 
-Each step is a :class:`~repro.core.pipeline.Stage` over a picklable
-:class:`~repro.core.pipeline.RunState`; progress is narrated as typed
-events (:mod:`repro.core.events`) from which the legacy
+Each step is a :class:`~repro.core.pipeline.Stage` over a
+:class:`~repro.core.pipeline.RunState`, and :meth:`MAGE.solve` runs the
+five of them in one pass.  Progress is narrated as typed events
+(:mod:`repro.core.events`) from which the legacy
 :class:`~repro.core.transcript.RunTranscript` is derived.  Because the
 runner adds no control flow, the staged form issues exactly the same
 LLM calls in the same order as the old imperative loop -- outputs are
-bit-identical at fixed seeds.  States checkpoint and resume mid-run
-(:meth:`MAGE.start_state` / :func:`run_mage_state` / :func:`mage_result`).
+bit-identical at fixed seeds.
 
 The engine never sees the benchmark's golden testbench; final success
 is judged externally (``repro.evaluation``) exactly like VerilogEval
@@ -32,6 +32,7 @@ from repro.agents.team import AgentTeam
 from repro.core.config import MAGEConfig
 from repro.core.debug_loop import debug_candidates
 from repro.core.events import (
+    Broadcast,
     CandidateScored,
     DebugRound,
     DebugSummary,
@@ -39,6 +40,7 @@ from repro.core.events import (
     Event,
     EventSink,
     InitialGenerated,
+    ListSink,
     RunFinished,
     RunStarted,
     SamplingSummary,
@@ -80,10 +82,9 @@ class MAGEResult:
 
 
 # ----------------------------------------------------------------------
-# Stage functions.  Module-level (not bound methods) so checkpointed
-# states stay process-portable; everything they need lives in
-# ``state.data``: config (seed-bound), team, task, golden_tb_hint, and
-# the values earlier stages produced.
+# Stage functions.  Everything they need lives in ``state.data``:
+# config (seed-bound), team, task, golden_tb_hint, and the values
+# earlier stages produced.
 # ----------------------------------------------------------------------
 
 
@@ -241,85 +242,6 @@ def mage_pipeline() -> Pipeline:
     )
 
 
-class _StateRecorder:
-    """Mirrors every emitted event into ``state.data["events"]`` so a
-    checkpointed state carries its full history (transcripts rebuild
-    from it after resume, even in another process)."""
-
-    def __init__(self, state: RunState):
-        self.events: list[Event] = state.data.setdefault("events", [])
-
-    def emit(self, event: Event) -> None:
-        self.events.append(event)
-
-
-def run_mage_state(
-    state: RunState,
-    sink: EventSink | None = None,
-    stop_after: str | None = None,
-    checkpoint=None,
-) -> RunState:
-    """Execute (or resume) a MAGE run state.
-
-    Fresh states get a :class:`~repro.core.events.RunStarted` event;
-    finishing states get :class:`~repro.core.events.RunFinished` with
-    the LLM-call and wall-clock totals.  Every event is recorded in the
-    state itself and forwarded to ``sink``.
-    """
-    recorder = _StateRecorder(state)
-    external = as_sink(sink)
-
-    def emit(event: Event) -> None:
-        recorder.emit(event)
-        external.emit(event)
-
-    if state.next_stage == 0 and not recorder.events:
-        config: MAGEConfig = state.data["config"]
-        emit(
-            RunStarted(
-                system=f"mage[{config.model}]",
-                task_name=state.data["task"].name,
-                seed=state.seed,
-            )
-        )
-    mage_pipeline().run(
-        state, sink=emit, stop_after=stop_after, checkpoint=checkpoint
-    )
-    if state.finished and not state.data.get("run_finished"):
-        winner: ScoredCandidate = state.data["winner"]
-        seconds = sum(
-            e.seconds for e in recorder.events if isinstance(e, StageFinished)
-        )
-        state.data["run_finished"] = True
-        emit(
-            RunFinished(
-                score=winner.score,
-                passed=winner.passed,
-                llm_calls=state.data["team"].llm_calls,
-                seconds=seconds,
-            )
-        )
-    return state
-
-
-def mage_result(state: RunState) -> MAGEResult:
-    """Assemble the :class:`MAGEResult` of a finished state."""
-    if not state.finished:
-        raise ValueError(
-            f"run state is not finished (next stage index {state.next_stage})"
-        )
-    winner: ScoredCandidate = state.data["winner"]
-    events = list(state.data.get("events", []))
-    task: DesignTask = state.data["task"]
-    return MAGEResult(
-        task=task,
-        source=winner.source,
-        internal_score=winner.score,
-        transcript=transcript_from_events(events, task_name=task.name),
-        events=events,
-    )
-
-
 class MAGE:
     """The multi-agent engine.
 
@@ -347,23 +269,6 @@ class MAGE:
 
     # ------------------------------------------------------------------
 
-    def start_state(
-        self,
-        task: DesignTask,
-        golden_tb_hint: str | None = None,
-        seed: int = 0,
-    ) -> RunState:
-        """A fresh, checkpointable run state bound to this engine's team."""
-        return RunState(
-            seed=seed,
-            data={
-                "config": self.config.with_seed(seed),
-                "team": self.team,
-                "task": task,
-                "golden_tb_hint": golden_tb_hint,
-            },
-        )
-
     def solve(
         self,
         task: DesignTask,
@@ -374,8 +279,44 @@ class MAGE:
         """Run the five-step workflow on one task.
 
         ``sink`` subscribes to the typed event stream (stage
-        boundaries, candidate scorings, debug rounds, accounting).
+        boundaries, candidate scorings, debug rounds, accounting); the
+        same events are kept on the returned :class:`MAGEResult`.
         """
-        state = self.start_state(task, golden_tb_hint=golden_tb_hint, seed=seed)
-        run_mage_state(state, sink=sink)
-        return mage_result(state)
+        state = RunState(
+            seed=seed,
+            data={
+                "config": self.config.with_seed(seed),
+                "team": self.team,
+                "task": task,
+                "golden_tb_hint": golden_tb_hint,
+            },
+        )
+        recorded = ListSink()
+        emit = Broadcast(recorded, as_sink(sink)).emit
+        emit(
+            RunStarted(
+                system=f"mage[{self.config.model}]",
+                task_name=task.name,
+                seed=seed,
+            )
+        )
+        mage_pipeline().run(state, sink=emit)
+        winner: ScoredCandidate = state.data["winner"]
+        seconds = sum(
+            e.seconds for e in recorded.events if isinstance(e, StageFinished)
+        )
+        emit(
+            RunFinished(
+                score=winner.score,
+                passed=winner.passed,
+                llm_calls=self.team.llm_calls,
+                seconds=seconds,
+            )
+        )
+        return MAGEResult(
+            task=task,
+            source=winner.source,
+            internal_score=winner.score,
+            transcript=transcript_from_events(recorded.events, task_name=task.name),
+            events=recorded.events,
+        )

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
+from repro.baselines.registry import MAGESystem
 from repro.baselines.single_agent import SingleAgentPipeline
 from repro.baselines.vanilla import VanillaLLM
 from repro.core.config import MAGEConfig
-from repro.core.engine import MAGE
-from repro.core.task import DesignTask
 from repro.llm.interface import SamplingParams
 
 
@@ -32,19 +32,18 @@ def _single_agent() -> SingleAgentPipeline:
     return SingleAgentPipeline("claude-3.5-sonnet", MAGEConfig.low_temperature())
 
 
-class _MultiAgent:
-    def __init__(self) -> None:
-        self.config = MAGEConfig.low_temperature()
-        self.name = "multi-agent[claude-3.5-sonnet,T=0]"
-
-    def solve(self, task: DesignTask, seed: int = 0, sink=None) -> str:
-        return MAGE(self.config).solve(task, seed=seed, sink=sink).source
-
-
 TABLE3_ARMS: list[AblationArm] = [
     AblationArm("vanilla", "Vanilla LLM", _vanilla),
     AblationArm("single-agent", "Single-Agent", _single_agent),
-    AblationArm("multi-agent", "Multi-Agent", _MultiAgent),
+    AblationArm(
+        "multi-agent",
+        "Multi-Agent",
+        partial(
+            MAGESystem,
+            MAGEConfig.low_temperature(),
+            name="multi-agent[claude-3.5-sonnet,T=0]",
+        ),
+    ),
 ]
 
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+from repro.baselines.registry import MAGESystem
 from repro.core.config import MAGEConfig
-from repro.core.engine import MAGE
-from repro.core.task import DesignTask
 from repro.evalsets.problem import Problem
 from repro.evaluation.metrics import mean_pass_at_k, pass_at_k
 
@@ -121,21 +120,6 @@ def evaluate_system(
     return result
 
 
-class _MageSystem:
-    """MAGE behind the harness interface (module-level, so picklable)."""
-
-    def __init__(self, config: MAGEConfig) -> None:
-        self.config = config
-        self.name = _mage_name(config)
-
-    def solve(self, task: DesignTask, seed: int = 0, sink=None) -> str:
-        return MAGE(self.config).solve(task, seed=seed, sink=sink).source
-
-
-def _mage_name(config: MAGEConfig) -> str:
-    return f"mage[{config.model},T={config.generation.temperature}]"
-
-
 def evaluate_mage(
     config: MAGEConfig,
     suite: str,
@@ -148,13 +132,12 @@ def evaluate_mage(
 ) -> EvalResult:
     """Evaluate a MAGE configuration (convenience wrapper)."""
     return evaluate_system(
-        partial(_MageSystem, config),
+        partial(MAGESystem, config),
         suite,
         runs,
         seed0,
         problems,
         progress,
-        name=_mage_name(config),
         executor=executor,
         cache=cache,
     )

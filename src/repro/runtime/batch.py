@@ -33,7 +33,7 @@ from __future__ import annotations
 import concurrent.futures as cf
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.events import BatchFinished, CellFinished, Event, EventSink, as_sink
@@ -46,7 +46,7 @@ from repro.runtime.cache import (
     simulation_count,
     system_fingerprint,
 )
-from repro.runtime.context import get_runtime
+from repro.runtime.context import get_runtime, runtime_session
 from repro.runtime.executor import Executor, _picklable
 from repro.runtime.workers import CellResult, EvalCell, run_cell
 
@@ -270,9 +270,13 @@ def evaluate_many(
     pool = executor if executor is not None else get_runtime().executor
     sink = as_sink(events)
 
+    # Golden testbenches derive from a probe simulation: run it through
+    # this grid's simulation cache, not the ambient runtime's, so a warm
+    # cache directory serves the probe too.
+    with runtime_session(context=replace(get_runtime(), cache=live_cache)):
+        golden_tbs = [golden_testbench(problem) for problem in chosen]
     cells: list[EvalCell] = []
-    for problem_index, problem in enumerate(chosen):
-        golden_tb = golden_testbench(problem)
+    for problem_index, (problem, golden_tb) in enumerate(zip(chosen, golden_tbs)):
         for run in range(runs):
             cells.append(
                 EvalCell(

@@ -22,7 +22,6 @@ because solves are deterministic in exactly the hashed inputs.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -125,14 +124,6 @@ def _resolve_solve_cache(cell: EvalCell) -> SolveCellCache | None:
     return cache
 
 
-def _accepts_sink(solve: Callable) -> bool:
-    """Whether a system's ``solve`` takes the event-sink keyword."""
-    try:
-        return "sink" in inspect.signature(solve).parameters
-    except (TypeError, ValueError):
-        return False
-
-
 def solve_streaming(
     factory: Callable[[], object],
     problem: Problem,
@@ -172,11 +163,7 @@ def solve_streaming(
     collector = ListSink() if key is not None else None
     sinks = [s for s in (collector, as_sink(sink) if sink is not None else None) if s]
     target = sinks[0] if len(sinks) == 1 else (Broadcast(*sinks) if sinks else None)
-    if target is not None and _accepts_sink(system.solve):
-        source = system.solve(task, seed=seed, sink=target)
-    else:
-        # Systems predating the pipeline refactor take no sink.
-        source = system.solve(task, seed=seed)
+    source = system.solve(task, seed=seed, sink=target)
     if key is not None:
         solve_cache.put(
             key,

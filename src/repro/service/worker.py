@@ -220,14 +220,14 @@ def serve_cached_record(
     from repro.evalsets import get_problem
 
     problem = get_problem(problem_id)
-    golden = _golden_for(problem)
-    started = time.perf_counter()
-    if sink is not None:
-        live = as_sink(sink)
-        for event in record.events:
-            live.emit(event)
     inner = RuntimeContext(executor=SerialExecutor(), cache=sim_cache)
     with runtime_session(context=inner):
+        golden = _golden_for(problem)
+        started = time.perf_counter()
+        if sink is not None:
+            live = as_sink(sink)
+            for event in record.events:
+                live.emit(event)
         report = cached_run_testbench(
             record.source, golden, problem.top, cache=sim_cache
         )
@@ -265,16 +265,17 @@ def solve_service_request(
             f"unknown system {system!r}; known: {', '.join(system_names())}"
         )
     problem = get_problem(problem_id)
-    golden = golden_testbench(problem)
-    started = time.perf_counter()
     # Same isolation as a batch cell: the whole request runs under a
     # serial inner runtime (pinning the server's gateway settings), so
     # workers never nest parallelism and LLM-call ordering matches a
-    # plain local solve.
+    # plain local solve.  The golden probe simulation goes through the
+    # server's cache like every other.
     inner = RuntimeContext(
         executor=SerialExecutor(), cache=sim_cache, gateway=gateway
     )
     with runtime_session(context=inner):
+        golden = golden_testbench(problem)
+        started = time.perf_counter()
         source, _ = solve_streaming(spec.factory, problem, seed, sink=sink)
         report = cached_run_testbench(source, golden, problem.top, cache=sim_cache)
     return ServiceResult(

@@ -1,24 +1,24 @@
-"""Staged pipeline runner: ordering, short-circuit, checkpoint/resume."""
+"""Staged pipeline runner: ordering, short-circuit, per-stage accounting,
+and the run-level events every solve path wraps around it."""
 
-import pickle
+from dataclasses import fields
 
 import pytest
 
+from repro.baselines.registry import SYSTEMS
 from repro.core.config import MAGEConfig
-from repro.core.engine import MAGE, mage_pipeline, mage_result, run_mage_state
-from repro.core.events import ListSink, StageFinished, StageStarted
-from repro.core.pipeline import (
-    DONE,
-    FileCheckpointer,
-    MemoryCheckpointer,
-    Pipeline,
-    ProgramSpec,
-    RunProgram,
-    RunState,
-    Stage,
-    restore_state,
-    start_program,
+from repro.core.engine import MAGE, mage_pipeline
+from repro.core.events import (
+    EarlyFinish,
+    GatewayCall,
+    ListSink,
+    RunFinished,
+    RunStarted,
+    StageFinished,
+    StageStarted,
+    emit_ambient,
 )
+from repro.core.pipeline import DONE, STAGE_CLOCK, Pipeline, RunState, Stage
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem
 
@@ -35,13 +35,15 @@ def _stop(state, emit):
     return DONE
 
 
+def _call(state, emit):
+    state.data["calls"] = state.data.get("calls", 0) + 3
+
+
 class TestRunner:
     def test_stages_run_in_order(self):
         pipe = Pipeline("p", [Stage("a", _record("a")), Stage("b", _record("b"))])
         state = pipe.run(RunState())
         assert state.data["trace"] == ["a", "b"]
-        assert state.finished
-        assert state.next_stage == 2
 
     def test_done_short_circuits(self):
         pipe = Pipeline(
@@ -50,23 +52,20 @@ class TestRunner:
         )
         state = pipe.run(RunState())
         assert state.data["trace"] == ["a", "stop"]
-        assert state.finished
 
-    def test_stop_after_pauses_resumably(self):
+    def test_done_stage_finishes_and_skipped_stages_emit_nothing(self):
+        sink = ListSink()
         pipe = Pipeline(
-            "p", [Stage("a", _record("a")), Stage("b", _record("b"))]
+            "p",
+            [Stage("a", _record("a")), Stage("s", _stop), Stage("c", _record("c"))],
         )
-        state = pipe.run(RunState(), stop_after="a")
-        assert state.data["trace"] == ["a"]
-        assert not state.finished
-        pipe.run(state)
-        assert state.data["trace"] == ["a", "b"]
-        assert state.finished
-
-    def test_unknown_stop_after_rejected(self):
-        pipe = Pipeline("p", [Stage("a", _record("a"))])
-        with pytest.raises(ValueError):
-            pipe.run(RunState(), stop_after="zz")
+        pipe.run(RunState(), sink=sink)
+        assert [(type(e).__name__, e.stage, e.index) for e in sink.events] == [
+            ("StageStarted", "a", 0),
+            ("StageFinished", "a", 0),
+            ("StageStarted", "s", 1),
+            ("StageFinished", "s", 1),
+        ]
 
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(ValueError):
@@ -91,114 +90,66 @@ class TestRunner:
             e.seconds >= 0 for e in sink.events if isinstance(e, StageFinished)
         )
 
-    def test_checkpoint_called_per_stage(self):
-        ck = MemoryCheckpointer()
-        pipe = Pipeline("p", [Stage("a", _record("a")), Stage("b", _record("b"))])
-        pipe.run(RunState(), checkpoint=ck)
-        assert ck.saves == 2
-        assert restore_state(ck.blob).finished
-
-    def test_snapshot_roundtrip(self):
-        state = RunState(seed=7, data={"x": [1, 2]})
-        clone = restore_state(state.snapshot())
-        assert clone.seed == 7 and clone.data == {"x": [1, 2]}
-        assert clone is not state
-
-    def test_restore_rejects_non_state(self):
-        with pytest.raises(TypeError):
-            restore_state(pickle.dumps("not a state"))
-
-    def test_stop_after_final_stage_marks_finished(self):
-        """Regression: pausing "after" the last stage is not a pause --
-        there is nothing left to resume, so the state must come back
-        finished, not claiming to be resumable."""
-        pipe = Pipeline(
-            "p", [Stage("a", _record("a")), Stage("b", _record("b"))]
-        )
-        state = pipe.run(RunState(), stop_after="b")
-        assert state.finished
-        assert state.next_stage == 2
-        # Resuming a finished state is a no-op, not a re-run.
-        pipe.run(state)
-        assert state.data["trace"] == ["a", "b"]
-
-    def test_stop_after_final_stage_after_resume_marks_finished(self):
-        pipe = Pipeline(
-            "p", [Stage("a", _record("a")), Stage("b", _record("b"))]
-        )
-        state = pipe.run(RunState(), stop_after="a")
-        assert not state.finished
-        pipe.run(state, stop_after="b")
-        assert state.finished
-
     def test_empty_pipeline_finishes_immediately(self):
-        """A stage list with nothing to run can never leave a state
-        pretending to be resumable."""
-        state = Pipeline("p", []).run(RunState())
-        assert state.finished
-
-    def test_state_cursor_past_end_marks_finished(self):
-        pipe = Pipeline("p", [Stage("a", _record("a"))])
-        stale = RunState(next_stage=1, finished=False)
-        ck = MemoryCheckpointer()
-        pipe.run(stale, checkpoint=ck)
-        assert stale.finished
-        assert restore_state(ck.blob).finished
-
-    def test_file_checkpointer_roundtrip(self, tmp_path):
-        ck = FileCheckpointer(str(tmp_path / "ckpt" / "run.ckpt"))
-        pipe = Pipeline("p", [Stage("a", _record("a")), Stage("b", _record("b"))])
-        pipe.run(RunState(), stop_after="a", checkpoint=ck)
-        restored = ck.restore()
-        assert restored.data["trace"] == ["a"]
-        pipe.run(restored)
-        assert restored.data["trace"] == ["a", "b"]
-
-
-def _program_pipeline():
-    return Pipeline("p", [Stage("a", _record("a")), Stage("b", _record("b"))])
-
-
-def _program_extract(state):
-    return ",".join(state.data["trace"])
-
-
-class TestRunProgram:
-    def _spec(self):
-        return ProgramSpec(
-            pipeline_factory=_program_pipeline,
-            system="prog",
-            task_name="task",
-            extractor=_program_extract,
-        )
-
-    def test_advance_emits_run_started_once(self):
-        from repro.core.events import ListSink
-
-        program = start_program(self._spec(), RunState(seed=3))
         sink = ListSink()
-        program.advance(sink=sink, stop_after="a")
-        program.advance(sink=sink)
-        kinds = [e.kind for e in sink.events]
-        assert kinds.count("run-started") == 1
-        assert kinds[0] == "run-started"
-        assert sink.events[0].seed == 3
-        assert program.finished
-        assert program.source() == "a,b"
+        state = RunState(seed=4)
+        assert Pipeline("p", []).run(state, sink=sink) is state
+        assert sink.events == []
 
-    def test_source_requires_finished_state(self):
-        program = start_program(self._spec(), RunState())
-        program.advance(stop_after="a")
-        with pytest.raises(ValueError):
-            program.source()
+    def test_calls_probe_is_differenced_per_stage(self):
+        sink = ListSink()
+        pipe = Pipeline(
+            "p",
+            [Stage("a", _call), Stage("b", _record("b")), Stage("c", _call)],
+            calls_probe=lambda state: state.data.get("calls", 0),
+        )
+        pipe.run(RunState(), sink=sink)
+        assert [
+            e.llm_calls for e in sink.events if isinstance(e, StageFinished)
+        ] == [3, 0, 3]
 
-    def test_spec_travels_with_the_pickled_state(self):
-        program = start_program(self._spec(), RunState())
-        program.advance(stop_after="a")
-        restored = restore_state(program.state.snapshot())
-        resumed = RunProgram(spec=restored.data["program"], state=restored)
-        resumed.advance()
-        assert resumed.source() == "a,b"
+    def test_stage_clock_records_every_stage(self):
+        def runs(name):
+            return STAGE_CLOCK.snapshot().get(name, {"runs": 0})["runs"]
+
+        names = ["clocked/a", "clocked/s", "clocked/c"]
+        before = [runs(name) for name in names]
+        pipe = Pipeline(
+            "clocked",
+            [Stage("a", _record("a")), Stage("s", _stop), Stage("c", _record("c"))],
+        )
+        pipe.run(RunState())
+        pipe.run(RunState())
+        assert [runs(name) - b for name, b in zip(names, before)] == [2, 2, 0]
+
+    def test_stage_emit_is_the_ambient_sink(self):
+        """Layers below a stage (the LLM gateway) narrate into the run's
+        stream through the ambient sink the runner installs."""
+        event = GatewayCall(model="m", backend="sim", role="rtl")
+
+        def narrate(state, emit):
+            state.data["ambient"] = emit_ambient(event)
+
+        sink = ListSink()
+        state = Pipeline("p", [Stage("a", narrate)]).run(RunState(), sink=sink)
+        assert state.data["ambient"] is True
+        assert sink.events[1] is event
+        assert not emit_ambient(event)  # uninstalled after the stage
+
+    def test_bare_callable_sink(self):
+        seen = []
+        Pipeline("p", [Stage("a", _record("a"))]).run(RunState(), sink=seen.append)
+        assert [e.kind for e in seen] == ["stage-started", "stage-finished"]
+
+    def test_run_state_carries_only_seed_and_data(self):
+        assert [f.name for f in fields(RunState)] == ["seed", "data"]
+
+
+def _mage_solve(problem_id, seed):
+    sink = ListSink()
+    task = DesignTask.from_problem(get_problem(problem_id))
+    result = MAGE(MAGEConfig.high_temperature()).solve(task, seed=seed, sink=sink)
+    return result, sink.events
 
 
 class TestMagePipeline:
@@ -211,52 +162,6 @@ class TestMagePipeline:
             "step5",
         ]
 
-    @pytest.mark.parametrize("stop", ["step1", "step2", "step3"])
-    def test_resume_from_checkpoint_is_deterministic(self, stop):
-        """Pause after any early stage, pickle, restore, resume: the
-        final result must be bit-identical to an uninterrupted run."""
-        problem = get_problem("fs_vending")  # enters Steps 4-5 at seed 2
-        task = DesignTask.from_problem(problem)
-        full = MAGE(MAGEConfig.high_temperature()).solve(task, seed=2)
-
-        engine = MAGE(MAGEConfig.high_temperature())
-        ck = MemoryCheckpointer()
-        state = engine.start_state(task, seed=2)
-        run_mage_state(state, stop_after=stop, checkpoint=ck)
-        assert not ck.restore().finished
-
-        resumed = ck.restore()  # fresh objects via pickle round-trip
-        run_mage_state(resumed)
-        result = mage_result(resumed)
-        assert result.source == full.source
-        assert result.internal_score == full.internal_score
-        assert result.transcript.render() == full.transcript.render()
-        assert result.transcript.llm_calls == full.transcript.llm_calls
-
-    def test_resume_direct_pass_short_circuit(self):
-        """A run that finishes in step3 resumes to the same early finish."""
-        problem = get_problem("cb_mux2")
-        task = DesignTask.from_problem(problem)
-        full = MAGE(MAGEConfig.high_temperature()).solve(task, seed=0)
-
-        engine = MAGE(MAGEConfig.high_temperature())
-        ck = MemoryCheckpointer()
-        state = engine.start_state(task, seed=0)
-        run_mage_state(state, stop_after="step2", checkpoint=ck)
-        resumed = ck.restore()
-        run_mage_state(resumed)
-        result = mage_result(resumed)
-        assert result.source == full.source
-        assert result.transcript.stage_reached == full.transcript.stage_reached
-
-    def test_unfinished_state_has_no_result(self):
-        engine = MAGE(MAGEConfig.high_temperature())
-        task = DesignTask.from_problem(get_problem("fs_vending"))
-        state = engine.start_state(task, seed=2)
-        run_mage_state(state, stop_after="step1")
-        with pytest.raises(ValueError):
-            mage_result(state)
-
     def test_solve_records_events_on_result(self):
         engine = MAGE(MAGEConfig.high_temperature())
         task = DesignTask.from_problem(get_problem("cb_mux2"))
@@ -265,3 +170,70 @@ class TestMagePipeline:
         assert "run-started" in kinds
         assert "run-finished" in kinds
         assert "stage-finished" in kinds
+
+    def test_caller_sink_sees_exactly_the_result_events(self):
+        result, streamed = _mage_solve("fs_vending", 2)
+        assert streamed == result.events
+        assert isinstance(streamed[0], RunStarted)
+        assert isinstance(streamed[-1], RunFinished)
+        assert sum(isinstance(e, RunStarted) for e in streamed) == 1
+        assert sum(isinstance(e, RunFinished) for e in streamed) == 1
+        assert streamed[0].system == "mage[claude-3.5-sonnet]"
+        assert (streamed[0].task_name, streamed[0].seed) == ("fs_vending", 2)
+
+    def test_run_finished_totals_the_stages(self):
+        result, streamed = _mage_solve("fs_vending", 2)
+        finished = streamed[-1]
+        stages = [e for e in streamed if isinstance(e, StageFinished)]
+        assert finished.seconds == sum(e.seconds for e in stages)
+        assert finished.llm_calls == sum(e.llm_calls for e in stages)
+        assert finished.llm_calls == result.transcript.llm_calls
+        assert finished.score == result.internal_score
+        assert finished.passed == result.internal_pass
+
+    @pytest.mark.parametrize(
+        "problem_id,last_stage,reasons",
+        [
+            ("cb_and_or_gate", "step3", ["initial-pass"]),
+            ("fs_vending", "step4", ["sampled-pass"]),
+            ("ar_addsub8", "step5", []),
+        ],
+    )
+    def test_early_finish_skips_the_remaining_steps(
+        self, problem_id, last_stage, reasons
+    ):
+        _, streamed = _mage_solve(problem_id, 2)
+        started = [e.stage for e in streamed if isinstance(e, StageStarted)]
+        names = mage_pipeline().stage_names()
+        assert started == names[: names.index(last_stage) + 1]
+        assert [e.reason for e in streamed if isinstance(e, EarlyFinish)] == reasons
+
+
+class TestBaselineRuns:
+    """Baselines open their stream with one ``RunStarted`` and close it
+    with the last stage: no ``RunFinished``."""
+
+    @pytest.mark.parametrize("key", ["vanilla-claude", "origen", "aivril"])
+    def test_run_started_once_first_and_no_run_finished(self, key):
+        system = SYSTEMS[key].factory()
+        sink = ListSink()
+        system.solve(
+            DesignTask.from_problem(get_problem("fs_vending")), seed=5, sink=sink
+        )
+        first = sink.events[0]
+        assert isinstance(first, RunStarted)
+        assert (first.system, first.task_name, first.seed) == (
+            system.name,
+            "fs_vending",
+            5,
+        )
+        assert sum(isinstance(e, RunStarted) for e in sink.events) == 1
+        assert not any(isinstance(e, RunFinished) for e in sink.events)
+        assert isinstance(sink.events[-1], StageFinished)
+
+    @pytest.mark.parametrize("key", ["vanilla-claude", "origen", "aivril"])
+    def test_solve_without_sink_matches_streamed_solve(self, key):
+        task = DesignTask.from_problem(get_problem("ar_addsub8"))
+        quiet = SYSTEMS[key].factory().solve(task, seed=2)
+        streamed = SYSTEMS[key].factory().solve(task, seed=2, sink=ListSink())
+        assert quiet == streamed

@@ -237,7 +237,11 @@ class TestForcedCacheDirectory:
                 cache=True,
             )
         assert report.cache.stores > 0
-        assert len(list((tmp_path / "sim").glob("*.pkl"))) == report.cache.stores
+        # Plus one golden-testbench probe per problem, derived through
+        # the same cache before the grid's counters start.
+        assert len(list((tmp_path / "sim").glob("*.pkl"))) == (
+            report.cache.stores + len(MIXED)
+        )
 
     def test_forced_solve_cache_persists_to_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path / "solve"))

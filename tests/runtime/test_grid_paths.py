@@ -40,12 +40,12 @@ def _problems(ids=IDS):
     return [get_problem(problem_id) for problem_id in ids]
 
 
-class _LegacySystem:
-    """A system predating event sinks: ``solve(task, seed)`` only."""
+class _SinkIgnoringSystem:
+    """A system that takes the event sink but never emits into it."""
 
-    name = "legacy"
+    name = "sink-ignoring"
 
-    def solve(self, task, seed=0):
+    def solve(self, task, seed=0, sink=None):
         return (
             f"module {task.top}(input a, output y);\n"
             "  assign y = a;\nendmodule\n"
@@ -55,7 +55,7 @@ class _LegacySystem:
 class _BoomSystem:
     name = "boom"
 
-    def solve(self, task, seed=0):
+    def solve(self, task, seed=0, sink=None):
         raise RuntimeError("kaboom")
 
 
@@ -124,11 +124,11 @@ class TestGridPaths:
         with pytest.raises(RuntimeError, match="kaboom"):
             _grid(kind, factory=_BoomSystem, name="boom")
 
-    def test_system_without_sink_keyword_still_evaluates(self, kind):
+    def test_sink_ignoring_system_still_produces_a_row(self, kind):
         result, report = _grid(
-            kind, factory=_LegacySystem, problems=_problems(["cb_mux2"])
+            kind, factory=_SinkIgnoringSystem, problems=_problems(["cb_mux2"])
         )
-        assert result.system == "legacy"
+        assert result.system == "sink-ignoring"
         assert report.cells == RUNS
         assert result.outcomes[0].runs == RUNS
 

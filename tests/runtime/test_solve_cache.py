@@ -2,7 +2,7 @@
 
 from functools import partial
 
-from repro.baselines.registry import SYSTEMS
+from repro.baselines.registry import MAGESystem, SYSTEMS
 from repro.baselines.vanilla import VanillaLLM
 from repro.core.config import MAGEConfig
 from repro.evalsets import get_problem
@@ -40,13 +40,11 @@ class TestKeySensitivity:
         assert solve_cell_key(fp, MIXED[0], 0) != solve_cell_key(fp, MIXED[1], 0)
 
     def test_config_changes_key(self):
-        from repro.evaluation.harness import _MageSystem
-
         high = system_fingerprint(
-            partial(_MageSystem, MAGEConfig.high_temperature())
+            partial(MAGESystem, MAGEConfig.high_temperature())
         )
         low = system_fingerprint(
-            partial(_MageSystem, MAGEConfig.low_temperature())
+            partial(MAGESystem, MAGEConfig.low_temperature())
         )
         assert high != low
         assert solve_cell_key(high, MIXED[0], 0) != solve_cell_key(

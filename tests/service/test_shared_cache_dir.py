@@ -5,6 +5,10 @@ simulation directories replay each other's cells: the disk tier writes
 every entry atomically, so sharing needs no wire protocol of its own.
 """
 
+import os
+import subprocess
+import sys
+
 from repro.baselines.registry import SYSTEMS
 from repro.core.events import ListSink
 from repro.evalsets import get_problem
@@ -22,6 +26,49 @@ def canonical(events):
             payload["seconds"] = 0.0
         payloads.append(payload)
     return payloads
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+# One mage x cb_mux2 cell over explicit disk caches; prints how many
+# simulations the whole ``evaluate_many`` call executed, including the
+# golden-testbench probes it derives before dispatching cells.
+_GRID_SCRIPT = """
+import sys
+from repro.baselines.registry import SYSTEMS
+from repro.evalsets import get_problem
+from repro.runtime import SerialExecutor, evaluate_many
+from repro.runtime.cache import SimulationCache, SolveCellCache, simulation_count
+
+sim_dir, solve_dir = sys.argv[1:3]
+before = simulation_count()
+with SerialExecutor() as executor:
+    evaluate_many(
+        SYSTEMS["mage"].factory,
+        "verilogeval-v2",
+        problems=[get_problem("cb_mux2")],
+        executor=executor,
+        cache=SimulationCache(sim_dir),
+        solve_cache=SolveCellCache(solve_dir),
+    )
+print(simulation_count() - before)
+"""
+
+
+def _grid_process_simulations(sim_dir: str, solve_dir: str) -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _GRID_SCRIPT, sim_dir, solve_dir],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return int(proc.stdout.split()[-1])
 
 
 def _server(tmp_path, workers=1):
@@ -217,3 +264,11 @@ class TestSharedDirectory:
         assert local.outcomes == served.outcomes
         assert cache.stats.misses == 0
         assert cache.stats.disk_hits > 0
+
+    def test_warm_second_process_simulates_nothing(self, tmp_path):
+        """Golden-testbench probes go through the grid's own simulation
+        cache: a second process over warm directories replays the solve
+        cell and every simulation, the probes included."""
+        sim_dir, solve_dir = str(tmp_path / "sim"), str(tmp_path / "solve")
+        assert _grid_process_simulations(sim_dir, solve_dir) > 0
+        assert _grid_process_simulations(sim_dir, solve_dir) == 0
