@@ -103,9 +103,6 @@ class Stage:
     name: str
     fn: StageFn
 
-    def run(self, state: RunState, emit: Callable[[Event], None]) -> str | None:
-        return self.fn(state, emit)
-
 
 class Pipeline:
     """Executes a stage list over a :class:`RunState`.
@@ -152,7 +149,7 @@ class Pipeline:
             # layers without a sink in their signature (the LLM gateway
             # under the agents) narrate into this run's stream.
             with ambient_sink(emit):
-                signal = stage.run(state, emit)
+                signal = stage.fn(state, emit)
             seconds = time.perf_counter() - started
             STAGE_CLOCK.record(f"{self.name}/{stage.name}", seconds)
             calls_after = (

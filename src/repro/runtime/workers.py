@@ -161,9 +161,9 @@ def solve_streaming(
     system = factory()
     task = DesignTask.from_problem(problem)
     collector = ListSink() if key is not None else None
-    sinks = [s for s in (collector, as_sink(sink) if sink is not None else None) if s]
-    target = sinks[0] if len(sinks) == 1 else (Broadcast(*sinks) if sinks else None)
-    source = system.solve(task, seed=seed, sink=target)
+    source = system.solve(
+        task, seed=seed, sink=Broadcast(collector, as_sink(sink))
+    )
     if key is not None:
         solve_cache.put(
             key,
