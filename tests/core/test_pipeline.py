@@ -197,6 +197,7 @@ class TestMagePipeline:
             ("fs_vending", "step4", ["sampled-pass"]),
             ("ar_addsub8", "step5", []),
         ],
+        ids=["initial-pass", "sampled-pass", "debugged"],
     )
     def test_early_finish_skips_the_remaining_steps(
         self, problem_id, last_stage, reasons
