@@ -6,9 +6,9 @@ Commands:
 - ``solve <problem_id>``          run MAGE on one problem
 - ``run <problem_id>``            solve one task with a live event stream
 - ``eval <system> <suite>``       evaluate a registered system
-- ``cache``                       per-layer, per-tier cache stats
+- ``cache``                       per-layer cache stats
                                   (``--clear [--layer sim|solve|llm]``
-                                  wipes a disk tier)
+                                  wipes a disk directory)
 - ``stats``                       gateway / per-stage / cache metrics
                                   (local process or ``--service``)
 - ``serve``                       start a long-lived solve service
@@ -45,11 +45,12 @@ rows and event streams are bit-identical to the recording run.  The
 ``stats`` command reports gateway call/retry/fallback/token counters
 and per-stage wall-clock.
 
-Caches: both cache layers are tiered (memory -> disk).  Processes
-share warm cells through one directory: a ``serve`` and a local
-``eval --solve-cache`` started with the same ``REPRO_SOLVE_CACHE_DIR``
-/ ``REPRO_SIM_CACHE_DIR`` replay each other's cells (rows and event
-streams stay bit-identical), because the disk tier writes atomically.
+Caches: each cache layer is an in-memory LRU over an optional disk
+directory.  Processes share warm cells through one directory: a
+``serve`` and a local ``eval --solve-cache`` started with the same
+``REPRO_SOLVE_CACHE_DIR`` / ``REPRO_SIM_CACHE_DIR`` replay each other's
+cells (rows and event streams stay bit-identical), because the disk
+tier writes atomically.
 
 Throughput and latency are measured by ``perfbench/run.py`` (see
 ``perfbench/README.md``), not by this CLI.
@@ -319,36 +320,14 @@ def _render_counter_line(stats: dict) -> str:
         f"misses {stats.get('misses', 0)}, "
         f"stores {stats.get('stores', 0)}, hit-rate {rate:.1f}%"
     )
-    if stats.get("corrupt"):
-        line += f", corrupt {stats['corrupt']}"
+    for key in ("corrupt", "errors", "evictions"):
+        if stats.get(key):
+            line += f", {key} {stats[key]}"
     return line
 
 
-def _render_tier_lines(tiers: list[dict]) -> list[str]:
-    """One indented line per cache tier."""
-    lines = []
-    for tier in tiers:
-        entries = tier.get("entries")
-        shown = "?" if entries is None else str(entries)
-        line = (
-            f"    tier {tier.get('detail', tier.get('kind', '?')):40s} "
-            f"entries {shown:>6s}  hits {tier.get('hits', 0)}, "
-            f"misses {tier.get('misses', 0)}, stores {tier.get('stores', 0)}"
-        )
-        if tier.get("corrupt"):
-            line += f", corrupt {tier['corrupt']}"
-        if tier.get("errors"):
-            line += f", errors {tier['errors']}"
-        if tier.get("evictions"):
-            line += f", evictions {tier['evictions']}"
-        if tier.get("expired"):
-            line += f", expired {tier['expired']}"
-        lines.append(line)
-    return lines
-
-
 def _render_service_caches(caches: dict, suffix: str = "") -> list[str]:
-    """Counter and tier lines for each cache layer of a StatsReply."""
+    """One counter line for each cache layer of a StatsReply."""
     lines = []
     for label, key in (
         ("simulation", "simulation"),
@@ -359,17 +338,18 @@ def _render_service_caches(caches: dict, suffix: str = "") -> list[str]:
         if layer is None:
             lines.append(f"  {label}{suffix}: disabled")
             continue
+        directory = layer.get("directory")
         lines.append(
-            f"  {label}{suffix}: {layer.get('entries', 0)} entries, "
+            f"  {label}{suffix}: {layer.get('entries', 0)} entries"
+            + (f" (disk {directory})" if directory else "")
+            + ", "
             + _render_counter_line(layer)
         )
-        for line in _render_tier_lines(layer.get("tiers") or []):
-            lines.append("  " + line)
     return lines
 
 
 def _cmd_cache_clear(args) -> int:
-    """``cache --clear``: wipe the selected on-disk tier(s)."""
+    """``cache --clear``: wipe the selected disk directories."""
     from repro.runtime.cache import clear_disk_cache
 
     layers = [
@@ -401,15 +381,18 @@ def _cmd_cache_clear(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    """Per-layer cache report: disk size plus per-tier hit/miss counters.
+    """Per-layer cache report: disk size plus the layer's counters.
 
-    The two layers (simulation vs solve-cell) are reported separately
-    and identically (entry counts + bytes for the disk tier, counters
-    for every tier of the live cache); ``--service`` queries a running
-    solve server's live counters instead of this process's, and
-    ``--clear`` wipes the selected on-disk tier(s) instead of
+    Each layer (simulation, solve-cell, cassette) gets the entry count
+    and bytes of its disk directory and, when live in this process, one
+    counter line (lookups, hits, misses, stores, and any corrupt reads,
+    failed disk writes or LRU evictions); ``--service`` queries a
+    running solve server's live counters instead of this process's, and
+    ``--clear`` wipes the selected disk directories instead of
     reporting.
     """
+    from dataclasses import asdict
+
     from repro.runtime.cache import disk_cache_info
     from repro.runtime.context import get_runtime
 
@@ -486,18 +469,9 @@ def _cmd_cache(args) -> int:
             print(
                 "  this process: "
                 + _render_counter_line(
-                    {
-                        "lookups": stats.lookups,
-                        "hits": stats.hits,
-                        "misses": stats.misses,
-                        "stores": stats.stores,
-                        "disk_hits": stats.disk_hits,
-                        "corrupt": stats.corrupt,
-                    }
+                    {"lookups": stats.lookups, **asdict(stats)}
                 )
             )
-            for line in _render_tier_lines(live.tier_report()):
-                print(line)
     if not reported:
         print(
             "hint: set REPRO_SIM_CACHE_DIR / REPRO_SOLVE_CACHE_DIR (or pass "
@@ -962,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument(
         "--clear",
         action="store_true",
-        help="wipe the on-disk cache tier(s) instead of reporting",
+        help="wipe the cache disk directories instead of reporting",
     )
     cache_cmd.add_argument(
         "--layer",

@@ -1,4 +1,4 @@
-"""Recorded-replay cassettes on the tiered caches.
+"""Recorded-replay cassettes on the content-addressed caches.
 
 A cassette entry is content-addressed by the *full request*: operation,
 model, role, every message, and the sampling parameters -- plus an
@@ -79,7 +79,7 @@ def cassette_key(
 # Process-local store registry, mirroring the worker-side cache
 # registries in :mod:`repro.runtime.workers`: every cell in a worker
 # process that targets the same cassette directory shares one store
-# (one memory tier).
+# (one in-memory LRU).
 _STORES: dict = {}
 _STORES_LOCK = threading.Lock()
 

@@ -4,13 +4,13 @@ The scaling layer under the MAGE engine and the evaluation harness:
 
 - :mod:`repro.runtime.executor` -- serial / thread / process executors
   behind one ``map``/``submit`` API with deterministic result ordering;
-- :mod:`repro.runtime.cache` -- the tiered caches: two
+- :mod:`repro.runtime.cache` -- the caches: two
   content-addressed memoizers (``run_testbench`` keyed by
   ``hash(design_source, testbench, top_module)``, whole solve cells
   keyed by ``hash(config, problem, seed)`` -- source + typed event
-  stream), each a :class:`TieredCache` stacking memory -> disk tiers
-  with read-through promotion, write-through stores, and per-tier
-  hit/miss counters;
+  stream), each a :class:`TieredCache`: an in-memory LRU over an
+  optional disk directory, with read-through promotion, write-through
+  stores, and one row of hit/miss counters;
 - :mod:`repro.runtime.context` -- the ambient (executor, caches) set the
   engine's hot paths pick up without signature threading;
 - :mod:`repro.runtime.batch` -- ``evaluate_many``, fanning the Eq. 7
@@ -26,15 +26,11 @@ serial, so ``--jobs N`` reproduces ``--jobs 1`` exactly for fixed seeds.
 from repro.runtime.batch import BatchReport, evaluate_many
 from repro.runtime.cache import (
     CacheStats,
-    CacheTier,
-    ContentCache,
     DiskCacheInfo,
     DiskTier,
-    MemoryTier,
     SimulationCache,
     SolveCellCache,
     SolveCellRecord,
-    TierStats,
     TieredCache,
     cached_run_testbench,
     clear_disk_cache,
@@ -62,12 +58,9 @@ from repro.runtime.executor import (
 __all__ = [
     "BatchReport",
     "CacheStats",
-    "CacheTier",
-    "ContentCache",
     "DiskCacheInfo",
     "DiskTier",
     "Executor",
-    "MemoryTier",
     "ProcessExecutor",
     "RuntimeConfig",
     "RuntimeContext",
@@ -76,7 +69,6 @@ __all__ = [
     "SolveCellCache",
     "SolveCellRecord",
     "ThreadExecutor",
-    "TierStats",
     "TieredCache",
     "cached_run_testbench",
     "clear_disk_cache",

@@ -138,21 +138,12 @@ def _fill_report_counters(
 ) -> None:
     """Batch cache/simulation totals for one evaluation.
 
-    When the work crossed process boundaries the child-process counters
-    never reach this process, so the exact per-row deltas the workers
-    reported are summed instead of reading the live caches.
+    The live caches and the simulation counter cover everything this
+    process did, golden-testbench probes included.  When the cells
+    crossed process boundaries the child-process counters never reach
+    this process, so the exact per-row deltas the workers reported are
+    added on top.
     """
-    if crossing:
-        report.cache = CacheStats(
-            hits=sum(r.cache_hits for r in rows),
-            misses=sum(r.cache_misses for r in rows),
-        )
-        report.simulations = sum(r.simulations for r in rows)
-        report.solve_cache = CacheStats(
-            hits=sum(r.solve_hits for r in rows),
-            misses=sum(r.solve_misses for r in rows),
-        )
-        return
     report.cache = (
         live_cache.stats.delta(cache_before)
         if live_cache is not None
@@ -164,6 +155,12 @@ def _fill_report_counters(
         if live_solve is not None
         else CacheStats()
     )
+    if crossing:
+        report.cache.hits += sum(r.cache_hits for r in rows)
+        report.cache.misses += sum(r.cache_misses for r in rows)
+        report.simulations += sum(r.simulations for r in rows)
+        report.solve_cache.hits += sum(r.solve_hits for r in rows)
+        report.solve_cache.misses += sum(r.solve_misses for r in rows)
 
 
 def _progress_flusher(
@@ -270,6 +267,15 @@ def evaluate_many(
     pool = executor if executor is not None else get_runtime().executor
     sink = as_sink(events)
 
+    # The report's counters start before the golden probes, so it counts
+    # them like any other simulation.
+    cache_before = (
+        live_cache.stats.snapshot() if live_cache is not None else CacheStats()
+    )
+    solve_before = (
+        live_solve.stats.snapshot() if live_solve is not None else CacheStats()
+    )
+    sims_before = simulation_count()
     # Golden testbenches derive from a probe simulation: run it through
     # this grid's simulation cache, not the ambient runtime's, so a warm
     # cache directory serves the probe too.
@@ -299,13 +305,6 @@ def evaluate_many(
                 )
             )
 
-    cache_before = (
-        live_cache.stats.snapshot() if live_cache is not None else CacheStats()
-    )
-    solve_before = (
-        live_solve.stats.snapshot() if live_solve is not None else CacheStats()
-    )
-    sims_before = simulation_count()
     started = time.perf_counter()
 
     # Cells only cross a process boundary when they actually can; an

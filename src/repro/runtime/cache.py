@@ -1,21 +1,20 @@
-"""Tiered caches: content-addressed caches behind memory and disk tiers.
+"""Content-addressed caches: an in-process LRU over an optional disk directory.
 
 Both memoization layers of the runtime -- simulation reports and whole
-solve cells -- are instances of one :class:`TieredCache`, a stack of
-:class:`CacheTier`s consulted in order:
+solve cells -- are instances of one :class:`TieredCache`:
 
-- :class:`MemoryTier` -- an LRU-bounded in-process map (the cap comes
-  from ``RuntimeConfig.cache_max_entries`` / ``REPRO_CACHE_MAX_ENTRIES``
-  unless given explicitly);
-- :class:`DiskTier` -- pickled values, atomically written, shared
-  across processes and sessions; a truncated or garbage file counts as
-  a miss (tracked by the ``corrupt`` counter), never an exception.
+- in memory, an LRU map of up to :data:`MEMORY_ENTRIES` values;
+- on disk, when a directory is given, a :class:`DiskTier` of pickled
+  values, atomically written, shared across processes and sessions; a
+  truncated or garbage file counts as a miss (tracked by the
+  ``corrupt`` counter), never an exception.
 
-Reads are read-through with promotion: a disk hit is copied into the
-memory tier, so the next lookup is in-process.  Writes are
-write-through to every tier whose ``writes`` policy allows it.  Tiers
-only ever short-circuit pure replay (simulation reports, recorded solve
-cells), so any tier stack produces bit-identical results.
+Reads are read-through with promotion: a disk hit is copied into
+memory, so the next lookup is in-process.  Writes go to both.  The
+caches only ever short-circuit pure replay (simulation reports,
+recorded solve cells), so results are bit-identical with the cache
+off, in memory, or on disk.  ``repro cache --clear`` reclaims the
+disk space.
 
 Processes share warm entries by pointing at one directory: the disk
 tier writes each entry atomically (temp file + rename), so any number
@@ -45,12 +44,10 @@ import os
 import pickle
 import tempfile
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.runtime.config import _env_int
 from repro.tb.runner import TestReport, run_testbench
 from repro.tb.stimulus import Testbench, render_testbench
 
@@ -105,14 +102,19 @@ def simulation_count() -> int:
     return _SIMULATIONS.value
 
 
+# Entries each cache keeps in memory; the least recently used go first.
+MEMORY_ENTRIES = 8192
+
+
 @dataclass
 class CacheStats:
-    """Aggregate hit/miss counters for one tiered cache.
+    """Counters for one cache, memory and disk alike.
 
-    ``hits`` counts every served lookup regardless of tier;
-    ``disk_hits`` counts those the disk tier answered.  ``corrupt``
-    counts disk entries that failed to deserialise (each also counted
-    as a miss, never raised).
+    ``hits`` counts every served lookup; ``disk_hits`` counts those the
+    disk directory answered.  ``corrupt`` counts disk entries that failed
+    to deserialise (each also counted as a miss, never raised),
+    ``errors`` failed disk writes (the memory copy still holds the
+    value), and ``evictions`` entries the memory LRU dropped.
     """
 
     hits: int = 0
@@ -120,6 +122,8 @@ class CacheStats:
     stores: int = 0
     disk_hits: int = 0
     corrupt: int = 0
+    errors: int = 0
+    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -130,321 +134,92 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            self.hits,
-            self.misses,
-            self.stores,
-            self.disk_hits,
-            self.corrupt,
-        )
+        return self.delta(CacheStats())
 
     def delta(self, earlier: "CacheStats") -> "CacheStats":
         return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            stores=self.stores - earlier.stores,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            corrupt=self.corrupt - earlier.corrupt,
+            *[getattr(self, name) - getattr(earlier, name) for name in _COUNTERS]
         )
 
 
-@dataclass
-class TierStats:
-    """Per-tier counters (a tier's own view of its traffic).
-
-    ``evictions`` counts entries dropped to respect a size bound (LRU
-    order); ``expired`` counts entries dropped because they outlived a
-    TTL (each also a miss for the lookup that found them stale).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-    errors: int = 0
-    evictions: int = 0
-    expired: int = 0
+_COUNTERS = tuple(field.name for field in dataclasses.fields(CacheStats))
 
 
-# ----------------------------------------------------------------------
-# The tier interface and its two implementations.
-# ----------------------------------------------------------------------
-
-
-class CacheTier:
-    """One storage level of a :class:`TieredCache`.
-
-    ``kind`` labels the tier for stats attribution ("memory" | "disk");
-    ``writes`` is the write-through policy (a read-only tier
-    is skipped by puts and promotions).  ``get`` counts the tier's own
-    hit/miss; ``peek`` is the stats-neutral probe.
-    """
-
-    kind: str = "tier"
-    writes: bool = True
-
-    def __init__(self) -> None:
-        self.stats = TierStats()
-
-    def get(self, key: str) -> Any | None:
-        raise NotImplementedError
-
-    def peek(self, key: str) -> Any | None:
-        raise NotImplementedError
-
-    def put(self, key: str, value: Any) -> None:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop the tier's contents (no-op where not meaningful)."""
-
-    def entry_count(self) -> int | None:
-        """Entries held by this tier, or None when unknowable."""
-        return None
-
-    def describe(self) -> str:
-        return self.kind
-
-    def report(self) -> dict:
-        """One stats row for the CLI / service ``cache`` surfaces."""
-        return {
-            "kind": self.kind,
-            "detail": self.describe(),
-            "entries": self.entry_count(),
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "stores": self.stats.stores,
-            "corrupt": self.stats.corrupt,
-            "errors": self.stats.errors,
-            "evictions": self.stats.evictions,
-            "expired": self.stats.expired,
-        }
-
-
-class MemoryTier(CacheTier):
-    """LRU-bounded in-process map."""
-
-    kind = "memory"
-
-    def __init__(self, max_entries: int = 8192):
-        super().__init__()
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def entry_count(self) -> int:
-        return len(self)
-
-    def describe(self) -> str:
-        return f"memory (LRU, cap {self.max_entries})"
-
-    def _lookup(self, key: str, touch: bool, count: bool) -> Any | None:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None and touch:
-                self._entries.move_to_end(key)
-            if count:
-                if value is not None:
-                    self.stats.hits += 1
-                else:
-                    self.stats.misses += 1
-            return value
-
-    def get(self, key: str) -> Any | None:
-        return self._lookup(key, touch=True, count=True)
-
-    def peek(self, key: str) -> Any | None:
-        # No LRU touch: probing must not perturb eviction order.
-        return self._lookup(key, touch=False, count=False)
-
-    def put(self, key: str, value: Any) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            self.stats.stores += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-class DiskTier(CacheTier):
+class DiskTier:
     """Pickled values under a directory, shared across processes.
 
     Every failure mode of a read -- missing file, truncated pickle,
-    garbage bytes, a pickle of the wrong type -- is a miss; the
-    non-missing ones additionally count as ``corrupt``.  Writes are
-    atomic (temp file + rename) and best-effort.
-
-    The tier can be bounded.  ``max_bytes`` caps the directory's total
-    size: each put re-scans the directory and evicts
-    least-recently-used entries (by mtime; counted gets touch it) until
-    the bound holds again.  ``ttl`` expires entries idle longer than
-    that many seconds -- the read that finds one stale removes it and
-    reports a miss, so a bounded cassette or cache directory ages out
-    on its own.  Both default from ``REPRO_CACHE_DISK_MAX_BYTES`` /
-    ``REPRO_CACHE_DISK_TTL``; 0 means unbounded / no expiry.  The
-    eviction scan is O(entries) per put, which the write-through access
-    pattern (one put per cache miss) keeps cheap at this cache's
-    scale.
+    garbage bytes, a pickle of the wrong type -- is a miss; all but the
+    missing file also count as ``corrupt``.  Writes are atomic (temp
+    file + rename) and best-effort: a failed one counts in ``errors``
+    and leaves no temp file behind.  ``stats`` is the owning cache's
+    :class:`CacheStats`, so both counters land in its one row.
     """
-
-    kind = "disk"
 
     def __init__(
         self,
         directory: str,
         value_type: type = object,
-        max_bytes: int | None = None,
-        ttl: float | None = None,
+        stats: CacheStats | None = None,
     ):
-        super().__init__()
         self.directory = directory
         self.value_type = value_type
-        self.max_bytes = (
-            max_bytes
-            if max_bytes is not None
-            else _env_int("REPRO_CACHE_DISK_MAX_BYTES", 0)
-        )
-        self.ttl = (
-            ttl if ttl is not None else float(_env_int("REPRO_CACHE_DISK_TTL", 0))
-        )
+        self.stats = stats if stats is not None else CacheStats()
+        self._lock = threading.Lock()
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.pkl")
 
-    def entry_count(self) -> int:
-        return disk_cache_info(self.directory).entries
-
-    def describe(self) -> str:
-        bounds = ""
-        if self.max_bytes > 0:
-            bounds += f", cap {self.max_bytes} B"
-        if self.ttl > 0:
-            bounds += f", ttl {self.ttl:g} s"
-        return f"disk ({self.directory}{bounds})"
-
-    def _read(self, key: str, count: bool) -> Any | None:
-        path = self._path(key)
+    def get(self, key: str) -> Any | None:
         try:
-            stamp = os.stat(path)
-        except OSError:
-            if count:
-                self.stats.misses += 1
-            return None
-        if self.ttl > 0 and time.time() - stamp.st_mtime > self.ttl:
-            self.stats.expired += 1
-            if count:
-                self.stats.misses += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            handle = open(self._path(key), "rb")
+        except FileNotFoundError:
             return None
         try:
-            with open(path, "rb") as handle:
+            with handle:
                 value = pickle.load(handle)
         except Exception:  # noqa: BLE001 -- any unreadable entry is a miss
             value = None
         if value is None or not isinstance(value, self.value_type):
             # The file exists but does not hold a usable value: corrupt.
-            self.stats.corrupt += 1
-            if count:
-                self.stats.misses += 1
+            with self._lock:
+                self.stats.corrupt += 1
             return None
-        if count:
-            self.stats.hits += 1
-            # Counted hits refresh recency (and TTL idle age); peeks
-            # stay neutral, like the memory tier's LRU order.
-            try:
-                os.utime(path, None)
-            except OSError:
-                pass
         return value
 
-    def get(self, key: str) -> Any | None:
-        return self._read(key, count=True)
-
-    def peek(self, key: str) -> Any | None:
-        return self._read(key, count=False)
-
-    def _evict(self, keep: str) -> None:
-        """Drop LRU entries until the directory fits ``max_bytes``.
-
-        The freshly written entry (``keep``) is never a victim: a bound
-        smaller than one entry must not turn every put into a no-op.
-        """
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        entries = []
-        total = 0
-        for name in names:
-            if not name.endswith(".pkl"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                stamp = os.stat(path)
-            except OSError:
-                continue
-            entries.append((stamp.st_mtime, stamp.st_size, path))
-            total += stamp.st_size
-        entries.sort()
-        for _mtime, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if path == keep:
-                continue
-            try:
-                os.remove(path)
-            except OSError:
-                continue
-            total -= size
-            self.stats.evictions += 1
+    # A read changes no counter but ``corrupt``, so a probe is a read.
+    peek = get
 
     def put(self, key: str, value: Any) -> None:
         # Atomic write: concurrent workers may race on the same key, and
         # a reader must never observe a half-written pickle.
+        tmp_path = None
         try:
             fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(value, handle)
             os.replace(tmp_path, self._path(key))
-            self.stats.stores += 1
+            tmp_path = None
         except OSError:
-            self.stats.errors += 1  # best-effort; upper tiers still hold it
-            return
-        if self.max_bytes > 0:
-            self._evict(keep=self._path(key))
-
-    def clear(self) -> None:
-        clear_disk_cache(self.directory)
-
-
-# ----------------------------------------------------------------------
-# Tiers composed behind the classic ContentCache surface.
-# ----------------------------------------------------------------------
+            with self._lock:
+                self.stats.errors += 1  # best-effort; memory still holds it
+        finally:
+            if tmp_path is not None:
+                try:
+                    os.remove(tmp_path)
+                except OSError:
+                    pass
 
 
 class TieredCache:
-    """Content-addressed cache over an ordered stack of tiers.
+    """Content-addressed cache: an in-process LRU over an optional disk
+    directory.
 
-    The default stack is memory -> disk (when ``directory`` is set);
-    pass ``tiers`` to compose an explicit stack instead.  Reads are
-    read-through with promotion (a hit is copied into every tier above
-    the one that answered); writes go to every tier whose ``writes``
-    policy allows.  Cached values are shared objects; callers treat
+    The memory map holds up to :data:`MEMORY_ENTRIES` values.  With a
+    ``directory`` a :class:`DiskTier` sits under it: a memory miss reads
+    the disk, and a disk hit is promoted into memory; every put writes
+    through to both.  Cached values are shared objects; callers treat
     them as read-only, which every consumer in the engine already does.
 
     ``value_type`` guards the disk tier: a pickle that does not
@@ -455,111 +230,77 @@ class TieredCache:
     # Which cache this is ("sim" | "solve" | "llm"), for stats and traces.
     layer: str = "generic"
 
-    def __init__(
-        self,
-        directory: str | None = None,
-        max_entries: int | None = None,
-        tiers: list[CacheTier] | None = None,
-    ):
-        if max_entries is None:
-            max_entries = _env_int("REPRO_CACHE_MAX_ENTRIES", 8192)
+    def __init__(self, directory: str | None = None):
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        if tiers is not None:
-            self._tiers = list(tiers)
-        else:
-            self._tiers = [MemoryTier(max_entries)]
-            if directory is not None:
-                self._tiers.append(DiskTier(directory, self.value_type))
-
-    # -- classic surface ------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(
-            tier.entry_count() or 0
-            for tier in self._tiers
-            if tier.kind == "memory"
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._disk = (
+            DiskTier(directory, self.value_type, self.stats)
+            if directory is not None
+            else None
         )
 
-    @property
-    def tiers(self) -> tuple[CacheTier, ...]:
-        return tuple(self._tiers)
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
     @property
     def directory(self) -> str | None:
-        for tier in self._tiers:
-            if isinstance(tier, DiskTier):
-                return tier.directory
-        return None
+        return self._disk.directory if self._disk is not None else None
 
-    def _absorb_corruption(self, tier: CacheTier, before: int) -> None:
-        corrupt = tier.stats.corrupt - before
-        if corrupt:
-            with self._lock:
-                self.stats.corrupt += corrupt
+    def _remember(self, key: str, value: Any) -> None:
+        # Caller holds the lock.
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > MEMORY_ENTRIES:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
-    def _attribute_hit(self, tier: CacheTier) -> None:
+    def _lookup(self, key: str, counted: bool) -> Any | None:
         with self._lock:
-            self.stats.hits += 1
-            if tier.kind == "disk":
-                self.stats.disk_hits += 1
-
-    def _promote(self, key: str, value: Any, upto: int) -> None:
-        # Copy a lower-tier hit into every writable tier above it, so
-        # the next lookup is answered as locally as possible.
-        for tier in self._tiers[:upto]:
-            if tier.writes:
-                tier.put(key, value)
-
-    def _walk(self, key: str, counted: bool) -> Any | None:
-        for index, tier in enumerate(self._tiers):
-            corrupt_before = tier.stats.corrupt
-            value = tier.get(key) if counted else tier.peek(key)
-            self._absorb_corruption(tier, corrupt_before)
-            if value is None:
-                continue
-            if counted:
-                self._attribute_hit(tier)
-            self._promote(key, value, index)
-            return value
-        if counted:
-            with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                if counted:
+                    # Only counted lookups refresh LRU order.
+                    self._entries.move_to_end(key)
+                    self.stats.hits += 1
+                return value
+        if self._disk is not None:
+            value = self._disk.get(key) if counted else self._disk.peek(key)
+        with self._lock:
+            if value is not None:
+                self._remember(key, value)
+                if counted:
+                    self.stats.hits += 1
+                    self.stats.disk_hits += 1
+            elif counted:
                 self.stats.misses += 1
-        return None
+        return value
 
     def get(self, key: str) -> Any | None:
-        return self._walk(key, counted=True)
+        return self._lookup(key, counted=True)
 
     def peek(self, key: str) -> Any | None:
         """Like :meth:`get` but without touching the hit/miss counters.
 
         For callers probing whether a value exists before deciding how
         to serve it; the authoritative, counted lookup still happens on
-        the serving path.  Lower-tier hits are promoted exactly as a
-        counted get would, so that lookup doesn't redo the disk read.
+        the serving path.  A disk hit is promoted exactly as a counted
+        get would, so that lookup doesn't redo the disk read.
         """
-        return self._walk(key, counted=False)
+        return self._lookup(key, counted=False)
 
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self.stats.stores += 1
-        for tier in self._tiers:
-            if tier.writes:
-                tier.put(key, value)
+            self._remember(key, value)
+        if self._disk is not None:
+            self._disk.put(key, value)
 
     def clear(self) -> None:
-        """Drop the in-memory tier(s); the disk tier keeps its copies."""
-        for tier in self._tiers:
-            if tier.kind == "memory":
-                tier.clear()
-
-    def tier_report(self) -> list[dict]:
-        """Per-tier stats rows (the ``cache`` CLI / service surfaces)."""
-        return [tier.report() for tier in self._tiers]
-
-
-# Back-compat alias: PR 2 named the generic base ContentCache.
-ContentCache = TieredCache
+        """Drop the memory copies; the disk directory keeps its entries."""
+        with self._lock:
+            self._entries.clear()
 
 
 class SimulationCache(TieredCache):

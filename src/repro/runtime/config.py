@@ -8,18 +8,12 @@ Environment variables:
 - ``REPRO_JOBS``             worker count (default 1 = serial)
 - ``REPRO_EXECUTOR``         ``auto`` | ``serial`` | ``thread`` | ``process``
 - ``REPRO_SIM_CACHE``        ``1``/``0`` to enable/disable the simulation cache
-- ``REPRO_SIM_CACHE_DIR``    directory for the optional on-disk cache tier
+- ``REPRO_SIM_CACHE_DIR``    directory for the optional on-disk simulation cache
 - ``REPRO_SOLVE_CACHE``      ``1``/``0`` to enable the solve-cell cache
                              (whole-run memoization; default off)
-- ``REPRO_SOLVE_CACHE_DIR``  directory for the on-disk solve-cell tier
-- ``REPRO_CACHE_MAX_ENTRIES``  LRU cap of each in-memory cache tier
-                             (default 8192)
-- ``REPRO_CACHE_DISK_MAX_BYTES``  size bound of each on-disk cache tier;
-                             puts evict least-recently-used entries
-                             (by mtime) past it (default 0 = unbounded)
-- ``REPRO_CACHE_DISK_TTL``   max age in seconds of on-disk entries;
-                             expired entries read as misses and are
-                             removed (default 0 = no expiry)
+- ``REPRO_SOLVE_CACHE_DIR``  directory for the on-disk solve-cell cache
+
+A cache directory is unbounded; ``repro cache --clear`` empties it.
 
 The LLM gateway adds its own ``REPRO_GATEWAY*`` family, documented in
 :mod:`repro.llm.gateway.settings`.  Those stay live: an env-derived
@@ -78,7 +72,6 @@ class RuntimeConfig:
     cache_dir: str | None = None
     solve_cache: bool = False
     solve_cache_dir: str | None = None
-    cache_max_entries: int = 8192
     # None = resolve lazily from the environment at each use, so
     # long-lived processes see env flips (record -> replay) without a
     # context rebuild.  Only an explicit argument pins settings here.
@@ -92,8 +85,6 @@ class RuntimeConfig:
                 f"bad executor kind {self.executor!r}; "
                 f"choose from {', '.join(_EXECUTOR_KINDS)}"
             )
-        if self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be >= 1")
 
     @staticmethod
     def from_env(
@@ -103,7 +94,6 @@ class RuntimeConfig:
         cache_dir: str | None = None,
         solve_cache: bool | None = None,
         solve_cache_dir: str | None = None,
-        cache_max_entries: int | None = None,
         gateway: "GatewaySettings | None" = None,
     ) -> "RuntimeConfig":
         """Resolve settings: explicit args beat env vars beat defaults.
@@ -138,11 +128,6 @@ class RuntimeConfig:
                 solve_cache_dir
                 if solve_cache_dir is not None
                 else os.environ.get("REPRO_SOLVE_CACHE_DIR") or None
-            ),
-            cache_max_entries=(
-                cache_max_entries
-                if cache_max_entries is not None
-                else _env_int("REPRO_CACHE_MAX_ENTRIES", 8192)
             ),
             gateway=gateway,
         )

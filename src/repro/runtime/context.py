@@ -74,19 +74,13 @@ def _build(config: RuntimeConfig, executor: Executor | None = None) -> RuntimeCo
             else create_executor(config.jobs, config.executor)
         ),
         cache=(
-            SimulationCache(
-                config.cache_dir,
-                max_entries=config.cache_max_entries,
-            )
+            SimulationCache(config.cache_dir)
             if config.cache
             else None
         ),
         owns_executor=executor is None,
         solve_cache=(
-            SolveCellCache(
-                config.solve_cache_dir,
-                max_entries=config.cache_max_entries,
-            )
+            SolveCellCache(config.solve_cache_dir)
             if config.solve_cache
             else None
         ),
@@ -114,7 +108,6 @@ def configure(
     cache_dir: str | None = None,
     solve_cache: bool | None = None,
     solve_cache_dir: str | None = None,
-    cache_max_entries: int | None = None,
     gateway: "GatewaySettings | None" = None,
 ) -> RuntimeContext:
     """Replace the process-global context (CLI and long-lived services).
@@ -132,7 +125,6 @@ def configure(
         cache_dir=cache_dir,
         solve_cache=solve_cache,
         solve_cache_dir=solve_cache_dir,
-        cache_max_entries=cache_max_entries,
         gateway=gateway,
     )
     with _GLOBAL_LOCK:
@@ -151,7 +143,6 @@ def runtime_session(
     cache_dir: str | None = None,
     solve_cache: bool | None = None,
     solve_cache_dir: str | None = None,
-    cache_max_entries: int | None = None,
     gateway: "GatewaySettings | None" = None,
     context: RuntimeContext | None = None,
 ):
@@ -171,7 +162,6 @@ def runtime_session(
             cache_dir=cache_dir,
             solve_cache=solve_cache,
             solve_cache_dir=solve_cache_dir,
-            cache_max_entries=cache_max_entries,
             gateway=gateway,
         )
         context = _build(config, ready)

@@ -9,7 +9,7 @@ textfile-collector setups -- no HTTP endpoint, no client library, just
 the counters the service already keeps:
 
 - broker and service request totals,
-- per-layer, per-tier cache stats,
+- per-layer cache stats,
 - gateway call/retry/fallback/token/cost counters,
 - per-stage wall-clock from the process-wide StageClock.
 
@@ -168,6 +168,8 @@ def render_prometheus(stats: dict) -> str:
             "stores",
             "disk_hits",
             "corrupt",
+            "errors",
+            "evictions",
         ):
             exp.add(
                 f"repro_cache_{key}",
@@ -176,26 +178,5 @@ def render_prometheus(stats: dict) -> str:
                 help_text=f"Cache counter: {key}.",
                 kind="gauge" if key == "entries" else "counter",
             )
-        for tier in cache.get("tiers") or []:
-            if not isinstance(tier, dict):
-                continue
-            tier_labels = {
-                "layer": layer,
-                "tier": str(tier.get("kind", "?")),
-                "detail": str(tier.get("detail", "")),
-            }
-            for key, value in tier.items():
-                if key in ("kind", "detail"):
-                    continue
-                if not isinstance(value, (int, float)) or isinstance(
-                    value, bool
-                ):
-                    continue
-                exp.add(
-                    f"repro_cache_tier_{key}",
-                    value,
-                    labels=tier_labels,
-                    help_text=f"Per-tier cache counter: {key}.",
-                )
 
     return exp.render()

@@ -191,7 +191,7 @@ class ErrorFrame(Frame):
 @dataclass(frozen=True)
 class StatsReply(Frame):
     """Server-side metrics report: broker and worker counters, every
-    cache layer's tier stats, gateway call/retry/fallback/token
+    cache layer's counters, gateway call/retry/fallback/token
     totals, and per-stage wall-clock."""
 
     type: ClassVar[str] = "stats"

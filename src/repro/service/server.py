@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import dataclasses
 import socket
 import threading
 import time
@@ -639,17 +640,11 @@ class SolveServer:
         def cache_stats(cache):
             if cache is None:
                 return None
-            stats = cache.stats
             return {
                 "entries": len(cache),
-                "lookups": stats.lookups,
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "stores": stats.stores,
-                "disk_hits": stats.disk_hits,
-                "corrupt": stats.corrupt,
+                "lookups": cache.stats.lookups,
+                **dataclasses.asdict(cache.stats),
                 "directory": cache.directory,
-                "tiers": cache.tier_report(),
             }
 
         from repro.core.pipeline import STAGE_CLOCK

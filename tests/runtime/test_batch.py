@@ -194,6 +194,49 @@ class TestBatchReport:
         # MAGE scores candidates internally: far more sims than cells.
         assert parallel.simulations > parallel.cells
 
+    def test_report_counts_the_golden_probes(self, tmp_path):
+        """The golden-testbench probes are simulations of this grid too:
+        the report matches the process-wide counter, not just the cells."""
+        from repro.runtime import SolveCellCache, simulation_count
+
+        before = simulation_count()
+        with SerialExecutor() as executor:
+            _, report = evaluate_many(
+                SYSTEMS["mage"].factory,
+                "verilogeval-v2",
+                runs=1,
+                problems=[get_problem("cb_mux2")],
+                executor=executor,
+                cache=SimulationCache(str(tmp_path / "sim")),
+                solve_cache=SolveCellCache(str(tmp_path / "solve")),
+            )
+        assert report.simulations == simulation_count() - before
+        assert report.cache.stores == len(list((tmp_path / "sim").glob("*.pkl")))
+
+    def test_process_cache_lookups_match_serial(self):
+        """Across processes the parent's probe lookups are added to the
+        rows' own, so the lookup total matches the serial grid's."""
+        mage_factory = SYSTEMS["mage"].factory
+        grid = dict(runs=2, problems=MIXED)
+        with SerialExecutor() as serial:
+            # Warm-up of SimLLM's one-time memos, as above.
+            evaluate_many(
+                mage_factory, "verilogeval-v2", runs=1, problems=MIXED,
+                executor=serial, cache=False,
+            )
+            _, baseline = evaluate_many(
+                mage_factory, "verilogeval-v2", executor=serial,
+                cache=SimulationCache(), **grid,
+            )
+        with ProcessExecutor(2) as procs:
+            _, parallel = evaluate_many(
+                mage_factory, "verilogeval-v2", executor=procs,
+                cache=SimulationCache(), **grid,
+            )
+        assert parallel.cache.lookups == baseline.cache.lookups
+        # Workers report no stores; these are the parent's probes.
+        assert parallel.cache.stores == len(MIXED)
+
     def test_process_pool_with_closure_keeps_live_cache(self):
         """An unpicklable factory on a process pool must thread-fall-back
         *with* the caller's cache, not silently lose it."""
@@ -237,10 +280,8 @@ class TestForcedCacheDirectory:
                 cache=True,
             )
         assert report.cache.stores > 0
-        # Plus one golden-testbench probe per problem, derived through
-        # the same cache before the grid's counters start.
         assert len(list((tmp_path / "sim").glob("*.pkl"))) == (
-            report.cache.stores + len(MIXED)
+            report.cache.stores
         )
 
     def test_forced_solve_cache_persists_to_env_dir(self, tmp_path, monkeypatch):

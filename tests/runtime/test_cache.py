@@ -3,6 +3,7 @@
 import pytest
 
 from repro.evalsets import get_problem, golden_testbench
+from repro.runtime import cache as cache_module
 from repro.runtime.cache import (
     SimulationCache,
     cached_run_testbench,
@@ -95,8 +96,9 @@ class TestAccounting:
 
 
 class TestEviction:
-    def test_memory_layer_is_lru_bounded(self, golden_tb, problem):
-        cache = SimulationCache(max_entries=2)
+    def test_memory_layer_is_lru_bounded(self, golden_tb, problem, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        cache = SimulationCache()
         variants = [
             AND_OR.replace("a & b", expr)
             for expr in ("a & b", "a | b", "a ^ b", "~(a & b)")
@@ -110,10 +112,6 @@ class TestEviction:
         cached_run_testbench(variants[0], golden_tb, problem.top, cache=cache)
         delta = cache.stats.delta(before)
         assert (delta.hits, delta.misses) == (1, 1)
-
-    def test_bad_max_entries_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationCache(max_entries=0)
 
 
 class TestDiskLayer:

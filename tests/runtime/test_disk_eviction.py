@@ -1,143 +1,80 @@
-"""Disk-tier bounds: size-capped LRU eviction (by mtime, counted gets
-refresh recency), TTL expiry on read, and the env-var defaults that
-bound every disk tier in the fabric -- cassettes included."""
+"""The disk directory holds what was written until it is cleared.
+
+No size bound evicts from it and no age expires an entry; reads leave
+the entry files as they are (no recency bookkeeping), and
+``clear_disk_cache`` (``repro cache --clear``) is what reclaims the
+space."""
 
 import os
-import pickle
 import time
 
-from repro.runtime.cache import DiskTier, SimulationCache
+from repro.runtime.cache import (
+    DiskTier,
+    SolveCellCache,
+    SolveCellRecord,
+    clear_disk_cache,
+    disk_cache_info,
+)
 
 PAYLOAD = "x" * 64
-ENTRY_BYTES = len(pickle.dumps(PAYLOAD, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def backdate(tier: DiskTier, key: str, seconds: float) -> None:
-    """Shift one entry's mtime ``seconds`` into the past."""
+def backdate(tier: DiskTier, key: str, seconds: float) -> float:
+    """Shift one entry's mtime ``seconds`` into the past; returns it."""
     path = os.path.join(tier.directory, f"{key}.pkl")
     stamp = time.time() - seconds
     os.utime(path, (stamp, stamp))
+    return os.stat(path).st_mtime
 
 
-class TestSizeBound:
-    def test_put_evicts_the_least_recent_entry_past_the_cap(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), max_bytes=2 * ENTRY_BYTES)
-        tier.put("a", PAYLOAD)
-        backdate(tier, "a", 300)
-        tier.put("b", PAYLOAD)
-        backdate(tier, "b", 200)
-        tier.put("c", PAYLOAD)  # over the cap: "a" (oldest) must go
-        assert tier.peek("a") is None
-        assert tier.peek("b") == PAYLOAD
-        assert tier.peek("c") == PAYLOAD
-        assert tier.stats.evictions == 1
-
-    def test_fresh_entry_is_never_the_victim(self, tmp_path):
-        # A cap smaller than one entry must not turn puts into no-ops.
-        tier = DiskTier(str(tmp_path / "c"), max_bytes=ENTRY_BYTES // 2)
-        tier.put("a", PAYLOAD)
-        assert tier.peek("a") == PAYLOAD
-        assert tier.stats.evictions == 0
-        backdate(tier, "a", 300)
-        tier.put("b", PAYLOAD)  # evicts "a", keeps the write that ran
-        assert tier.peek("a") is None
-        assert tier.peek("b") == PAYLOAD
-        assert tier.stats.evictions == 1
-
-    def test_counted_hit_refreshes_recency(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), max_bytes=2 * ENTRY_BYTES)
-        tier.put("a", PAYLOAD)
-        backdate(tier, "a", 300)
-        tier.put("b", PAYLOAD)
-        backdate(tier, "b", 200)
-        assert tier.get("a") == PAYLOAD  # touch: "a" becomes most-recent
-        tier.put("c", PAYLOAD)  # now "b" is the LRU victim
-        assert tier.peek("a") == PAYLOAD
-        assert tier.peek("b") is None
-        assert tier.peek("c") == PAYLOAD
-
-    def test_peek_does_not_refresh_recency(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), max_bytes=2 * ENTRY_BYTES)
-        tier.put("a", PAYLOAD)
-        backdate(tier, "a", 300)
-        tier.put("b", PAYLOAD)
-        backdate(tier, "b", 200)
-        assert tier.peek("a") == PAYLOAD  # NOT a touch
-        tier.put("c", PAYLOAD)  # "a" stayed oldest and is evicted
-        assert tier.peek("a") is None
-        assert tier.peek("b") == PAYLOAD
-
-    def test_unbounded_tier_never_evicts(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), max_bytes=0)
+class TestUnbounded:
+    def test_every_write_stays_on_disk(self, tmp_path):
+        tier = DiskTier(str(tmp_path / "c"))
         for index in range(20):
             tier.put(f"k{index}", PAYLOAD)
-        assert tier.entry_count() == 20
-        assert tier.stats.evictions == 0
+        assert disk_cache_info(tier.directory).entries == 20
+        assert all(tier.peek(f"k{index}") == PAYLOAD for index in range(20))
+
+    def test_an_old_entry_still_hits(self, tmp_path):
+        directory = str(tmp_path / "c")
+        record = SolveCellRecord(source="module m;", system="s")
+        SolveCellCache(directory).put("k", record)
+        backdate(DiskTier(directory), "k", 365 * 24 * 3600)
+        reader = SolveCellCache(directory)
+        assert reader.get("k") == record
+        assert (reader.stats.disk_hits, reader.stats.misses) == (1, 0)
+
+    def test_clearing_reclaims_the_space(self, tmp_path):
+        tier = DiskTier(str(tmp_path / "c"))
+        for index in range(3):
+            tier.put(f"k{index}", PAYLOAD)
+        removed = clear_disk_cache(tier.directory)
+        assert removed.entries == 3 and removed.total_bytes > 0
+        assert os.listdir(tier.directory) == []
+        assert tier.get("k0") is None
 
 
-class TestTTL:
-    def test_expired_entry_reads_as_a_miss_and_is_removed(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), ttl=60)
+class TestReadsTouchNothing:
+    def test_get_and_peek_leave_the_mtime(self, tmp_path):
+        tier = DiskTier(str(tmp_path / "c"))
         tier.put("k", PAYLOAD)
-        backdate(tier, "k", 120)
-        assert tier.get("k") is None
-        assert tier.stats.expired == 1
-        assert tier.stats.misses == 1
-        # The stale file is gone, not just skipped.
-        assert tier.entry_count() == 0
-
-    def test_fresh_entry_within_ttl_hits(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), ttl=60)
-        tier.put("k", PAYLOAD)
-        backdate(tier, "k", 30)
+        stamp = backdate(tier, "k", 300)
         assert tier.get("k") == PAYLOAD
-        assert tier.stats.hits == 1
-        assert tier.stats.expired == 0
-
-    def test_peek_expires_but_stays_lookup_neutral(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), ttl=60)
-        tier.put("k", PAYLOAD)
-        backdate(tier, "k", 120)
-        assert tier.peek("k") is None
-        assert tier.stats.expired == 1
-        assert tier.stats.misses == 0  # peeks never count as lookups
-
-    def test_counted_hit_resets_the_idle_clock(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), ttl=60)
-        tier.put("k", PAYLOAD)
-        backdate(tier, "k", 50)  # close to expiry
-        assert tier.get("k") == PAYLOAD  # touch: idle age restarts
+        assert tier.peek("k") == PAYLOAD
         path = os.path.join(tier.directory, "k.pkl")
-        assert time.time() - os.stat(path).st_mtime < 5
+        assert os.stat(path).st_mtime == stamp
 
+    def test_a_standalone_tier_counts_its_own_corrupt_reads(self, tmp_path):
+        tier = DiskTier(str(tmp_path / "c"), SolveCellRecord)
+        tier.put("k", PAYLOAD)  # a str, not a SolveCellRecord
+        assert tier.get("k") is None
+        assert tier.peek("k") is None
+        assert tier.stats.corrupt == 2
 
-class TestReportingAndDefaults:
-    def test_counters_surface_in_tier_report_rows(self, tmp_path):
-        cache = SimulationCache(str(tmp_path / "c"))
-        for row in cache.tier_report():
-            assert "evictions" in row
-            assert "expired" in row
-
-    def test_env_vars_bound_every_disk_tier(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DISK_MAX_BYTES", "4096")
-        monkeypatch.setenv("REPRO_CACHE_DISK_TTL", "3600")
+    def test_a_read_changes_no_counter(self, tmp_path):
         tier = DiskTier(str(tmp_path / "c"))
-        assert tier.max_bytes == 4096
-        assert tier.ttl == 3600.0
-        assert "cap 4096 B" in tier.describe()
-        assert "ttl 3600 s" in tier.describe()
-
-    def test_explicit_bounds_beat_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DISK_MAX_BYTES", "4096")
-        monkeypatch.setenv("REPRO_CACHE_DISK_TTL", "3600")
-        tier = DiskTier(str(tmp_path / "c"), max_bytes=100, ttl=5)
-        assert tier.max_bytes == 100
-        assert tier.ttl == 5.0
-
-    def test_defaults_are_unbounded(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DISK_MAX_BYTES", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DISK_TTL", raising=False)
-        tier = DiskTier(str(tmp_path / "c"))
-        assert tier.max_bytes == 0
-        assert tier.ttl == 0.0
-        assert tier.describe() == f"disk ({tier.directory})"
+        tier.put("k", PAYLOAD)
+        before = tier.stats.snapshot()
+        assert tier.get("k") == PAYLOAD
+        assert tier.get("absent") is None
+        assert tier.stats == before

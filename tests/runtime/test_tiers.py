@@ -1,7 +1,12 @@
-"""The tiered caches: tier composition, promotion, eviction,
-disk-tier corruption robustness (seeded-random, mirroring
-tests/service/test_protocol_properties.py), and config wiring."""
+"""The caches: an in-memory LRU over an optional disk directory.
 
+Promotion of disk hits, the memory LRU cap, disk-tier corruption
+robustness (seeded-random, mirroring
+tests/service/test_protocol_properties.py), failed disk writes,
+shared directories, and the runtime's wiring."""
+
+import dataclasses
+import errno
 import os
 import pickle
 import random
@@ -14,41 +19,49 @@ import pytest
 
 import repro
 from repro.llm.gateway.cassette import CassetteRecord, CassetteStore
+from repro.runtime import cache as cache_module
 from repro.runtime.cache import (
+    CacheStats,
     DiskTier,
-    MemoryTier,
     SimulationCache,
     SolveCellCache,
     SolveCellRecord,
-    TieredCache,
     clear_disk_cache,
     disk_cache_info,
 )
-from repro.runtime.config import RuntimeConfig
 from repro.tb import runner, stimulus
 
 
 class TestComposition:
-    def test_default_stack_is_memory_only(self):
+    def test_default_stack_is_memory_only(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cache = SimulationCache()
-        assert [t.kind for t in cache.tiers] == ["memory"]
         assert cache.directory is None
+        cache.put("k", "v")
+        assert cache.get("k") == "v"
+        assert os.listdir(tmp_path) == []
 
     def test_directory_adds_a_disk_tier(self, tmp_path):
         cache = SimulationCache(str(tmp_path / "c"))
-        assert [t.kind for t in cache.tiers] == ["memory", "disk"]
         assert cache.directory == str(tmp_path / "c")
+        assert os.path.isdir(cache.directory)
 
-    def test_explicit_tier_stack(self):
-        cache = TieredCache(tiers=[MemoryTier(4)])
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-
-    def test_tier_report_rows(self, tmp_path):
-        cache = SimulationCache(str(tmp_path / "c"))
-        rows = cache.tier_report()
-        assert [row["kind"] for row in rows] == ["memory", "disk"]
-        assert all("hits" in row and "corrupt" in row for row in rows)
+    def test_one_stats_row_holds_every_counter(self):
+        assert [field.name for field in dataclasses.fields(CacheStats)] == [
+            "hits",
+            "misses",
+            "stores",
+            "disk_hits",
+            "corrupt",
+            "errors",
+            "evictions",
+        ]
+        later = CacheStats(5, 4, 3, 2, 1, 1, 1)
+        assert later.delta(CacheStats(1, 1, 1, 1, 1, 0, 0)) == CacheStats(
+            4, 3, 2, 1, 0, 1, 1
+        )
+        assert later.snapshot() == later
+        assert later.snapshot() is not later
 
 
 class TestPromotionAndWritePolicy:
@@ -73,76 +86,153 @@ class TestPromotionAndWritePolicy:
         cache.put("k", SolveCellRecord(source="x", system="s"))
         assert disk_cache_info(directory).entries == 1
 
-    def test_read_only_tier_is_skipped_by_writes(self):
-        frozen = MemoryTier(8)
-        frozen.writes = False
-        cache = TieredCache(tiers=[MemoryTier(8), frozen])
-        cache.put("k", "v")
-        assert frozen.peek("k") is None
-        assert cache.get("k") == "v"
+    def test_peek_promotes_without_counting(self, tmp_path):
+        directory = str(tmp_path / "c")
+        record = SolveCellRecord(source="module m;", system="s")
+        SolveCellCache(directory).put("k", record)
+        reader = SolveCellCache(directory)
+        assert reader.peek("k") == record
+        assert len(reader) == 1
+        assert reader.stats == CacheStats()
 
-class TestMemoryTierEviction:
-    def test_lru_eviction_order(self):
-        tier = MemoryTier(max_entries=3)
+
+class TestMemoryLRU:
+    """The memory map keeps at most ``MEMORY_ENTRIES`` values."""
+
+    def test_lru_eviction_order(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 3)
+        cache = SimulationCache()
         for key in ("a", "b", "c"):
-            tier.put(key, key.upper())
-        assert tier.get("a") == "A"  # touch: a becomes most-recent
-        tier.put("d", "D")  # evicts b, the least recently used
-        assert tier.peek("b") is None
-        assert tier.peek("a") == "A"
-        assert tier.peek("c") == "C"
-        assert tier.peek("d") == "D"
-        assert tier.stats.evictions == 1
+            cache.put(key, key.upper())
+        assert cache.get("a") == "A"  # touch: a becomes most-recent
+        cache.put("d", "D")  # evicts b, the least recently used
+        assert cache.peek("b") is None
+        assert cache.peek("a") == "A"
+        assert cache.peek("c") == "C"
+        assert cache.peek("d") == "D"
+        assert len(cache) == 3
+        assert cache.stats.evictions == 1
 
-    def test_peek_does_not_touch_lru_order(self):
-        tier = MemoryTier(max_entries=2)
-        tier.put("a", 1)
-        tier.put("b", 2)
-        tier.peek("a")  # NOT a touch
-        tier.put("c", 3)  # evicts a (peek kept it least-recent)
-        assert tier.peek("a") is None
-        assert tier.peek("b") == 2
+    def test_peek_does_not_touch_lru_order(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        cache = SimulationCache()
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.peek("a")  # NOT a touch
+        cache.put("c", 3)  # evicts a (peek kept it least-recent)
+        assert cache.peek("a") is None
+        assert cache.peek("b") == 2
 
-    def test_cap_applies_through_the_cache(self):
-        cache = SimulationCache(max_entries=2)
-        memory = cache.tiers[0]
-        assert memory.max_entries == 2
+    def test_evicted_entry_is_read_back_from_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 1)
+        cache = SolveCellCache(str(tmp_path / "c"))
+        first = SolveCellRecord(source="module a;", system="s")
+        cache.put("a", first)
+        cache.put("b", SolveCellRecord(source="module b;", system="s"))
+        assert cache.stats.evictions == 1
+        assert cache.get("a") == first  # promoted again, evicting b
+        assert (cache.stats.disk_hits, cache.stats.evictions) == (1, 2)
+        assert len(cache) == 1
 
-    def test_env_var_sets_default_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "17")
-        assert SimulationCache().tiers[0].max_entries == 17
+    def test_default_cap(self):
+        assert cache_module.MEMORY_ENTRIES == 8192
 
-    def test_bad_cap_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryTier(max_entries=0)
-        with pytest.raises(ValueError):
-            SimulationCache(max_entries=-1)
+    def test_threads_lose_no_counts_and_respect_the_cap(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 16)
+        cache = SimulationCache()
+
+        def work(offset):
+            for index in range(400):
+                key = f"k{(offset + index) % 40}"
+                if cache.get(key) is None:
+                    cache.put(key, key)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert cache.stats.lookups == 4 * 400
+        assert cache.stats.stores == cache.stats.misses
+        assert len(cache) == 16
+        assert cache.stats.evictions == cache.stats.stores - 16
+
+
+class TestDiskWriteFailure:
+    """A failed disk write is counted in ``errors`` and leaves neither
+    an entry nor its temp file; the memory copy still serves."""
+
+    @pytest.mark.parametrize(
+        "module, name", [(pickle, "dump"), (os, "replace")],
+        ids=["pickle.dump", "os.replace"],
+    )
+    def test_failed_write_counts_an_error_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch, module, name
+    ):
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        directory = str(tmp_path / "c")
+        cache = SolveCellCache(directory)
+        record = SolveCellRecord(source="module m;", system="s")
+        monkeypatch.setattr(module, name, fail)
+        cache.put("k", record)
+        monkeypatch.undo()
+        assert os.listdir(directory) == []
+        assert cache.stats.errors == 1
+        assert cache.stats.stores == 1
+        assert cache.get("k") == record  # served from memory
+
+    def test_vanished_directory_counts_an_error(self, tmp_path):
+        """The directory removed under a live cache (``rm -r`` in another
+        shell): puts count an error, gets are plain misses."""
+        directory = tmp_path / "c"
+        cache = SolveCellCache(str(directory))
+        directory.rmdir()
+        record = SolveCellRecord(source="module m;", system="s")
+        cache.put("k", record)
+        assert cache.stats.errors == 1
+        cache.clear()
+        assert cache.get("k") is None
+        assert (cache.stats.misses, cache.stats.corrupt) == (1, 0)
+
+    def test_pickling_error_propagates_and_leaves_no_temp_file(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "c")
+        tier = DiskTier(directory)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            tier.put("k", lambda: None)
+        assert os.listdir(directory) == []
+        assert tier.stats.errors == 0
 
 
 class TestRuntimeConfigWiring:
-    def test_config_fields_resolve_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "99")
-        config = RuntimeConfig.from_env()
-        assert config.cache_max_entries == 99
-
-    def test_explicit_args_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "99")
-        config = RuntimeConfig.from_env(cache_max_entries=5)
-        assert config.cache_max_entries == 5
-
-    def test_bad_max_entries_rejected(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(cache_max_entries=0)
-
-    def test_runtime_session_builds_capped_caches(self, tmp_path):
+    def test_runtime_session_builds_disk_backed_caches(self, tmp_path):
         from repro.runtime.context import get_runtime, runtime_session
 
         with runtime_session(
-            cache_dir=str(tmp_path / "c"), cache_max_entries=11
+            cache_dir=str(tmp_path / "sim"),
+            solve_cache=True,
+            solve_cache_dir=str(tmp_path / "solve"),
         ):
-            cache = get_runtime().cache
-            assert [t.kind for t in cache.tiers] == ["memory", "disk"]
-            assert cache.tiers[0].max_entries == 11
+            runtime = get_runtime()
+            assert runtime.cache.directory == str(tmp_path / "sim")
+            assert runtime.solve_cache.directory == str(tmp_path / "solve")
+
+    def test_config_holds_no_cache_size_or_bound(self):
+        """A cache is sized by nothing but its directory."""
+        from repro.runtime.config import RuntimeConfig
+
+        assert [field.name for field in dataclasses.fields(RuntimeConfig)] == [
+            "jobs",
+            "executor",
+            "cache",
+            "cache_dir",
+            "solve_cache",
+            "solve_cache_dir",
+            "gateway",
+        ]
 
     def test_peer_list_env_is_not_read(self, tmp_path, monkeypatch):
         """Caches are memory -> disk; a stale ``REPRO_CACHE_PEERS`` from
@@ -157,7 +247,8 @@ class TestRuntimeConfigWiring:
         ):
             runtime = get_runtime()
             for cache in (runtime.cache, runtime.solve_cache):
-                assert [t.kind for t in cache.tiers] == ["memory", "disk"]
+                assert cache.get("absent") is None
+                assert (cache.stats.misses, cache.stats.errors) == (1, 0)
 
 
 def _corrupt(rng: random.Random, path: str) -> str:
@@ -350,21 +441,16 @@ class TestSharedDirectory:
         assert clear_disk_cache(directory).entries == 1
         assert os.listdir(directory) == []
 
-    def test_entry_evicted_by_a_bounded_writer_is_a_plain_miss(
-        self, tmp_path
-    ):
-        """One process's ``max_bytes`` bound evicts from the shared
-        directory; another process then sees a clean miss, not damage."""
+    def test_entry_removed_under_a_reader_is_a_plain_miss(self, tmp_path):
+        """An entry deleted from the shared directory (``cache --clear``
+        in another shell) is a clean miss for a reader, not damage."""
         directory = str(tmp_path / "c")
         old = SolveCellRecord(source="module old;", system="s")
         new = SolveCellRecord(source="module new;", system="s")
-        writer = DiskTier(directory, SolveCellRecord, max_bytes=1)
-        writer.put("old", old)
-        past = os.path.getmtime(os.path.join(directory, "old.pkl")) - 60
-        os.utime(os.path.join(directory, "old.pkl"), (past, past))
-        writer.put("new", new)
-        assert writer.stats.evictions == 1
+        SolveCellCache(directory).put("old", old)
         reader = SolveCellCache(directory)
+        assert clear_disk_cache(directory).entries == 1
+        SolveCellCache(directory).put("new", new)
         assert reader.get("old") is None
         assert reader.get("new") == new
         assert (reader.stats.misses, reader.stats.corrupt) == (1, 0)

@@ -30,9 +30,8 @@ class TestRenderPrometheus:
                 "simulation": {
                     "entries": 12,
                     "hits": 30,
-                    "tiers": [
-                        {"kind": "memory", "detail": "", "hits": 30},
-                    ],
+                    "errors": 2,
+                    "evictions": 1,
                 },
             },
         }
@@ -54,11 +53,23 @@ class TestRenderPrometheus:
         assert 'repro_cache_entries{layer="simulation"} 12' in lines
         assert "# TYPE repro_cache_entries gauge" in lines
         assert "# TYPE repro_cache_hits counter" in lines
-        assert (
-            'repro_cache_tier_hits{layer="simulation",tier="memory",'
-            'detail=""} 30'
-        ) in lines
+        assert 'repro_cache_errors{layer="simulation"} 2' in lines
+        assert 'repro_cache_evictions{layer="simulation"} 1' in lines
+        assert not [line for line in lines if "repro_cache_tier" in line]
         assert text.endswith("\n")
+
+    def test_every_cache_counter_is_a_counter_family(self):
+        row = {
+            key: 1
+            for key in (
+                "lookups", "hits", "misses", "stores", "disk_hits",
+                "corrupt", "errors", "evictions",
+            )
+        }
+        lines = _lines(render_prometheus({"caches": {"solve_cell": row}}))
+        for key in row:
+            assert f"# TYPE repro_cache_{key} counter" in lines
+            assert f'repro_cache_{key}{{layer="solve_cell"}} 1' in lines
 
     def test_help_precedes_type_precedes_samples(self):
         text = render_prometheus({"workers": 1})

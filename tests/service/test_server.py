@@ -191,7 +191,18 @@ class TestConcurrentDistinctCells:
         for layer in ("simulation", "solve_cell"):
             cache = stats["caches"][layer]
             assert not {"peers", "gossip", "remote_hits"} & set(cache)
-            assert [tier["kind"] for tier in cache["tiers"]] == ["memory"]
+            assert "tiers" not in cache
+            assert cache["directory"] is None
+
+    def test_cache_rows_carry_one_flat_counter_set(self, server):
+        with MultiplexedClient(server.address) as client:
+            caches = client.stats()["caches"]
+        assert caches["cassette"] is None  # no gateway cassette
+        for layer in ("simulation", "solve_cell"):
+            assert set(caches[layer]) == {
+                "entries", "lookups", "hits", "misses", "stores",
+                "disk_hits", "corrupt", "errors", "evictions", "directory",
+            }
 
 
 class TestLifecycle:

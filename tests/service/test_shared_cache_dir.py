@@ -231,9 +231,7 @@ class TestSharedDirectory:
             with MultiplexedClient(server.address) as client:
                 caches = client.stats()["caches"]
         for layer, name in (("simulation", "sim"), ("solve_cell", "solve")):
-            tiers = caches[layer]["tiers"]
-            assert [tier["kind"] for tier in tiers] == ["memory", "disk"]
-            assert str(tmp_path / name) in tiers[1]["detail"]
+            assert caches[layer]["directory"] == str(tmp_path / name)
 
     def test_local_grid_reuses_a_servers_simulations(self, tmp_path):
         """With solve-cell caching off, a local grid still re-runs the

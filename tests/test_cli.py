@@ -543,7 +543,71 @@ class TestCliServiceMode:
 
 
 
+def _fail_disk_writes(monkeypatch):
+    """Make every cache disk write fail as a full disk would."""
+    import errno
+
+    from repro.runtime import cache as cache_module
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cache_module.pickle, "dump", full)
+
+
 class TestCliCacheFabric:
+    def test_failed_disk_write_reaches_cache_errors(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.runtime import get_runtime
+
+        with runtime_session(cache_dir=str(tmp_path / "sim")):
+            with monkeypatch.context() as patched:
+                _fail_disk_writes(patched)
+                get_runtime().cache.put("k", "v")
+            assert main(["cache", "--sim-dir", str(tmp_path / "sim")]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "this process" in line)
+        assert row.endswith("stores 1, hit-rate 0.0%, errors 1")
+        assert os.listdir(tmp_path / "sim") == []
+
+    def test_memory_evictions_reach_cache(self, capsys, monkeypatch):
+        from repro.runtime import cache as cache_module
+        from repro.runtime import get_runtime
+
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 1)
+        with runtime_session(cache_dir=None):
+            for key in ("a", "b", "c"):
+                get_runtime().cache.put(key, key)
+            assert main(["cache"]) == 0
+        row = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "this process" in line
+        )
+        assert row.endswith("stores 3, hit-rate 0.0%, evictions 2")
+
+    def test_failed_disk_write_reaches_stats_reply_and_prometheus(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.runtime.cache import SimulationCache
+        from repro.service import SolveServer, fetch_stats, render_prometheus
+
+        sim_cache = SimulationCache(str(tmp_path / "sim"))
+        with SolveServer(workers=1, sim_cache=sim_cache) as server:
+            with monkeypatch.context() as patched:
+                _fail_disk_writes(patched)
+                sim_cache.put("k", "v")
+            stats = fetch_stats(server.address)
+            assert main(["cache", "--service", server.address]) == 0
+        assert stats["caches"]["simulation"]["errors"] == 1
+        assert 'repro_cache_errors{layer="simulation"} 1' in (
+            render_prometheus(stats).splitlines()
+        )
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "simulation" in line)
+        assert row.endswith(", errors 1")
+
     def test_cache_clear_one_layer(self, capsys, tmp_path, monkeypatch):
         sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
         capsys.readouterr()
@@ -576,14 +640,16 @@ class TestCliCacheFabric:
         assert main(["cache", "--clear"]) == 2
         assert "nothing to clear" in capsys.readouterr().out
 
-    def test_cache_reports_per_tier_lines(self, capsys, tmp_path, monkeypatch):
+    def test_cache_reports_one_row_per_layer(
+        self, capsys, tmp_path, monkeypatch
+    ):
         sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
         capsys.readouterr()
         argv = ["cache", "--sim-dir", str(sim_dir), "--solve-dir", str(solve_dir)]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "tier memory" in out
-        assert "(disk " in out
+        assert "this process: lookups" in out
+        assert "tier" not in out
         assert "peer" not in out  # one host: no peer attribution
 
     def test_eval_service_rejects_a_repeated_shard(self, capsys):
@@ -639,8 +705,8 @@ class TestCliCacheFabric:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
-        assert f"tier disk ({sim_dir})" in out
-        assert f"tier disk ({solve_dir})" in out
+        assert f"(disk {sim_dir})" in out
+        assert f"(disk {solve_dir})" in out
         assert len(list(solve_dir.glob("*.pkl"))) == 1
 
     def test_eval_over_a_servers_cache_directory_matches_local_row(
@@ -693,21 +759,21 @@ class TestCliDocs:
 
     def test_service_cache_lines_cover_every_layer(self):
         """``cache --service`` and ``stats --service`` share one renderer:
-        a counter line per layer, its tiers below, disabled layers named."""
+        one counter line per layer, disabled layers named."""
         from repro.cli import _render_service_caches
 
         caches = {
             "simulation": {
                 "entries": 3, "lookups": 4, "hits": 1, "misses": 3,
-                "stores": 3,
-                "tiers": [{"kind": "memory", "entries": 3, "hits": 1}],
+                "stores": 3, "directory": "/d", "evictions": 2,
             },
             "solve_cell": {"entries": 0, "lookups": 0},
         }
         lines = _render_service_caches(caches, " cache")
-        assert lines[0].startswith("  simulation cache: 3 entries, lookups 4")
-        assert "hit-rate 25.0%" in lines[0]
-        assert lines[1].startswith("      tier memory")
-        assert lines[2].startswith("  solve-cell cache: 0 entries")
-        assert lines[3] == "  cassette cache: disabled"
-        assert len(lines) == 4
+        assert lines[0].startswith(
+            "  simulation cache: 3 entries (disk /d), lookups 4"
+        )
+        assert lines[0].endswith("hit-rate 25.0%, evictions 2")
+        assert lines[1].startswith("  solve-cell cache: 0 entries, lookups 0")
+        assert lines[2] == "  cassette cache: disabled"
+        assert len(lines) == 3
