@@ -9,8 +9,10 @@ This package replaces Icarus Verilog in the MAGE reproduction.  It provides:
 - :mod:`repro.hdl.unparse` -- AST back to Verilog source.
 - :mod:`repro.hdl.elaborator` -- parameter resolution and hierarchy
   flattening into a simulatable design.
+- :mod:`repro.hdl.lower` -- lowers each elaborated design, once, into
+  python closures with widths and operators precomputed.
 - :mod:`repro.hdl.simulator` -- an event-driven simulation kernel with
-  delta cycles and nonblocking-assignment semantics.
+  delta cycles and nonblocking-assignment semantics that runs them.
 - :mod:`repro.hdl.lint` -- diagnostics used by the agents' syntax-fix loop.
 - :mod:`repro.hdl.deps` -- signal dependency graphs / cones of influence.
 """

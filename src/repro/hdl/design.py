@@ -69,7 +69,10 @@ class Design:
     :func:`~repro.hdl.compile.compile_design` memoizes designs by
     content, so one instance is shared by every caller and every
     :class:`~repro.hdl.simulator.Simulation` built on it; simulations
-    keep their mutable state apart from the design.
+    keep their mutable state apart from the design.  The first
+    simulation lowers the design to closures (:mod:`repro.hdl.lower`)
+    and keeps the result in ``_lowered``, which is not a field: it takes
+    no part in equality, ``repr`` or pickling.
     """
 
     name: str
@@ -79,6 +82,13 @@ class Design:
     inputs: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
     functions: dict[str, ast.FunctionDecl] = field(default_factory=dict)
+
+    _lowered = None  # repro.hdl.lower.LoweredDesign, set on first simulation
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_lowered", None)
+        return state
 
     def port_width(self, name: str) -> int:
         """Width of a top-level port."""

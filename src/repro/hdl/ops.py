@@ -1,8 +1,8 @@
 """Operator dispatch shared by constant evaluation and simulation.
 
 Maps Verilog operator spellings onto :class:`LogicVec` methods so the
-elaborator's constant folder and the runtime interpreter cannot drift
-apart semantically.
+elaborator's constant folder and the lowered simulator
+(:mod:`repro.hdl.lower`) cannot drift apart semantically.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.hdl.errors import HdlError
 from repro.hdl.values import LogicVec
 
-_BINARY = {
+BINARY_OPS = {
     "+": LogicVec.add,
     "-": LogicVec.sub,
     "*": LogicVec.mul,
@@ -38,7 +38,7 @@ _BINARY = {
     ">>>": LogicVec.ashr,
 }
 
-_UNARY = {
+UNARY_OPS = {
     "~": LogicVec.bit_not,
     "!": LogicVec.logical_not,
     "-": LogicVec.neg,
@@ -55,7 +55,7 @@ _UNARY = {
 
 def apply_binary(op: str, left: LogicVec, right: LogicVec) -> LogicVec:
     """Apply a binary Verilog operator."""
-    fn = _BINARY.get(op)
+    fn = BINARY_OPS.get(op)
     if fn is None:
         raise HdlError(f"unsupported binary operator {op!r}")
     return fn(left, right)
@@ -63,7 +63,7 @@ def apply_binary(op: str, left: LogicVec, right: LogicVec) -> LogicVec:
 
 def apply_unary(op: str, operand: LogicVec) -> LogicVec:
     """Apply a unary Verilog operator."""
-    fn = _UNARY.get(op)
+    fn = UNARY_OPS.get(op)
     if fn is None:
         raise HdlError(f"unsupported unary operator {op!r}")
     return fn(operand)

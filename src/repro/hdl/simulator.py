@@ -15,6 +15,11 @@ queue):
 - an activation budget guards against combinational oscillation
   (``always @(*) x = ~x;``) with a clear diagnostic.
 
+Process bodies run as python closures that :mod:`repro.hdl.lower` builds
+once per design (on the first simulation of it) and that every simulation
+of that design shares; this module holds only the per-simulation state
+and the schedule.
+
 The kernel is driven from Python: testbenches poke input values and call
 :meth:`Simulation.settle`, typically via :mod:`repro.tb.runner`.
 """
@@ -25,124 +30,50 @@ from collections import deque
 
 from repro.hdl.design import Design
 from repro.hdl.errors import SimulationError
-from repro.hdl.interpreter import Interpreter, WritePiece
-from repro.hdl.values import LogicVec
+from repro.hdl.values import LogicVec, _vec
 
 _MAX_EDGE_ROUNDS = 64
-
-# (old, new) bit states that constitute an edge; 2 encodes x.
-_POSEDGE = {(0, 1), (0, 2), (2, 1)}
-_NEGEDGE = {(1, 0), (1, 2), (2, 0)}
-
-
-def _bit_state(value: LogicVec) -> int:
-    bit = value.bit(0)
-    if bit.has_x:
-        return 2
-    return bit.val
 
 
 class Simulation:
     """Simulates one elaborated :class:`~repro.hdl.design.Design`."""
 
     def __init__(self, design: Design, max_activations: int | None = None):
+        # Imported on first use: a process that never simulates (a client,
+        # a fully cache-served grid) never compiles the lowering module.
+        from repro.hdl.lower import lowered
+
+        low = lowered(design)
         self.design = design
-        self.interp = Interpreter(self)
-        self.values: dict[str, LogicVec] = {}
-        self.memories: dict[str, list[LogicVec]] = {}
+        self.values: dict[str, LogicVec] = dict(low.values)
+        self.memories: dict[str, list[LogicVec]] = {
+            name: list(words) for name, words in low.memories.items()
+        }
         self.display_log: list[str] = []
         self.finished = False
         self.time = 0  # advanced by the testbench runner, for logs only
+        self.max_activations = max_activations or (200 * len(low.comb) + 1000)
 
-        for sig in design.signals.values():
-            self.values[sig.name] = LogicVec.all_x(sig.width, sig.signed)
-        for mem in design.memories.values():
-            self.memories[mem.name] = [
-                LogicVec.all_x(mem.width, mem.signed) for _ in range(mem.size)
-            ]
-
-        self._comb = [p for p in design.processes if p.kind == "comb"]
-        self._clocked = [p for p in design.processes if p.kind == "clocked"]
-        self._initial = [p for p in design.processes if p.kind == "initial"]
-        self._max_activations = max_activations or (200 * len(self._comb) + 1000)
-
-        self._comb_index: dict[str, list[int]] = {}
-        for idx, proc in enumerate(self._comb):
-            for name in proc.reads:
-                self._comb_index.setdefault(name, []).append(idx)
-
-        self._edge_sources: list[str] = []
-        seen = set()
-        for proc in self._clocked:
-            for _, name in proc.edges:
-                if name not in seen:
-                    seen.add(name)
-                    self._edge_sources.append(name)
-
+        self._comb = low.comb
+        self._clocked = low.clocked
+        self._ports = low.ports
+        self._edge_sources = low.edge_sources
         self._pending: deque[int] = deque()
         self._in_queue: set[int] = set()
-        self._nba: list[tuple[WritePiece, LogicVec]] = []
+        # (commit, value, msb, lsb, word) per queued nonblocking write.
+        self._nba: list[tuple] = []
         # Index of the comb process currently executing.  A Verilog process
         # is not waiting on its event list while it runs, so its own writes
         # must not re-trigger it (otherwise every for-loop livelocks).
         self._running: int | None = None
+        self._call_depth = 0  # user-function activations in progress
 
-        for proc in self._initial:
-            for stmt in proc.body:
-                self.interp.exec_stmt(stmt)
+        for body in low.initial:
+            body(self, None)
         self._commit_nba()
-        for idx in range(len(self._comb)):
-            self._enqueue(idx)
+        self._wake(range(len(self._comb)))
         self._drain_comb()
-        self._edge_prev = {
-            name: _bit_state(self.values[name]) for name in self._edge_sources
-        }
-
-    # ------------------------------------------------------------------
-    # StateAccess interface (used by the interpreter)
-    # ------------------------------------------------------------------
-
-    def get_signal(self, name: str) -> LogicVec:
-        return self.values[name]
-
-    def set_signal(self, name: str, value: LogicVec) -> None:
-        sig = self.design.signals[name]
-        new = value.resize(sig.width, sig.signed)
-        if new != self.values[name]:
-            self.values[name] = new
-            for idx in self._comb_index.get(name, ()):
-                if idx != self._running:
-                    self._enqueue(idx)
-
-    def get_mem_word(self, name: str, index: int) -> LogicVec:
-        mem = self.design.memories[name]
-        slot = index - mem.base
-        if 0 <= slot < mem.size:
-            return self.memories[name][slot]
-        return LogicVec.all_x(mem.width, mem.signed)
-
-    def set_mem_word(self, name: str, index: int, value: LogicVec) -> None:
-        mem = self.design.memories[name]
-        if not (0 <= index < mem.size):
-            return
-        new = value.resize(mem.width, mem.signed)
-        if new != self.memories[name][index]:
-            self.memories[name][index] = new
-            for idx in self._comb_index.get(name, ()):
-                if idx != self._running:
-                    self._enqueue(idx)
-
-    def schedule_nba(self, piece: WritePiece, value: LogicVec) -> None:
-        self._nba.append((piece, value))
-
-    def sys_call(self, name: str, args: list[LogicVec]) -> None:
-        if name in ("$finish", "$stop"):
-            self.finished = True
-            return
-        if name in ("$display", "$write", "$strobe", "$monitor"):
-            rendered = " ".join(a.format_display() for a in args)
-            self.display_log.append(f"[{self.time}] {rendered}")
-        # Every other system task is a no-op in this substrate.
+        self._edge_prev = self._edge_states()
 
     # ------------------------------------------------------------------
     # Public driving interface
@@ -150,12 +81,24 @@ class Simulation:
 
     def poke(self, name: str, value: LogicVec | int) -> None:
         """Drive a top-level input (does not settle; call :meth:`settle`)."""
-        sig = self.design.signals.get(name)
-        if sig is None or not sig.is_input:
+        port = self._ports.get(name)
+        if port is None:
             raise SimulationError(f"{name!r} is not a top-level input")
+        width, mask, signed, readers = port
+        values = self.values
+        old = values[name]
         if isinstance(value, int):
-            value = LogicVec.from_int(value, sig.width)
-        self.set_signal(name, value)
+            val = value & mask
+            if val == old.val and not old.xmask and old.signed == signed:
+                return
+            new = _vec(width, val, 0, signed)  # from_int, then the port's sign
+        else:
+            new = value.resize(width, signed)
+            if new.val == old.val and new.xmask == old.xmask and new.signed == old.signed:
+                return
+        values[name] = new
+        if readers:
+            self._wake(readers)
 
     def peek(self, name: str) -> LogicVec:
         """Read any signal by flattened name."""
@@ -170,9 +113,8 @@ class Simulation:
             fired = self._collect_edge_processes()
             if not fired and not self._nba:
                 return
-            for proc in fired:
-                for stmt in proc.body:
-                    self.interp.exec_stmt(stmt)
+            for body in fired:
+                body(self, None)
             self._commit_nba()
         raise SimulationError(
             f"simulation did not converge after {_MAX_EDGE_ROUNDS} edge rounds "
@@ -186,51 +128,70 @@ class Simulation:
         self.settle()
 
     # ------------------------------------------------------------------
-    # Internals
+    # Internals (the lowered closures call _wake and append to _nba)
     # ------------------------------------------------------------------
+
+    def _wake(self, readers) -> None:
+        """Queue comb processes whose inputs changed (not the running one)."""
+        running = self._running
+        queued = self._in_queue
+        pending = self._pending
+        for idx in readers:
+            if idx != running and idx not in queued:
+                queued.add(idx)
+                pending.append(idx)
 
     def _commit_nba(self) -> None:
         queued = self._nba
         self._nba = []
-        for piece, value in queued:
-            self.interp.commit_nba(piece, value)
-
-    def _enqueue(self, idx: int) -> None:
-        if idx not in self._in_queue:
-            self._in_queue.add(idx)
-            self._pending.append(idx)
+        for commit, value, msb, lsb, word in queued:
+            commit(self, value, msb, lsb, word)
 
     def _drain_comb(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        queued = self._in_queue
+        comb = self._comb
+        limit = self.max_activations
         activations = 0
-        while self._pending:
+        while pending:
             activations += 1
-            if activations > self._max_activations:
+            if activations > limit:
                 raise SimulationError(
                     "combinational logic did not stabilise "
-                    f"(> {self._max_activations} process activations); "
+                    f"(> {limit} process activations); "
                     "likely a zero-delay feedback loop"
                 )
-            idx = self._pending.popleft()
-            self._in_queue.discard(idx)
+            idx = pending.popleft()
+            queued.discard(idx)
             self._running = idx
             try:
-                for stmt in self._comb[idx].body:
-                    self.interp.exec_stmt(stmt)
+                comb[idx](self, None)
             finally:
                 self._running = None
 
-    def _collect_edge_processes(self):
-        fired = []
-        states = {}
+    def _edge_states(self) -> list[int]:
+        """Bit 0 of every edge source: 0, 1, or 2 for x."""
+        values = self.values
+        states = []
         for name in self._edge_sources:
-            states[name] = _bit_state(self.values[name])
-        for proc in self._clocked:
-            for edge, name in proc.edges:
-                old = self._edge_prev[name]
-                new = states[name]
-                table = _POSEDGE if edge == "pos" else _NEGEDGE
-                if (old, new) in table:
-                    fired.append(proc)
-                    break
+            v = values[name]
+            states.append(2 if v.xmask & 1 else v.val & 1)
+        return states
+
+    def _collect_edge_processes(self) -> list:
+        if not self._clocked:
+            return []
+        states = self._edge_states()
+        prev = self._edge_prev
+        if states == prev:
+            return []  # no source moved, so no edge
         self._edge_prev = states
+        fired = []
+        for body, edges in self._clocked:
+            for source, table in edges:
+                if (prev[source], states[source]) in table:
+                    fired.append(body)
+                    break
         return fired

@@ -58,12 +58,16 @@ class LogicVec:
     @staticmethod
     def from_int(value: int, width: int, signed: bool = False) -> "LogicVec":
         """Build a fully-known vector from a Python integer (two's complement)."""
-        return LogicVec(width, value & _mask(width), 0, signed)
+        if width < 1:
+            return LogicVec(width, 0, 0, signed)  # raises ValueError
+        return _vec(width, value & _mask(width), 0, signed)
 
     @staticmethod
     def all_x(width: int, signed: bool = False) -> "LogicVec":
         """Build a vector with every bit unknown."""
-        return LogicVec(width, 0, _mask(width), signed)
+        if width < 1:
+            return LogicVec(width, 0, 0, signed)  # raises ValueError
+        return _vec(width, 0, _mask(width), signed)
 
     @staticmethod
     def from_bits(bits: str, signed: bool = False) -> "LogicVec":
@@ -120,8 +124,8 @@ class LogicVec:
     def bit(self, index: int) -> "LogicVec":
         """Single-bit select.  Out-of-range indices read as ``x``."""
         if index < 0 or index >= self.width:
-            return LogicVec.all_x(1)
-        return LogicVec(1, (self.val >> index) & 1, (self.xmask >> index) & 1)
+            return _X1
+        return _BITS[(self.val >> index) & 1 | ((self.xmask >> index) & 1) << 1]
 
     def slice(self, msb: int, lsb: int) -> "LogicVec":
         """Part select ``[msb:lsb]``.  Out-of-range bits read as ``x``."""
@@ -130,14 +134,20 @@ class LogicVec:
         width = msb - lsb + 1
         if lsb >= self.width or msb < 0:
             return LogicVec.all_x(width)
-        val = (self.val >> max(lsb, 0)) if lsb >= 0 else (self.val << -lsb)
-        xm = (self.xmask >> max(lsb, 0)) if lsb >= 0 else (self.xmask << -lsb)
-        out_of_range = 0
-        for i in range(width):
-            src = lsb + i
-            if src < 0 or src >= self.width:
-                out_of_range |= 1 << i
-        return LogicVec(width, val, xm | out_of_range)
+        if lsb >= 0:
+            val = self.val >> lsb
+            xm = self.xmask >> lsb
+            low = 0
+        else:
+            val = self.val << -lsb
+            xm = self.xmask << -lsb
+            low = -lsb
+        # Result bits from ``low`` up to the vector's top bit lie inside it;
+        # the bits outside read as x.
+        m = _mask(width)
+        in_range = _mask(min(width, self.width - lsb)) ^ _mask(low)
+        xm = (xm | (m ^ in_range)) & m
+        return _vec(width, val & m & ~xm, xm, False)
 
     def resize(self, width: int, signed: bool | None = None) -> "LogicVec":
         """Zero/sign extend or truncate to ``width``.
@@ -149,10 +159,12 @@ class LogicVec:
         if width == self.width:
             if out_signed == self.signed:
                 return self  # frozen and compared by value: no copy needed
-            return LogicVec(width, self.val, self.xmask, out_signed)
+            return _vec(width, self.val, self.xmask, out_signed)
         if width < self.width:
+            if width < 1:
+                return LogicVec(width, 0, 0, out_signed)  # raises ValueError
             m = _mask(width)
-            return LogicVec(width, self.val & m, self.xmask & m, out_signed)
+            return _vec(width, self.val & m, self.xmask & m, out_signed)
         ext = width - self.width
         top = self.width - 1
         val = self.val
@@ -162,13 +174,13 @@ class LogicVec:
                 xm |= _mask(ext) << self.width
             elif (val >> top) & 1:
                 val |= _mask(ext) << self.width
-        return LogicVec(width, val, xm, out_signed)
+        return _vec(width, val, xm, out_signed)
 
     def as_signed(self) -> "LogicVec":
-        return LogicVec(self.width, self.val, self.xmask, True)
+        return _vec(self.width, self.val, self.xmask, True)
 
     def as_unsigned(self) -> "LogicVec":
-        return LogicVec(self.width, self.val, self.xmask, False)
+        return _vec(self.width, self.val, self.xmask, False)
 
     # ------------------------------------------------------------------
     # Truthiness (for logical ops and conditions)
@@ -181,10 +193,10 @@ class LogicVec:
         ``0``; ``x`` otherwise.
         """
         if self.val:
-            return LogicVec(1, 1)
+            return _ONE
         if self.xmask:
-            return LogicVec.all_x(1)
-        return LogicVec(1, 0)
+            return _X1
+        return _ZERO
 
     def is_true(self) -> bool:
         """Python-level: condition taken (known 1 somewhere)."""
@@ -207,27 +219,25 @@ class LogicVec:
         a, b, width, signed = self._coerce(other)
         known0 = (~a.val & ~a.xmask) | (~b.val & ~b.xmask)
         xm = (a.xmask | b.xmask) & ~known0 & _mask(width)
-        return LogicVec(width, a.val & b.val, xm, signed)
+        return _vec(width, a.val & b.val, xm, signed)
 
     def bit_or(self, other: "LogicVec") -> "LogicVec":
         a, b, width, signed = self._coerce(other)
         known1 = a.val | b.val
         xm = (a.xmask | b.xmask) & ~known1 & _mask(width)
-        return LogicVec(width, known1 & ~xm, xm, signed)
+        return _vec(width, known1 & ~xm, xm, signed)
 
     def bit_xor(self, other: "LogicVec") -> "LogicVec":
         a, b, width, signed = self._coerce(other)
         xm = a.xmask | b.xmask
-        return LogicVec(width, (a.val ^ b.val) & ~xm, xm, signed)
+        return _vec(width, (a.val ^ b.val) & ~xm, xm, signed)
 
     def bit_xnor(self, other: "LogicVec") -> "LogicVec":
         return self.bit_xor(other).bit_not()
 
     def bit_not(self) -> "LogicVec":
         m = _mask(self.width)
-        return LogicVec(
-            self.width, ~self.val & m & ~self.xmask, self.xmask, self.signed
-        )
+        return _vec(self.width, ~self.val & m & ~self.xmask, self.xmask, self.signed)
 
     # ------------------------------------------------------------------
     # Arithmetic (any x => all x, per IEEE 1364)
@@ -246,21 +256,21 @@ class LogicVec:
         if ints is None:
             return LogicVec.all_x(max(self.width, other.width))
         x, y, width, signed = ints
-        return LogicVec(width, (x + y) & _mask(width), 0, signed)
+        return _vec(width, (x + y) & _mask(width), 0, signed)
 
     def sub(self, other: "LogicVec") -> "LogicVec":
         ints = self._arith_ints(other)
         if ints is None:
             return LogicVec.all_x(max(self.width, other.width))
         x, y, width, signed = ints
-        return LogicVec(width, (x - y) & _mask(width), 0, signed)
+        return _vec(width, (x - y) & _mask(width), 0, signed)
 
     def mul(self, other: "LogicVec") -> "LogicVec":
         ints = self._arith_ints(other)
         if ints is None:
             return LogicVec.all_x(max(self.width, other.width))
         x, y, width, signed = ints
-        return LogicVec(width, (x * y) & _mask(width), 0, signed)
+        return _vec(width, (x * y) & _mask(width), 0, signed)
 
     def div(self, other: "LogicVec") -> "LogicVec":
         ints = self._arith_ints(other)
@@ -270,7 +280,7 @@ class LogicVec:
         q = abs(x) // abs(y)
         if (x < 0) != (y < 0):
             q = -q
-        return LogicVec(width, q & _mask(width), 0, signed)
+        return _vec(width, q & _mask(width), 0, signed)
 
     def mod(self, other: "LogicVec") -> "LogicVec":
         ints = self._arith_ints(other)
@@ -280,7 +290,7 @@ class LogicVec:
         r = abs(x) % abs(y)
         if x < 0:
             r = -r
-        return LogicVec(width, r & _mask(width), 0, signed)
+        return _vec(width, r & _mask(width), 0, signed)
 
     def pow(self, other: "LogicVec") -> "LogicVec":
         ints = self._arith_ints(other)
@@ -289,12 +299,12 @@ class LogicVec:
         x, y, width, signed = ints
         if y < 0:
             return LogicVec.all_x(width)
-        return LogicVec(width, pow(x, y) & _mask(width), 0, signed)
+        return _vec(width, pow(x, y) & _mask(width), 0, signed)
 
     def neg(self) -> "LogicVec":
         if self.xmask:
             return LogicVec.all_x(self.width, self.signed)
-        return LogicVec(self.width, (-self.val) & _mask(self.width), 0, self.signed)
+        return _vec(self.width, (-self.val) & _mask(self.width), 0, self.signed)
 
     # ------------------------------------------------------------------
     # Shifts
@@ -305,15 +315,13 @@ class LogicVec:
             return LogicVec.all_x(self.width, self.signed)
         n = amount.val
         m = _mask(self.width)
-        return LogicVec(
-            self.width, (self.val << n) & m, (self.xmask << n) & m, self.signed
-        )
+        return _vec(self.width, (self.val << n) & m, (self.xmask << n) & m, self.signed)
 
     def shr(self, amount: "LogicVec") -> "LogicVec":
         if amount.xmask:
             return LogicVec.all_x(self.width, self.signed)
         n = amount.val
-        return LogicVec(self.width, self.val >> n, self.xmask >> n, self.signed)
+        return _vec(self.width, self.val >> n, self.xmask >> n, self.signed)
 
     def ashr(self, amount: "LogicVec") -> "LogicVec":
         """Arithmetic right shift; replicates the sign bit when signed."""
@@ -330,7 +338,7 @@ class LogicVec:
             xm |= fill
         elif (self.val >> top) & 1:
             val |= fill
-        return LogicVec(self.width, val, xm, True)
+        return _vec(self.width, val, xm, True)
 
     # ------------------------------------------------------------------
     # Comparisons
@@ -342,9 +350,9 @@ class LogicVec:
             # A known-bit conflict decides inequality even with x elsewhere.
             agreed = ~(a.xmask | b.xmask) & _mask(width)
             if (a.val ^ b.val) & agreed:
-                return LogicVec(1, 0)
-            return LogicVec.all_x(1)
-        return LogicVec(1, 1 if a.val == b.val else 0)
+                return _ZERO
+            return _X1
+        return _ONE if a.val == b.val else _ZERO
 
     def neq(self, other: "LogicVec") -> "LogicVec":
         return self.eq(other).logical_not()
@@ -352,7 +360,7 @@ class LogicVec:
     def case_eq(self, other: "LogicVec") -> "LogicVec":
         a, b, _, _ = self._coerce(other)
         same = a.val == b.val and a.xmask == b.xmask
-        return LogicVec(1, 1 if same else 0)
+        return _ONE if same else _ZERO
 
     def case_neq(self, other: "LogicVec") -> "LogicVec":
         return self.case_eq(other).bit_not()
@@ -368,19 +376,19 @@ class LogicVec:
 
     def lt(self, other: "LogicVec") -> "LogicVec":
         c = self._compare(other)
-        return LogicVec.all_x(1) if c is None else LogicVec(1, 1 if c < 0 else 0)
+        return _X1 if c is None else (_ONE if c < 0 else _ZERO)
 
     def le(self, other: "LogicVec") -> "LogicVec":
         c = self._compare(other)
-        return LogicVec.all_x(1) if c is None else LogicVec(1, 1 if c <= 0 else 0)
+        return _X1 if c is None else (_ONE if c <= 0 else _ZERO)
 
     def gt(self, other: "LogicVec") -> "LogicVec":
         c = self._compare(other)
-        return LogicVec.all_x(1) if c is None else LogicVec(1, 1 if c > 0 else 0)
+        return _X1 if c is None else (_ONE if c > 0 else _ZERO)
 
     def ge(self, other: "LogicVec") -> "LogicVec":
         c = self._compare(other)
-        return LogicVec.all_x(1) if c is None else LogicVec(1, 1 if c >= 0 else 0)
+        return _X1 if c is None else (_ONE if c >= 0 else _ZERO)
 
     # ------------------------------------------------------------------
     # Logical operators
@@ -389,24 +397,24 @@ class LogicVec:
     def logical_and(self, other: "LogicVec") -> "LogicVec":
         a, b = self.truth(), other.truth()
         if a.is_false() or b.is_false():
-            return LogicVec(1, 0)
+            return _ZERO
         if a.has_x or b.has_x:
-            return LogicVec.all_x(1)
-        return LogicVec(1, 1)
+            return _X1
+        return _ONE
 
     def logical_or(self, other: "LogicVec") -> "LogicVec":
         a, b = self.truth(), other.truth()
         if a.is_true() or b.is_true():
-            return LogicVec(1, 1)
+            return _ONE
         if a.has_x or b.has_x:
-            return LogicVec.all_x(1)
-        return LogicVec(1, 0)
+            return _X1
+        return _ZERO
 
     def logical_not(self) -> "LogicVec":
         t = self.truth()
         if t.has_x:
-            return LogicVec.all_x(1)
-        return LogicVec(1, 0 if t.is_true() else 1)
+            return _X1
+        return _ZERO if t.is_true() else _ONE
 
     # ------------------------------------------------------------------
     # Reductions
@@ -415,22 +423,22 @@ class LogicVec:
     def reduce_and(self) -> "LogicVec":
         m = _mask(self.width)
         if (~self.val & ~self.xmask) & m:
-            return LogicVec(1, 0)
+            return _ZERO
         if self.xmask:
-            return LogicVec.all_x(1)
-        return LogicVec(1, 1)
+            return _X1
+        return _ONE
 
     def reduce_or(self) -> "LogicVec":
         if self.val:
-            return LogicVec(1, 1)
+            return _ONE
         if self.xmask:
-            return LogicVec.all_x(1)
-        return LogicVec(1, 0)
+            return _X1
+        return _ZERO
 
     def reduce_xor(self) -> "LogicVec":
         if self.xmask:
-            return LogicVec.all_x(1)
-        return LogicVec(1, bin(self.val).count("1") & 1)
+            return _X1
+        return _ONE if bin(self.val).count("1") & 1 else _ZERO
 
     def reduce_nand(self) -> "LogicVec":
         return self.reduce_and().bit_not()
@@ -457,7 +465,7 @@ class LogicVec:
             val = (val << p.width) | p.val
             xm = (xm << p.width) | p.xmask
             width += p.width
-        return LogicVec(width, val, xm)
+        return _vec(width, val, xm, False)
 
     def replicate(self, count: int) -> "LogicVec":
         if count < 1:
@@ -478,7 +486,7 @@ class LogicVec:
         keep = ~(field << lo) & _mask(self.width)
         val = (self.val & keep) | ((src.val << lo) & ~keep & _mask(self.width))
         xm = (self.xmask & keep) | ((src.xmask << lo) & ~keep & _mask(self.width))
-        return LogicVec(self.width, val, xm, self.signed)
+        return _vec(self.width, val, xm, self.signed)
 
     # ------------------------------------------------------------------
     # Matching helpers for case statements
@@ -529,3 +537,31 @@ class LogicVec:
     def __repr__(self) -> str:
         s = ", signed" if self.signed else ""
         return f"LogicVec({self.width}'b{self.to_bits()}{s})"
+
+
+_new = object.__new__
+
+
+def _vec(width: int, val: int, xmask: int, signed: bool) -> LogicVec:
+    """Build a vector whose fields already hold the class invariants.
+
+    Skips ``__post_init__``'s validation and re-masking: the caller
+    guarantees ``width >= 1``, both masks within ``width`` bits and
+    ``val & xmask == 0``.  The instance is indistinguishable from one the
+    constructor builds (same fields in the same order, so equality,
+    hashing and pickles match).
+    """
+    vec = _new(LogicVec)
+    fields = vec.__dict__
+    fields["width"] = width
+    fields["val"] = val
+    fields["xmask"] = xmask
+    fields["signed"] = signed
+    return vec
+
+
+_ZERO = LogicVec(1, 0)
+_ONE = LogicVec(1, 1)
+_X1 = LogicVec(1, 0, 1)
+# 1-bit values by ``val | xmask << 1`` (index 3 cannot occur).
+_BITS = (_ZERO, _ONE, _X1)

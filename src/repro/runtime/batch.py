@@ -156,11 +156,10 @@ def _fill_report_counters(
         else CacheStats()
     )
     if crossing:
-        report.cache.hits += sum(r.cache_hits for r in rows)
-        report.cache.misses += sum(r.cache_misses for r in rows)
-        report.simulations += sum(r.simulations for r in rows)
-        report.solve_cache.hits += sum(r.solve_hits for r in rows)
-        report.solve_cache.misses += sum(r.solve_misses for r in rows)
+        for row in rows:
+            report.cache.add(row.cache)
+            report.solve_cache.add(row.solve_cache)
+            report.simulations += row.simulations
 
 
 def _progress_flusher(

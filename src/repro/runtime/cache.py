@@ -141,6 +141,11 @@ class CacheStats:
             *[getattr(self, name) - getattr(earlier, name) for name in _COUNTERS]
         )
 
+    def add(self, other: "CacheStats") -> None:
+        """Add ``other``'s counters into this row, field by field."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
 
 _COUNTERS = tuple(field.name for field in dataclasses.fields(CacheStats))
 

@@ -23,7 +23,7 @@ because solves are deterministic in exactly the hashed inputs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
@@ -73,9 +73,10 @@ class EvalCell:
 class CellResult:
     """What comes back: the tally entry plus timing and cache accounting.
 
-    Cache counters are exact per-cell in serial and process execution;
-    under thread execution concurrent cells share counters, so batch
-    totals are taken from the live caches instead.
+    ``cache`` and ``solve_cache`` are this cell's deltas of the two
+    caches' counters, every field.  They are exact per-cell in serial and
+    process execution; under thread execution concurrent cells share
+    counters, so batch totals are taken from the live caches instead.
     """
 
     problem_index: int
@@ -84,11 +85,9 @@ class CellResult:
     passed: bool
     score: float
     seconds: float
-    cache_hits: int = 0
-    cache_misses: int = 0
+    cache: CacheStats = field(default_factory=CacheStats)
     simulations: int = 0
-    solve_hits: int = 0
-    solve_misses: int = 0
+    solve_cache: CacheStats = field(default_factory=CacheStats)
     # Whether THIS cell's solve was served from the solve-cell cache.
     # Recorded at the lookup itself (not from stats deltas), so it stays
     # correct even when concurrent thread cells share one stats object.
@@ -229,10 +228,8 @@ def run_cell(
         passed=report.passed,
         score=report.score,
         seconds=elapsed,
-        cache_hits=delta.hits,
-        cache_misses=delta.misses,
+        cache=delta,
         simulations=simulation_count() - sims_before,
-        solve_hits=solve_delta.hits,
-        solve_misses=solve_delta.misses,
+        solve_cache=solve_delta,
         solve_cached=solve_cached,
     )

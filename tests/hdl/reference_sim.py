@@ -1,18 +1,19 @@
-"""Runtime evaluation of elaborated statements and expressions.
+"""Reference simulator: the tree-walking interpreter and its kernel.
 
-Implements Verilog's context-determined expression sizing: an assignment
-right-hand side is evaluated in a context at least as wide as the target,
-so carry bits survive idioms like ``{cout, sum} = a + b + cin``.
-Self-determined contexts (comparison operands, shift amounts, concat
-parts, indices) follow IEEE 1364 as well.
+This is the simulator the package shipped before elaborated designs were
+lowered to closures (:mod:`repro.hdl.lower`).  It walks the AST on every
+evaluation, re-deriving each expression's width as it goes, and is kept
+here only as the oracle the lowered simulator is checked against
+(``test_lowered_vs_reference.py``).  Nothing under ``src/`` imports it.
 
-The interpreter is driven by a :class:`StateAccess` implementation --
-in practice :class:`repro.hdl.simulator.Simulation` -- which owns signal
-storage and decides how nonblocking writes are scheduled.
+The code is the shipped kernel unchanged apart from the class name
+``ReferenceSimulation``; a behavioural change here is a change to the
+oracle.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -597,3 +598,211 @@ def _range_width(rng: ast.Range | None) -> int:
     if not (isinstance(msb, ast.Number) and isinstance(lsb, ast.Number)):
         raise SimulationError("function range must be constant", rng.loc)
     return abs(msb.value.to_uint() - lsb.value.to_uint()) + 1
+
+
+_MAX_EDGE_ROUNDS = 64
+
+# (old, new) bit states that constitute an edge; 2 encodes x.
+_POSEDGE = {(0, 1), (0, 2), (2, 1)}
+_NEGEDGE = {(1, 0), (1, 2), (2, 0)}
+
+
+def _bit_state(value: LogicVec) -> int:
+    bit = value.bit(0)
+    if bit.has_x:
+        return 2
+    return bit.val
+
+
+class ReferenceSimulation:
+    """The tree-walking kernel: same public surface as ``Simulation``."""
+
+    def __init__(self, design: Design, max_activations: int | None = None):
+        self.design = design
+        self.interp = Interpreter(self)
+        self.values: dict[str, LogicVec] = {}
+        self.memories: dict[str, list[LogicVec]] = {}
+        self.display_log: list[str] = []
+        self.finished = False
+        self.time = 0  # advanced by the testbench runner, for logs only
+
+        for sig in design.signals.values():
+            self.values[sig.name] = LogicVec.all_x(sig.width, sig.signed)
+        for mem in design.memories.values():
+            self.memories[mem.name] = [
+                LogicVec.all_x(mem.width, mem.signed) for _ in range(mem.size)
+            ]
+
+        self._comb = [p for p in design.processes if p.kind == "comb"]
+        self._clocked = [p for p in design.processes if p.kind == "clocked"]
+        self._initial = [p for p in design.processes if p.kind == "initial"]
+        self._max_activations = max_activations or (200 * len(self._comb) + 1000)
+
+        self._comb_index: dict[str, list[int]] = {}
+        for idx, proc in enumerate(self._comb):
+            for name in proc.reads:
+                self._comb_index.setdefault(name, []).append(idx)
+
+        self._edge_sources: list[str] = []
+        seen = set()
+        for proc in self._clocked:
+            for _, name in proc.edges:
+                if name not in seen:
+                    seen.add(name)
+                    self._edge_sources.append(name)
+
+        self._pending: deque[int] = deque()
+        self._in_queue: set[int] = set()
+        self._nba: list[tuple[WritePiece, LogicVec]] = []
+        # Index of the comb process currently executing.  A Verilog process
+        # is not waiting on its event list while it runs, so its own writes
+        # must not re-trigger it (otherwise every for-loop livelocks).
+        self._running: int | None = None
+
+        for proc in self._initial:
+            for stmt in proc.body:
+                self.interp.exec_stmt(stmt)
+        self._commit_nba()
+        for idx in range(len(self._comb)):
+            self._enqueue(idx)
+        self._drain_comb()
+        self._edge_prev = {
+            name: _bit_state(self.values[name]) for name in self._edge_sources
+        }
+
+    # ------------------------------------------------------------------
+    # StateAccess interface (used by the interpreter)
+    # ------------------------------------------------------------------
+
+    def get_signal(self, name: str) -> LogicVec:
+        return self.values[name]
+
+    def set_signal(self, name: str, value: LogicVec) -> None:
+        sig = self.design.signals[name]
+        new = value.resize(sig.width, sig.signed)
+        if new != self.values[name]:
+            self.values[name] = new
+            for idx in self._comb_index.get(name, ()):
+                if idx != self._running:
+                    self._enqueue(idx)
+
+    def get_mem_word(self, name: str, index: int) -> LogicVec:
+        mem = self.design.memories[name]
+        slot = index - mem.base
+        if 0 <= slot < mem.size:
+            return self.memories[name][slot]
+        return LogicVec.all_x(mem.width, mem.signed)
+
+    def set_mem_word(self, name: str, index: int, value: LogicVec) -> None:
+        mem = self.design.memories[name]
+        if not (0 <= index < mem.size):
+            return
+        new = value.resize(mem.width, mem.signed)
+        if new != self.memories[name][index]:
+            self.memories[name][index] = new
+            for idx in self._comb_index.get(name, ()):
+                if idx != self._running:
+                    self._enqueue(idx)
+
+    def schedule_nba(self, piece: WritePiece, value: LogicVec) -> None:
+        self._nba.append((piece, value))
+
+    def sys_call(self, name: str, args: list[LogicVec]) -> None:
+        if name in ("$finish", "$stop"):
+            self.finished = True
+            return
+        if name in ("$display", "$write", "$strobe", "$monitor"):
+            rendered = " ".join(a.format_display() for a in args)
+            self.display_log.append(f"[{self.time}] {rendered}")
+        # Every other system task is a no-op in this substrate.
+
+    # ------------------------------------------------------------------
+    # Public driving interface
+    # ------------------------------------------------------------------
+
+    def poke(self, name: str, value: LogicVec | int) -> None:
+        """Drive a top-level input (does not settle; call :meth:`settle`)."""
+        sig = self.design.signals.get(name)
+        if sig is None or not sig.is_input:
+            raise SimulationError(f"{name!r} is not a top-level input")
+        if isinstance(value, int):
+            value = LogicVec.from_int(value, sig.width)
+        self.set_signal(name, value)
+
+    def peek(self, name: str) -> LogicVec:
+        """Read any signal by flattened name."""
+        if name not in self.values:
+            raise SimulationError(f"no signal named {name!r}")
+        return self.values[name]
+
+    def settle(self) -> None:
+        """Propagate until quiescent: comb fixpoint, edges, NBA commit."""
+        for _ in range(_MAX_EDGE_ROUNDS):
+            self._drain_comb()
+            fired = self._collect_edge_processes()
+            if not fired and not self._nba:
+                return
+            for proc in fired:
+                for stmt in proc.body:
+                    self.interp.exec_stmt(stmt)
+            self._commit_nba()
+        raise SimulationError(
+            f"simulation did not converge after {_MAX_EDGE_ROUNDS} edge rounds "
+            "(unstable derived clock?)"
+        )
+
+    def step(self, changes: dict[str, LogicVec | int]) -> None:
+        """Apply input changes, then settle."""
+        for name, value in changes.items():
+            self.poke(name, value)
+        self.settle()
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _commit_nba(self) -> None:
+        queued = self._nba
+        self._nba = []
+        for piece, value in queued:
+            self.interp.commit_nba(piece, value)
+
+    def _enqueue(self, idx: int) -> None:
+        if idx not in self._in_queue:
+            self._in_queue.add(idx)
+            self._pending.append(idx)
+
+    def _drain_comb(self) -> None:
+        activations = 0
+        while self._pending:
+            activations += 1
+            if activations > self._max_activations:
+                raise SimulationError(
+                    "combinational logic did not stabilise "
+                    f"(> {self._max_activations} process activations); "
+                    "likely a zero-delay feedback loop"
+                )
+            idx = self._pending.popleft()
+            self._in_queue.discard(idx)
+            self._running = idx
+            try:
+                for stmt in self._comb[idx].body:
+                    self.interp.exec_stmt(stmt)
+            finally:
+                self._running = None
+
+    def _collect_edge_processes(self):
+        fired = []
+        states = {}
+        for name in self._edge_sources:
+            states[name] = _bit_state(self.values[name])
+        for proc in self._clocked:
+            for edge, name in proc.edges:
+                old = self._edge_prev[name]
+                new = states[name]
+                table = _POSEDGE if edge == "pos" else _NEGEDGE
+                if (old, new) in table:
+                    fired.append(proc)
+                    break
+        self._edge_prev = states
+        return fired

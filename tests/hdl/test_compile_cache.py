@@ -1,5 +1,7 @@
 """The content-keyed compile cache behind ``compile_design``."""
 
+import pickle
+
 import pytest
 
 import repro.hdl.compile as compile_mod
@@ -64,6 +66,29 @@ def test_simulations_on_one_design_keep_separate_state():
     assert two.peek("y").to_uint() == 2
     fresh = Simulation(design)
     assert fresh.peek("a").has_x
+
+
+def test_a_design_is_lowered_once_on_its_first_simulation():
+    """Compiling lowers nothing; the first simulation lowers the design
+    and every later simulation of it reuses that lowered form."""
+    design = compile_design(ADDER.format(tag="lowered-once"), "add")
+    assert design._lowered is None
+    Simulation(design)
+    lowered = design._lowered
+    assert lowered is not None
+    Simulation(design)
+    assert design._lowered is lowered
+
+
+def test_a_lowered_design_pickles_without_its_closures():
+    design = compile_design(ADDER.format(tag="pickled"), "add", {"W": 6})
+    Simulation(design)
+    copy = pickle.loads(pickle.dumps(design))
+    assert copy == design
+    assert copy._lowered is None
+    sim = Simulation(copy)
+    sim.step({"a": 5})
+    assert sim.peek("y").to_uint() == 6
 
 
 def test_failing_source_raises_on_every_call(parses):

@@ -167,3 +167,59 @@ def test_resize_matches_constructor(v, width, signed):
 @given(signed_vec(), st.booleans())
 def test_resize_to_same_shape_returns_self(v, pass_sign):
     assert v.resize(v.width, v.signed if pass_sign else None) is v
+
+
+def _slice_by_loop(v: LogicVec, msb: int, lsb: int) -> LogicVec:
+    """The per-bit part select ``slice`` replaced: out-of-range bits read x."""
+    width = msb - lsb + 1
+    if lsb >= v.width or msb < 0:
+        return LogicVec.all_x(width)
+    val = (v.val >> max(lsb, 0)) if lsb >= 0 else (v.val << -lsb)
+    xm = (v.xmask >> max(lsb, 0)) if lsb >= 0 else (v.xmask << -lsb)
+    out_of_range = 0
+    for i in range(width):
+        src = lsb + i
+        if src < 0 or src >= v.width:
+            out_of_range |= 1 << i
+    return LogicVec(width, val, xm | out_of_range)
+
+
+@given(signed_vec(), st.integers(-70, 70), st.integers(0, 70))
+@settings(max_examples=300)
+def test_slice_matches_per_bit_loop(v, lsb, span):
+    """Negative ``lsb``, ``msb >= width`` and fully-outside ranges included."""
+    msb = lsb + span
+    got = v.slice(msb, lsb)
+    assert got == _slice_by_loop(v, msb, lsb)
+    assert (got.width, got.val, got.xmask, got.signed) == (
+        span + 1,
+        got.val & ~got.xmask,
+        got.xmask & ((1 << (span + 1)) - 1),
+        False,
+    )
+
+
+@given(signed_vec(), signed_vec())
+def test_results_hold_the_invariants(a, b):
+    """Results built without re-masking equal what the constructor builds."""
+    results = [
+        a.bit_and(b), a.bit_or(b), a.bit_xor(b), a.bit_not(), a.add(b),
+        a.sub(b), a.mul(b), a.neg(), a.as_signed(), a.as_unsigned(),
+        a.resize(b.width), a.resize(a.width + 3, True), a.bit(b.width % 9),
+        a.shl(LogicVec.from_int(b.width % 7, 3)), a.shr(LogicVec.from_int(2, 3)),
+        a.ashr(LogicVec.from_int(b.width % 7, 3)), LogicVec.concat([a, b]),
+        a.set_slice(min(b.width, a.width) - 1, 0, b), a.eq(b), a.lt(b), a.truth(),
+    ]  # fmt: skip
+    for r in results:
+        assert r == LogicVec(r.width, r.val, r.xmask, r.signed)
+        assert list(vars(r)) == ["width", "val", "xmask", "signed"]
+
+
+def test_fast_built_vectors_pickle_like_constructed_ones():
+    import pickle
+
+    built = LogicVec.from_int(0xA5, 8).resize(8, True)
+    constructed = LogicVec(8, 0xA5, 0, True)
+    assert pickle.dumps(built) == pickle.dumps(constructed)
+    assert hash(built) == hash(constructed)
+    assert pickle.loads(pickle.dumps(built)) == constructed

@@ -215,7 +215,8 @@ class TestBatchReport:
 
     def test_process_cache_lookups_match_serial(self):
         """Across processes the parent's probe lookups are added to the
-        rows' own, so the lookup total matches the serial grid's."""
+        rows' own, so the lookup total matches the serial grid's, and
+        every counter (stores included) comes back from the workers."""
         mage_factory = SYSTEMS["mage"].factory
         grid = dict(runs=2, problems=MIXED)
         with SerialExecutor() as serial:
@@ -234,8 +235,9 @@ class TestBatchReport:
                 cache=SimulationCache(), **grid,
             )
         assert parallel.cache.lookups == baseline.cache.lookups
-        # Workers report no stores; these are the parent's probes.
-        assert parallel.cache.stores == len(MIXED)
+        # Every miss simulates and stores, in the workers as in the parent.
+        assert baseline.cache.stores == baseline.cache.misses
+        assert parallel.cache.stores == parallel.cache.misses
 
     def test_process_pool_with_closure_keeps_live_cache(self):
         """An unpicklable factory on a process pool must thread-fall-back

@@ -356,8 +356,11 @@ class TestConnectionRefusal:
                     shards=[f"{host}:{port}"],
                 )
         finally:
+            # close() alone leaves accept() blocked; shutdown() wakes it.
+            listener.shutdown(socket.SHUT_RDWR)
             listener.close()
             thread.join(timeout=10)
+        assert not thread.is_alive()
         assert "version mismatch" in str(caught.value)
         assert "dead" not in str(caught.value)
         assert len(accepted) == 1
