@@ -146,21 +146,23 @@ def _cmd_run(args) -> int:
     fingerprint = (
         system_fingerprint(factory) if solve_cache is not None else None
     )
-    source, cached = solve_streaming(
+    record, cached = solve_streaming(
         factory,
         problem,
         args.seed,
         sink=sink,
         solve_cache=solve_cache,
         fingerprint=fingerprint,
+        score=lambda source: cached_run_testbench(
+            source, golden_testbench(problem), problem.top
+        ),
     )
     if solve_cache is not None:
         print(f"solve-cell cache: {'hit' if cached else 'miss'}")
     print()
-    print(source)
-    golden = cached_run_testbench(source, golden_testbench(problem), problem.top)
-    print(f"golden testbench: {'PASS' if golden.passed else 'FAIL'}")
-    return 0 if golden.passed else 1
+    print(record.source)
+    print(f"golden testbench: {'PASS' if record.passed else 'FAIL'}")
+    return 0 if record.passed else 1
 
 
 def _add_gateway_flags(parser) -> None:

@@ -28,6 +28,7 @@ so T=0 is reproducible across runs exactly like a real T=0 API call.
 
 from __future__ import annotations
 
+import functools
 import re
 import zlib
 
@@ -93,6 +94,18 @@ def _normalise(text: str) -> str:
     return " ".join(text.split())
 
 
+@functools.cache
+def _spec_index() -> tuple[tuple[str, Problem], ...]:
+    """Normalised specs, longest first: a pure function of the problem
+    registry, built once per process rather than once per client."""
+    return tuple(
+        sorted(
+            ((_normalise(p.spec), p) for p in all_problems()),
+            key=lambda pair: -len(pair[0]),
+        )
+    )
+
+
 class SimLLM:
     """Simulated LLM provider (see module docstring)."""
 
@@ -109,7 +122,6 @@ class SimLLM:
         # SimLLM per evaluation run must not mean a fresh parse).
         self._module_cache = _PARSED_GOLDENS
         self._cone_cache = _CONE_CACHE
-        self._spec_index: list[tuple[str, Problem]] | None = None
         self.calls = 0  # for cost accounting in transcripts
 
     @property
@@ -132,10 +144,13 @@ class SimLLM:
             (m.content for m in reversed(messages) if m.role == "user"), text
         )
         task = self._classify(last_user)
-        problem = self._find_problem(text)
+        # The conversation is normalised once: problem lookup and every
+        # completion's seed share it.
+        normalised = _normalise(text)
+        problem = self._find_problem(normalised)
         outputs = []
         for index in range(params.n):
-            rng = self._rng(params, text, index)
+            rng = self._rng(params, normalised, index)
             outputs.append(self._dispatch(task, problem, text, params, rng))
         return outputs
 
@@ -160,27 +175,24 @@ class SimLLM:
             return "debug"
         return "gen_rtl"
 
-    def _find_problem(self, text: str) -> Problem | None:
-        if self._spec_index is None:
-            self._spec_index = sorted(
-                ((_normalise(p.spec), p) for p in all_problems()),
-                key=lambda pair: -len(pair[0]),
-            )
-        hay = _normalise(text)
-        for spec, problem in self._spec_index:
-            if spec in hay:
+    @staticmethod
+    def _find_problem(normalised: str) -> Problem | None:
+        """The problem whose spec the normalised conversation embeds."""
+        for spec, problem in _spec_index():
+            if spec in normalised:
                 return problem
         return None
 
     def _rng(
-        self, params: SamplingParams, salt_text: str, index: int
+        self, params: SamplingParams, normalised: str, index: int
     ) -> np.random.Generator:
         """Seed a generator for one completion.
 
-        The salt is the *entire conversation* (a real LLM conditions on
-        all of it).  At T=0 that is the only entropy source, so identical
-        conversations reproduce identical outputs -- including ``n > 1``
-        requests returning ``n`` copies, like a real T=0 API.  At T>0
+        The salt is the *entire conversation*, normalised (a real LLM
+        conditions on all of it).  At T=0 that is the only entropy
+        source, so identical conversations reproduce identical outputs
+        -- including ``n > 1`` requests returning ``n`` copies, like a
+        real T=0 API.  At T>0
         each completion draws fresh entropy (run seed, sample index,
         and a per-client call counter), so retrying the same prompt
         yields a different sample, as real sampling does.
@@ -191,7 +203,7 @@ class SimLLM:
             entropy = "deterministic"
         key = (
             f"{self.profile.name}|{params.temperature:.3f}|{params.top_p:.3f}"
-            f"|{entropy}|{_normalise(salt_text)}"
+            f"|{entropy}|{normalised}"
         )
         return np.random.default_rng(zlib.crc32(key.encode()) & 0x7FFFFFFF)
 

@@ -20,17 +20,21 @@ Two streaming channels observe a batch while it runs:
   deterministic);
 - ``events`` receives a typed
   :class:`~repro.core.events.CellFinished` per cell in **completion
-  order** (live, not buffered) plus a terminal
-  :class:`~repro.core.events.BatchFinished` -- the CLI's
+  order** (live, not buffered; cells already finished when streaming
+  starts -- every cell, on a serial pool -- in submission order) plus
+  a terminal :class:`~repro.core.events.BatchFinished` -- the CLI's
   ``--progress`` stream and the hook a service mode would subscribe to.
 
 With ``solve_cache`` enabled, whole cells are memoized by
-``hash(config, problem, seed)`` so repeated sweeps re-run near-free.
+``hash(config, problem, seed)`` so repeated sweeps re-run near-free: a
+replayed cell serves its record's stored golden verdict, and a problem
+whose every run replays derives no golden testbench at all.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
+import itertools
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -44,6 +48,7 @@ from repro.runtime.cache import (
     SimulationCache,
     SolveCellCache,
     simulation_count,
+    solve_cell_key,
     system_fingerprint,
 )
 from repro.runtime.context import get_runtime, runtime_session
@@ -189,6 +194,33 @@ def _progress_flusher(
     return flush
 
 
+def _all_scored(
+    solve_cache: SolveCellCache | None,
+    fingerprint: str | None,
+    problem: Problem,
+    seed0: int,
+    runs: int,
+) -> bool:
+    """Whether every run of ``problem`` has a solve-cell record that
+    carries its golden verdict, so no cell needs the golden testbench.
+
+    The probes are uncounted ``peek``s; on in-process pools they also
+    promote disk records into memory, so each cell's counted lookup
+    does no second disk read.
+    """
+    if solve_cache is None or fingerprint is None:
+        return False
+    for run in range(runs):
+        try:
+            key = solve_cell_key(fingerprint, problem, seed0 + run)
+        except Exception:  # noqa: BLE001 -- no stable key: never cached
+            return False
+        record = solve_cache.peek(key)
+        if record is None or record.passed is None:
+            return False
+    return True
+
+
 def _resolve_cache(
     cache: SimulationCache | bool | None,
 ) -> SimulationCache | None:
@@ -277,9 +309,15 @@ def evaluate_many(
     sims_before = simulation_count()
     # Golden testbenches derive from a probe simulation: run it through
     # this grid's simulation cache, not the ambient runtime's, so a warm
-    # cache directory serves the probe too.
+    # cache directory serves the probe too.  A problem whose every run
+    # already has a scored solve-cell record needs none.
     with runtime_session(context=replace(get_runtime(), cache=live_cache)):
-        golden_tbs = [golden_testbench(problem) for problem in chosen]
+        golden_tbs = [
+            None
+            if _all_scored(live_solve, fingerprint, problem, seed0, runs)
+            else golden_testbench(problem)
+            for problem in chosen
+        ]
     cells: list[EvalCell] = []
     for problem_index, (problem, golden_tb) in enumerate(zip(chosen, golden_tbs)):
         for run in range(runs):
@@ -329,7 +367,12 @@ def evaluate_many(
         chosen, runs, resolved_name, progress, by_problem
     )
 
-    for future in cf.as_completed(futures):
+    # Futures already done (every one, on a serial pool) stream in
+    # submission order; ``as_completed`` would yield them in set order.
+    done, pending = [], []
+    for future in futures:
+        (done if future.done() else pending).append(future)
+    for future in itertools.chain(done, cf.as_completed(pending)):
         cell_result = future.result()
         by_problem.setdefault(cell_result.problem_index, []).append(cell_result)
         sink.emit(

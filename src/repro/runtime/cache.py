@@ -28,8 +28,8 @@ The concrete caches:
   the same :class:`TestReport`.
 - :class:`SolveCellCache` -- one level up: a whole engine run is
   deterministic in (system configuration, problem, seed), so
-  ``hash(config, problem, seed)`` addresses the final source *plus the
-  typed event stream* of the run.
+  ``hash(config, problem, seed)`` addresses the final source, the
+  typed event stream of the run, and the golden verdict on the source.
 
 Keys are SHA-256 over length-prefixed fields, so no concatenation of
 fields can collide with a different split of the same bytes.
@@ -239,6 +239,9 @@ class TieredCache:
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        # Keys a peek promoted from disk: their first counted hit is
+        # still the disk's, so ``disk_hits`` does not depend on probing.
+        self._peeked: set[str] = set()
         self._disk = (
             DiskTier(directory, self.value_type, self.stats)
             if directory is not None
@@ -258,7 +261,8 @@ class TieredCache:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > MEMORY_ENTRIES:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
+            self._peeked.discard(evicted)
             self.stats.evictions += 1
 
     def _lookup(self, key: str, counted: bool) -> Any | None:
@@ -269,6 +273,9 @@ class TieredCache:
                     # Only counted lookups refresh LRU order.
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
+                    if key in self._peeked:
+                        self._peeked.discard(key)
+                        self.stats.disk_hits += 1
                 return value
         if self._disk is not None:
             value = self._disk.get(key) if counted else self._disk.peek(key)
@@ -278,6 +285,8 @@ class TieredCache:
                 if counted:
                     self.stats.hits += 1
                     self.stats.disk_hits += 1
+                else:
+                    self._peeked.add(key)
             elif counted:
                 self.stats.misses += 1
         return value
@@ -291,13 +300,15 @@ class TieredCache:
         For callers probing whether a value exists before deciding how
         to serve it; the authoritative, counted lookup still happens on
         the serving path.  A disk hit is promoted exactly as a counted
-        get would, so that lookup doesn't redo the disk read.
+        get would, so that lookup doesn't redo the disk read -- and
+        still counts as a disk hit.
         """
         return self._lookup(key, counted=False)
 
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self.stats.stores += 1
+            self._peeked.discard(key)
             self._remember(key, value)
         if self._disk is not None:
             self._disk.put(key, value)
@@ -306,6 +317,7 @@ class TieredCache:
         """Drop the memory copies; the disk directory keeps its entries."""
         with self._lock:
             self._entries.clear()
+            self._peeked.clear()
 
 
 class SimulationCache(TieredCache):
@@ -343,19 +355,30 @@ def cached_run_testbench(
 
 
 # ----------------------------------------------------------------------
-# Solve-cell caching: hash(config, problem, seed) -> source + events.
+# Solve-cell caching: hash(config, problem, seed) -> source + events
+# + golden verdict.
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SolveCellRecord:
-    """What one cached solve cell stores: the final source plus the
-    typed event stream of the run (from which the legacy transcript
-    derives)."""
+    """What one cached solve cell stores: the final source, the typed
+    event stream of the run (from which the legacy transcript derives),
+    and the hidden golden testbench's verdict on that source.
+
+    The verdict is a pure function of the cell key, which hashes the
+    problem's full content, golden design included, so a replay serves
+    it without simulating.  ``passed``/``score`` are None when the
+    source was never scored -- and on records pickled before the
+    verdict was stored, which unpickle with the class defaults; both
+    are scored on replay.
+    """
 
     source: str
     system: str
     events: tuple = ()
+    passed: bool | None = None
+    score: float | None = None
 
 
 class SolveCellCache(TieredCache):
@@ -375,7 +398,18 @@ def solve_cell_key(fingerprint: str, problem, seed: int) -> str:
     benchmark problem -- including interface or difficulty changes that
     leave the spec text untouched -- invalidates its cells.
     """
-    return _digest((fingerprint, _stable_repr(problem), str(int(seed))))
+    return _digest((fingerprint, _content_repr(problem), str(int(seed))))
+
+
+def _content_repr(problem) -> str:
+    """``_stable_repr(problem)``, memoised on the frozen instance: every
+    cell of a grid keys off the same problem, and its text embeds the
+    whole spec and golden design."""
+    memo = getattr(problem, "_content_repr", None)
+    if memo is None:
+        memo = _stable_repr(problem)
+        object.__setattr__(problem, "_content_repr", memo)  # frozen memo slot
+    return memo
 
 
 class _Unfingerprintable(Exception):

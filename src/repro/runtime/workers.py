@@ -14,23 +14,26 @@ to ``--jobs 1`` for fixed seeds.
 
 When the cell carries a solve-cell fingerprint, the whole run is first
 looked up in the :class:`~repro.runtime.cache.SolveCellCache` --
-``hash(config, problem, seed)`` -> source + typed events -- and a hit
-skips the system entirely; only the (also cached) golden-testbench
-scoring remains.  Cached results are bit-identical to recomputation
-because solves are deterministic in exactly the hashed inputs.
+``hash(config, problem, seed)`` -> source + typed events + golden
+verdict -- and a hit skips the system *and* the golden scoring: the
+record's verdict is served as stored, so a replayed cell neither
+derives the golden testbench nor looks up a simulation.  A miss solves,
+scores, and then writes the record once, verdict included.  Cached
+results are bit-identical to recomputation because solves are
+deterministic in exactly the hashed inputs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
     from repro.llm.gateway.settings import GatewaySettings
 
 from repro.core.task import DesignTask
-from repro.evalsets.problem import Problem
+from repro.evalsets.problem import Problem, golden_testbench
 from repro.runtime.cache import (
     CacheStats,
     SimulationCache,
@@ -42,6 +45,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.context import RuntimeContext, runtime_session
 from repro.runtime.executor import SerialExecutor
+from repro.tb.runner import TestReport
 from repro.tb.stimulus import Testbench
 
 
@@ -59,7 +63,9 @@ class EvalCell:
     run_index: int
     factory: Callable[[], object]
     problem: Problem
-    golden_tb: Testbench
+    # None when every run of the problem had a scored solve-cell record
+    # at dispatch; a cell that must score after all derives it itself.
+    golden_tb: Testbench | None
     seed: int
     cache_enabled: bool = True
     cache_dir: str | None = None
@@ -130,16 +136,26 @@ def solve_streaming(
     sink=None,
     solve_cache: SolveCellCache | None = None,
     fingerprint: str | None = None,
-) -> tuple[str, bool]:
+    score: Callable[[str], TestReport] | None = None,
+) -> tuple[SolveCellRecord, bool]:
     """Solve one cell with live event streaming and solve-cell caching.
 
-    Returns ``(source, served_from_cache)``.  A cache hit *replays* the
+    Returns ``(record, served_from_cache)``.  A cache hit *replays* the
     recorded event stream into ``sink``, so subscribers see exactly the
     frames a live solve would have produced -- the property the CLI's
     warm ``run`` relies on.  A miss solves live (events flow to ``sink``
-    as they happen) and stores the record for the next caller.
+    as they happen), scores the source with ``score`` (the golden
+    testbench run), and stores the record, verdict included, for the
+    next caller.  A hit whose record carries no verdict is scored the
+    same way.  Without ``score`` the returned verdict is None.
     """
     from repro.core.events import Broadcast, ListSink, as_sink
+
+    def judged(record: SolveCellRecord) -> SolveCellRecord:
+        if score is None or record.passed is not None:
+            return record
+        report = score(record.source)
+        return replace(record, passed=report.passed, score=report.score)
 
     key = None
     if solve_cache is not None and fingerprint is not None:
@@ -156,34 +172,23 @@ def solve_streaming(
                 live = as_sink(sink)
                 for event in record.events:
                     live.emit(event)
-            return record.source, True
+            return judged(record), True
     system = factory()
     task = DesignTask.from_problem(problem)
     collector = ListSink() if key is not None else None
     source = system.solve(
         task, seed=seed, sink=Broadcast(collector, as_sink(sink))
     )
-    if key is not None:
-        solve_cache.put(
-            key,
-            SolveCellRecord(
-                source=source,
-                system=getattr(system, "name", type(system).__name__),
-                events=tuple(collector.events) if collector else (),
-            ),
+    record = judged(
+        SolveCellRecord(
+            source=source,
+            system=getattr(system, "name", type(system).__name__),
+            events=tuple(collector.events) if collector else (),
         )
-    return source, False
-
-
-def _solve_cell(cell: EvalCell, solve_cache: SolveCellCache | None) -> tuple[str, bool]:
-    """Produce the cell's source; returns (source, served_from_cache)."""
-    return solve_streaming(
-        cell.factory,
-        cell.problem,
-        cell.seed,
-        solve_cache=solve_cache,
-        fingerprint=cell.fingerprint,
     )
+    if key is not None:
+        solve_cache.put(key, record)
+    return record, False
 
 
 def run_cell(
@@ -204,13 +209,27 @@ def run_cell(
     )
     sims_before = simulation_count()
     started = time.perf_counter()
+
+    def score(source: str) -> TestReport:
+        golden = cell.golden_tb
+        if golden is None:
+            # The record seen at dispatch is gone (or never had a
+            # verdict): derive the golden testbench here, under the
+            # cell's own simulation cache.
+            golden = golden_testbench(cell.problem)
+        return cached_run_testbench(source, golden, cell.problem.top, cache=cache)
+
     inner = RuntimeContext(
         executor=SerialExecutor(), cache=cache, gateway=cell.gateway
     )
     with runtime_session(context=inner):
-        source, solve_cached = _solve_cell(cell, solve_cache)
-        report = cached_run_testbench(
-            source, cell.golden_tb, cell.problem.top, cache=cache
+        record, solve_cached = solve_streaming(
+            cell.factory,
+            cell.problem,
+            cell.seed,
+            solve_cache=solve_cache,
+            fingerprint=cell.fingerprint,
+            score=score,
         )
     elapsed = time.perf_counter() - started
     delta = (
@@ -225,8 +244,8 @@ def run_cell(
         problem_index=cell.problem_index,
         run_index=cell.run_index,
         problem_id=cell.problem.id,
-        passed=report.passed,
-        score=report.score,
+        passed=record.passed,
+        score=record.score,
         seconds=elapsed,
         cache=delta,
         simulations=simulation_count() - sims_before,

@@ -20,11 +20,11 @@ one pipe is what orders the live stream before the outcome.
 
 The parent owns the caches.  It looks the cell up in the
 solve-cell cache before dispatching (a dedup-raced store may have
-landed since the server's own probe), stores ``SolveCellRecord(source,
-system, relayed events)`` afterwards, and puts the golden ``TestReport``
-the child returns into the server's simulation cache, so a repeated
-submit replays its event stream and re-scores entirely from cache.  The
-child's own simulation cache is built on the server's directory.
+landed since the server's own probe) and stores
+``SolveCellRecord(source, system, relayed events, passed, score)``
+afterwards, so a repeated submit replays its event stream and serves
+the stored golden verdict without simulating.  The child's own
+simulation cache is built on the server's directory.
 ``STAGE_CLOCK`` and ``GATEWAY_STATS`` are per-process, so each
 terminal message carries the job's deltas and the parent merges them.
 ``executed`` counts only jobs whose pipeline actually ran -- the counter
@@ -42,7 +42,7 @@ import multiprocessing
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
@@ -53,14 +53,12 @@ from repro.runtime.cache import (
     SolveCellCache,
     SolveCellRecord,
     cached_run_testbench,
-    simulation_key,
     solve_cell_key,
     system_fingerprint,
 )
 from repro.runtime.context import RuntimeContext, runtime_session
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.workers import solve_streaming
-from repro.tb.runner import TestReport
 
 _SPAWN = multiprocessing.get_context("spawn")
 
@@ -72,8 +70,7 @@ class WorkerError(Exception):
 
 @dataclass(frozen=True)
 class ServiceResult:
-    """One solved cell: what the terminal ``done`` frame carries, plus
-    the golden scoring's report for the process owning the caches."""
+    """One solved cell: what the terminal ``done`` frame carries."""
 
     source: str
     passed: bool
@@ -81,7 +78,6 @@ class ServiceResult:
     seconds: float
     system: str
     solve_cached: bool = False
-    report: TestReport | None = field(default=None, compare=False, repr=False)
 
 
 class ServiceStats:
@@ -186,22 +182,6 @@ def service_cell_key(
         return None
 
 
-# Golden testbenches by problem id, in the server process.  A golden
-# testbench is a pure function of its problem, and each worker's child
-# ships the one it scored against, so a warm replay neither re-derives
-# it nor re-runs the probe simulation derivation needs.
-_GOLDEN: dict = {}
-
-
-def _golden_for(problem):
-    golden = _GOLDEN.get(problem.id)
-    if golden is None:
-        from repro.evalsets import golden_testbench
-
-        golden = _GOLDEN.setdefault(problem.id, golden_testbench(problem))
-    return golden
-
-
 def serve_cached_record(
     system: str,
     problem_id: str,
@@ -211,30 +191,36 @@ def serve_cached_record(
 ) -> ServiceResult:
     """Serve one cell from an already-fetched solve-cell record.
 
-    Replays the recorded event stream into ``sink`` and re-scores the
-    cached source against the golden testbench (itself a simulation-
-    cache hit on a warm server) -- the server's inline warm path, which
-    never touches the worker pool.
+    Replays the recorded event stream into ``sink`` and answers with the
+    record's stored golden verdict -- the server's inline warm path,
+    which never touches the worker pool or a simulation.  A record
+    without a verdict is scored against the golden testbench first.
     """
     from repro.core.events import as_sink
-    from repro.evalsets import get_problem
 
-    problem = get_problem(problem_id)
-    inner = RuntimeContext(executor=SerialExecutor(), cache=sim_cache)
-    with runtime_session(context=inner):
-        golden = _golden_for(problem)
-        started = time.perf_counter()
-        if sink is not None:
-            live = as_sink(sink)
-            for event in record.events:
-                live.emit(event)
-        report = cached_run_testbench(
-            record.source, golden, problem.top, cache=sim_cache
-        )
+    started = time.perf_counter()
+    if sink is not None:
+        live = as_sink(sink)
+        for event in record.events:
+            live.emit(event)
+    passed, score = record.passed, record.score
+    if passed is None:
+        from repro.evalsets import get_problem, golden_testbench
+
+        problem = get_problem(problem_id)
+        inner = RuntimeContext(executor=SerialExecutor(), cache=sim_cache)
+        with runtime_session(context=inner):
+            report = cached_run_testbench(
+                record.source,
+                golden_testbench(problem),
+                problem.top,
+                cache=sim_cache,
+            )
+        passed, score = report.passed, report.score
     return ServiceResult(
         source=record.source,
-        passed=report.passed,
-        score=report.score,
+        passed=passed,
+        score=score,
         seconds=time.perf_counter() - started,
         system=registered_system_name(system),
         solve_cached=True,
@@ -276,15 +262,21 @@ def solve_service_request(
     with runtime_session(context=inner):
         golden = golden_testbench(problem)
         started = time.perf_counter()
-        source, _ = solve_streaming(spec.factory, problem, seed, sink=sink)
-        report = cached_run_testbench(source, golden, problem.top, cache=sim_cache)
+        record, _ = solve_streaming(
+            spec.factory,
+            problem,
+            seed,
+            sink=sink,
+            score=lambda source: cached_run_testbench(
+                source, golden, problem.top, cache=sim_cache
+            ),
+        )
     return ServiceResult(
-        source=source,
-        passed=report.passed,
-        score=report.score,
+        source=record.source,
+        passed=record.passed,
+        score=record.score,
         seconds=time.perf_counter() - started,
         system=registered_system_name(system),
-        report=report,
     )
 
 
@@ -459,22 +451,11 @@ class Worker(threading.Thread):
                     source=payload.source,
                     system=payload.system,
                     events=tuple(events),
+                    passed=payload.passed,
+                    score=payload.score,
                 ),
             )
-        if self.sim_cache is not None and payload.report is not None:
-            self._store_golden(job.problem, payload)
         return payload
-
-    def _store_golden(self, problem_id: str, result: ServiceResult) -> None:
-        """Put the child's golden scoring into the server's caches, so
-        the warm replay of this cell simulates nothing."""
-        from repro.evalsets import get_problem
-
-        problem = get_problem(problem_id)
-        golden = _GOLDEN.setdefault(problem_id, result.report.testbench)
-        self.sim_cache.put(
-            simulation_key(result.source, golden, problem.top), result.report
-        )
 
     def _child_died(self) -> str:
         """Reap the dead child, respawn it (unless halted), and name it."""

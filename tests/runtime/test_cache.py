@@ -187,4 +187,7 @@ class TestPeek:
         got = reader.get(key)
         assert got is not None
         assert reader.stats.hits == 1
-        assert reader.stats.disk_hits == 0  # served from the promoted copy
+        # Served from the promoted copy, but the disk answered it.
+        assert reader.stats.disk_hits == 1
+        assert reader.get(key) is not None
+        assert (reader.stats.hits, reader.stats.disk_hits) == (2, 1)

@@ -4,6 +4,7 @@ import json
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.service import (
     ServiceError,
     SolveServer,
 )
+from repro.service.worker import service_cell_key
 from repro.tb.runner import run_testbench
 
 
@@ -98,12 +100,27 @@ class TestWarmServing:
         assert after["broker"]["submitted"] == before["broker"]["submitted"]
 
     def test_stats_snapshot_reports_both_cache_layers(self, server):
+        """The record stores the child's verdict, so a cold solve and
+        its replay leave the server's simulation layer untouched; a
+        record without a verdict is scored through it."""
         with MultiplexedClient(server.address) as client:
+            cold = client.solve("mage", "cb_mux2")
             client.solve("mage", "cb_mux2")
             stats = client.stats()
+            assert stats["caches"]["simulation"]["lookups"] == 0
+            assert stats["caches"]["solve_cell"]["stores"] == 1
+            assert stats["workers"] == 2
+
+            key = service_cell_key("mage", "cb_mux2", 0)
+            record = server.solve_cache.peek(key)
+            server.solve_cache.put(
+                key, replace(record, passed=None, score=None)
+            )
+            rescored = client.solve("mage", "cb_mux2")
+            stats = client.stats()
+        assert rescored.cached
+        assert (rescored.passed, rescored.score) == (cold.passed, cold.score)
         assert stats["caches"]["simulation"]["stores"] > 0
-        assert stats["caches"]["solve_cell"]["stores"] == 1
-        assert stats["workers"] == 2
 
 
 class TestInFlightDedup:

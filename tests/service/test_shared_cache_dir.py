@@ -82,8 +82,9 @@ def _server(tmp_path, workers=1):
 class TestSharedDirectory:
     def test_second_server_replays_the_first_servers_cell(self, tmp_path):
         """A cell warmed on server A is answered ``cached`` by server B
-        on the same directories: same source and event stream, no
-        pipeline execution and no simulation."""
+        on the same directories: same source, event stream and verdict,
+        no pipeline execution and not even a simulation lookup (the
+        record carries the verdict)."""
         sim_dir, solve_dir = str(tmp_path / "sim"), str(tmp_path / "solve")
 
         def server():
@@ -109,6 +110,7 @@ class TestSharedDirectory:
             assert simulation_count() == sims_before
             assert second.executed_count() == 0
             assert second.solve_cache.stats.disk_hits == 1
+            assert second.sim_cache.stats.lookups == 0
         assert outcome_b.cached
         assert outcome_b.source == outcome_a.source
         assert (outcome_b.passed, outcome_b.score) == (
@@ -152,8 +154,9 @@ class TestSharedDirectory:
 
     def test_server_replays_a_locally_warmed_cell(self, tmp_path):
         """The other direction: a local ``--solve-cache`` run stores the
-        cell, and a server started on its directories answers it
-        ``cached`` without executing or simulating."""
+        cell with its verdict, and a server started on its directories
+        answers it ``cached`` without executing, simulating or looking
+        a simulation up."""
         problem = get_problem("cb_kmap_mux")
         with SerialExecutor() as executor:
             local, _ = evaluate_many(
@@ -171,6 +174,7 @@ class TestSharedDirectory:
             with MultiplexedClient(server.address) as client:
                 outcome = client.solve("mage", problem.id, seed=0)
             assert server.executed_count() == 0
+            assert server.sim_cache.stats.lookups == 0
         assert simulation_count() == sims_before
         assert outcome.cached
         [row] = local.outcomes
@@ -264,9 +268,12 @@ class TestSharedDirectory:
         assert cache.stats.disk_hits > 0
 
     def test_warm_second_process_simulates_nothing(self, tmp_path):
-        """Golden-testbench probes go through the grid's own simulation
-        cache: a second process over warm directories replays the solve
-        cell and every simulation, the probes included."""
+        """A second process over a warm solve directory replays the cell
+        with its stored verdict: it derives no golden testbench and
+        simulates nothing, even over an empty simulation directory."""
         sim_dir, solve_dir = str(tmp_path / "sim"), str(tmp_path / "solve")
         assert _grid_process_simulations(sim_dir, solve_dir) > 0
         assert _grid_process_simulations(sim_dir, solve_dir) == 0
+        empty = str(tmp_path / "empty-sim")
+        assert _grid_process_simulations(empty, solve_dir) == 0
+        assert not os.listdir(empty)
