@@ -610,7 +610,6 @@ def _cmd_eval(args) -> int:
             flag
             for flag, value in (
                 ("--jobs", args.jobs),
-                ("--executor", args.executor),
                 ("--cache/--no-cache", args.cache),
                 ("--solve-cache/--no-solve-cache", args.solve_cache),
                 ("--gateway/--record/--replay", gateway_settings),
@@ -632,7 +631,7 @@ def _cmd_eval(args) -> int:
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     try:
-        executor = create_executor(jobs=jobs, kind=args.executor)
+        executor = create_executor(jobs=jobs)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
@@ -871,13 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="parallel workers (default: $REPRO_JOBS or every core)",
-    )
-    evaluate.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default=None,
-        help="execution backend (default: $REPRO_EXECUTOR or auto)",
+        help="1 = serial in this process, more = that many worker "
+        "processes (default: $REPRO_JOBS or every core)",
     )
     evaluate.add_argument(
         "--cache",

@@ -17,7 +17,6 @@ from repro.agents.judge_agent import JudgeAgent
 from repro.core.config import MAGEConfig
 from repro.core.scoring import ScoredCandidate, best_candidate, better
 from repro.core.task import DesignTask
-from repro.runtime.context import get_runtime
 from repro.tb.stimulus import Testbench
 
 
@@ -102,12 +101,9 @@ def debug_candidates(
         if any(c.passed for c in outcome.survivors):
             break
         trials = draw_trials(task, outcome.survivors, debug_agent, config)
-        # Score the trials -- pure simulation, fanned across the runtime
-        # executor with input-order results.
-        reports = get_runtime().executor.map(
-            lambda source: judge.score(source, testbench, task.top),
-            [source for _, source in trials],
-        )
+        reports = [
+            judge.score(source, testbench, task.top) for _, source in trials
+        ]
         outcome.survivors = apply_round(outcome.survivors, trials, reports)
         outcome.round_scores.append([c.score for c in outcome.survivors])
         if on_round is not None:

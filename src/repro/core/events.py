@@ -299,9 +299,10 @@ class GatewayCall(Event):
     serving backend (no wall-clock, no attempt counts), so a cassette
     replay emits the *bit-identical* event the recording run emitted:
     transcripts, solve-cell records, and the parity matrix stay exact
-    across record/replay.  Operational counters (retries, fallbacks,
-    rate-limit waits) live in the gateway's process-global stats
-    instead, surfaced through ``StatsReply`` and the ``stats`` CLI.
+    across record/replay.  Operational counters (retries, backend
+    fallback hops, rate-limit waits) live in the gateway's
+    process-global stats instead, surfaced through ``StatsReply`` and
+    the ``stats`` CLI.
     """
 
     kind: ClassVar[str] = "gateway-call"

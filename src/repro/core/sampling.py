@@ -16,7 +16,6 @@ from repro.agents.rtl_agent import RTLAgent
 from repro.core.config import MAGEConfig
 from repro.core.scoring import ScoredCandidate, select_top_k
 from repro.core.task import DesignTask
-from repro.runtime.context import get_runtime
 from repro.tb.stimulus import Testbench
 
 
@@ -89,13 +88,5 @@ def sample_and_rank(
     into the ranking pool so sampling can only improve on them.
     """
     sources = generate_candidates(task, tb_text, rtl_agent, config)
-    if sources:
-        # Scoring is pure simulation (no LLM calls, no shared state), so
-        # it fans out across the runtime executor; results come back in
-        # source order, keeping the ranking bit-identical to serial.
-        reports = get_runtime().executor.map(
-            lambda source: judge.score(source, testbench, task.top), sources
-        )
-    else:
-        reports = []
+    reports = [judge.score(source, testbench, task.top) for source in sources]
     return rank_candidates(sources, reports, config, extra=extra)

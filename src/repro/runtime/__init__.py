@@ -2,8 +2,8 @@
 
 The scaling layer under the MAGE engine and the evaluation harness:
 
-- :mod:`repro.runtime.executor` -- serial / thread / process executors
-  behind one ``map``/``submit`` API with deterministic result ordering;
+- :mod:`repro.runtime.executor` -- the serial executor and the process
+  pool behind one ``submit`` API; the worker count picks one;
 - :mod:`repro.runtime.cache` -- the caches: two
   content-addressed memoizers (``run_testbench`` keyed by
   ``hash(design_source, testbench, top_module)``, whole solve cells
@@ -14,13 +14,13 @@ The scaling layer under the MAGE engine and the evaluation harness:
 - :mod:`repro.runtime.context` -- the ambient (executor, caches) set the
   engine's hot paths pick up without signature threading;
 - :mod:`repro.runtime.batch` -- ``evaluate_many``, fanning the Eq. 7
-  ``problems x runs`` grid across workers with progress callbacks,
-  streaming per-cell events, and timing/throughput stats.
+  ``problems x runs`` grid across worker processes with progress
+  callbacks, streaming per-cell events, and timing/throughput stats.
 
-Parallelism is applied only where it is provably bit-deterministic:
-whole evaluation cells (fresh system instance each, no shared state) and
-pure simulation scoring.  LLM-call ordering inside one engine run stays
-serial, so ``--jobs N`` reproduces ``--jobs 1`` exactly for fixed seeds.
+Parallelism is applied at one level only: whole evaluation cells (fresh
+system instance each, no shared state).  Everything inside a cell --
+LLM calls and candidate scoring alike -- runs serially, so ``--jobs N``
+reproduces ``--jobs 1`` exactly for fixed seeds.
 """
 
 from repro.runtime.batch import BatchReport, evaluate_many
@@ -43,7 +43,6 @@ from repro.runtime.cache import (
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import (
     RuntimeContext,
-    configure,
     get_runtime,
     runtime_session,
 )
@@ -51,7 +50,6 @@ from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
 )
 
@@ -68,11 +66,9 @@ __all__ = [
     "SimulationCache",
     "SolveCellCache",
     "SolveCellRecord",
-    "ThreadExecutor",
     "TieredCache",
     "cached_run_testbench",
     "clear_disk_cache",
-    "configure",
     "create_executor",
     "disk_cache_info",
     "evaluate_many",

@@ -3,7 +3,8 @@
 This is the runtime's top-level API: :func:`evaluate_many` takes the
 same inputs as the classic serial harness, cuts the grid into
 :class:`~repro.runtime.workers.EvalCell` units, runs them on the ambient
-(or given) executor, and reassembles a deterministic
+(or given) executor -- in this process, or shipped to worker processes
+on a process pool -- and reassembles a deterministic
 :class:`~repro.evaluation.harness.EvalResult` -- cells are keyed by
 (problem, run) index, and per-run seeds are fixed as ``seed0 + run``
 before dispatch, so worker count and completion order cannot change the
@@ -28,7 +29,10 @@ Two streaming channels observe a batch while it runs:
 With ``solve_cache`` enabled, whole cells are memoized by
 ``hash(config, problem, seed)`` so repeated sweeps re-run near-free: a
 replayed cell serves its record's stored golden verdict, and a problem
-whose every run replays derives no golden testbench at all.
+whose every run replays derives no golden testbench at all.  A grid
+whose every cell replays runs in this process even when handed a
+process pool: the record probes already hold every record in memory,
+and worker processes would only re-read them from disk.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import concurrent.futures as cf
 import itertools
 import os
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -52,7 +57,7 @@ from repro.runtime.cache import (
     system_fingerprint,
 )
 from repro.runtime.context import get_runtime, runtime_session
-from repro.runtime.executor import Executor, _picklable
+from repro.runtime.executor import Executor, SerialExecutor
 from repro.runtime.workers import CellResult, EvalCell, run_cell
 
 
@@ -221,6 +226,17 @@ def _all_scored(
     return True
 
 
+def _check_picklable(system_factory: Callable[[], object]) -> None:
+    """Refuse, before any cell runs, a factory a process pool cannot ship."""
+    try:
+        pickle.dumps(system_factory)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise TypeError(
+            f"system factory {system_factory!r} cannot be pickled for worker "
+            f"processes ({exc}); use a module-level factory or --jobs 1"
+        ) from exc
+
+
 def _resolve_cache(
     cache: SimulationCache | bool | None,
 ) -> SimulationCache | None:
@@ -277,9 +293,18 @@ def evaluate_many(
     the ambient runtime's); factories without a stable configuration
     fingerprint silently skip it.  ``events`` streams typed per-cell
     completions live (completion order, unlike ``progress``).
+
+    On a process pool the factory must pickle: one that does not raises
+    ``TypeError`` before any cell runs.
     """
     from repro.llm.gateway.settings import resolve_gateway_settings
 
+    # The clock covers the whole grid: golden-testbench derivation and
+    # record probes included.
+    started = time.perf_counter()
+    pool = executor if executor is not None else get_runtime().executor
+    if pool.kind == "process":
+        _check_picklable(system_factory)
     chosen = problems if problems is not None else get_suite(suite)
     resolved_name = name if name is not None else system_factory().name
     live_cache = _resolve_cache(cache)
@@ -295,7 +320,6 @@ def evaluate_many(
     )
     if fingerprint is None:
         live_solve = None
-    pool = executor if executor is not None else get_runtime().executor
     sink = as_sink(events)
 
     # The report's counters start before the golden probes, so it counts
@@ -342,20 +366,14 @@ def evaluate_many(
                 )
             )
 
-    started = time.perf_counter()
-
-    # Cells only cross a process boundary when they actually can; an
-    # unpicklable factory on a process pool would silently fall back to
-    # threads inside the executor, which must then receive the live
-    # caches like any other in-process path (not per-process caches).
-    crosses_processes = (
-        pool.kind == "process" and bool(cells) and _picklable(cells[0])
-    )
+    if all(golden_tb is None for golden_tb in golden_tbs):
+        # Every cell replays a record the probes already hold in memory.
+        pool = SerialExecutor()
+    crosses_processes = pool.kind == "process"
     if crosses_processes:
         # Self-contained cells; workers build per-process caches
-        # (shared on disk when a directory is set).  Picklability was
-        # probed once above, so skip the per-call probe.
-        submit = lambda cell: pool.submit_unchecked(run_cell, cell)  # noqa: E731
+        # (shared on disk when a directory is set).
+        submit = lambda cell: pool.submit(run_cell, cell)  # noqa: E731
     else:
         submit = lambda cell: pool.submit(  # noqa: E731
             run_cell, cell, live_cache, live_solve

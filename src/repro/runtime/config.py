@@ -1,12 +1,12 @@
-"""Runtime configuration: how much parallelism, which backend, caching.
+"""Runtime configuration: how much parallelism, and caching.
 
 Everything is selectable three ways, in priority order: explicit
 arguments (CLI flags), environment variables, and defaults.
 
 Environment variables:
 
-- ``REPRO_JOBS``             worker count (default 1 = serial)
-- ``REPRO_EXECUTOR``         ``auto`` | ``serial`` | ``thread`` | ``process``
+- ``REPRO_JOBS``             worker count: 1 = serial (the default),
+                             more = that many worker processes
 - ``REPRO_SIM_CACHE``        ``1``/``0`` to enable/disable the simulation cache
 - ``REPRO_SIM_CACHE_DIR``    directory for the optional on-disk simulation cache
 - ``REPRO_SOLVE_CACHE``      ``1``/``0`` to enable the solve-cell cache
@@ -31,9 +31,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
     from repro.llm.gateway.settings import GatewaySettings
-
-_EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
-
 
 def _env_int(name: str, fallback: int) -> int:
     value = os.environ.get(name)
@@ -67,7 +64,6 @@ class RuntimeConfig:
     """Resolved runtime settings (see module docstring for env vars)."""
 
     jobs: int = 1
-    executor: str = "auto"  # auto | serial | thread | process
     cache: bool = True
     cache_dir: str | None = None
     solve_cache: bool = False
@@ -80,16 +76,10 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.executor not in _EXECUTOR_KINDS:
-            raise ValueError(
-                f"bad executor kind {self.executor!r}; "
-                f"choose from {', '.join(_EXECUTOR_KINDS)}"
-            )
 
     @staticmethod
     def from_env(
         jobs: int | None = None,
-        executor: str | None = None,
         cache: bool | None = None,
         cache_dir: str | None = None,
         solve_cache: bool | None = None,
@@ -106,11 +96,6 @@ class RuntimeConfig:
         """
         return RuntimeConfig(
             jobs=jobs if jobs is not None else _env_int("REPRO_JOBS", 1),
-            executor=(
-                executor
-                if executor is not None
-                else os.environ.get("REPRO_EXECUTOR", "auto")
-            ),
             cache=(
                 cache if cache is not None else _env_flag("REPRO_SIM_CACHE", True)
             ),

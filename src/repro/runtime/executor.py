@@ -1,49 +1,42 @@
-"""Execution backends with a common ``map``/``submit`` API.
+"""Execution backends for the Eq. 7 grid: serial or a process pool.
 
-Three interchangeable executors -- serial, thread-pool, and
-process-pool -- all guarantee **deterministic result ordering**:
-``map(fn, items)`` returns results in input order no matter how many
-workers ran them or in what order they finished.  Combined with the
-engine's policy of keeping LLM-call ordering serial (only pure
-simulation work is fanned out), fixed seeds give bit-identical outcomes
-regardless of worker count.
+Two executors behind one future-returning ``submit``: in-process serial
+execution, and a process pool for true CPU parallelism across grid
+cells.  The worker count alone picks between them
+(:func:`create_executor`).  Callers reassemble results by key, and LLM
+calls stay serial inside a cell, so fixed seeds give bit-identical
+outcomes at any worker count.
 
-The process backend requires picklable work; when handed a closure it
-downgrades to threads instead of failing (``fallbacks`` counts how
-often), so callers never need to special-case it.
+The process pool requires picklable work; :func:`repro.runtime.batch.
+evaluate_many` checks a grid's payload once and raises a ``TypeError``
+instead of running it anywhere else.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
-import pickle
 
 from repro.runtime.config import RuntimeConfig
 
 
 class Executor:
-    """Common interface: ordered ``map``, future-returning ``submit``."""
+    """Common interface: future-returning ``submit``."""
 
     kind = "base"
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
 
-    def map(self, fn, items) -> list:
-        """Apply ``fn`` to each item; results in input order."""
-        raise NotImplementedError
-
     def submit(self, fn, *args) -> "cf.Future":
         """Schedule one call; returns a :class:`concurrent.futures.Future`."""
         raise NotImplementedError
 
     def submit_unchecked(self, fn, *args) -> "cf.Future":
-        """Like ``submit``, skipping any dispatch-safety probing.
+        """Same as ``submit``.
 
-        For callers that have already established the payload can cross
-        the backend's boundary (e.g. one picklability probe for a whole
-        homogeneous batch); identical to ``submit`` except on process
-        pools, where it avoids re-pickling every payload twice.
+        Kept by name because the benchmark's tracer
+        (``perfbench/spans.py::watch_executor``) wraps both ``submit``
+        and ``submit_unchecked`` on every executor it watches.
         """
         return self.submit(fn, *args)
 
@@ -68,9 +61,6 @@ class SerialExecutor(Executor):
     def __init__(self):
         super().__init__(workers=1)
 
-    def map(self, fn, items) -> list:
-        return [fn(item) for item in items]
-
     def submit(self, fn, *args) -> "cf.Future":
         future: cf.Future = cf.Future()
         try:
@@ -80,47 +70,10 @@ class SerialExecutor(Executor):
         return future
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool backend.
-
-    Pure-python simulation is GIL-bound, so threads mainly help when the
-    cache or I/O dominates; they are the safe default for closures.
-    """
-
-    kind = "thread"
-
-    def __init__(self, workers: int = 2):
-        super().__init__(workers)
-        self._pool = cf.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-runtime"
-        )
-
-    def map(self, fn, items) -> list:
-        futures = [self._pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
-
-    def submit(self, fn, *args) -> "cf.Future":
-        return self._pool.submit(fn, *args)
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def _picklable(*objects) -> bool:
-    try:
-        for obj in objects:
-            pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
 class ProcessExecutor(Executor):
     """Process-pool backend: true CPU parallelism for picklable work.
 
-    Work that cannot cross a process boundary (closures, bound methods
-    of unpicklable objects) silently runs on a thread pool instead;
-    ``fallbacks`` counts those downgrades.
+    The pool starts on the first ``submit``.
     """
 
     kind = "process"
@@ -128,62 +81,24 @@ class ProcessExecutor(Executor):
     def __init__(self, workers: int = 2):
         super().__init__(workers)
         self._pool: cf.ProcessPoolExecutor | None = None
-        self._thread_fallback: ThreadExecutor | None = None
-        self.fallbacks = 0
-
-    def _process_pool(self) -> cf.ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = cf.ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _threads(self) -> ThreadExecutor:
-        if self._thread_fallback is None:
-            self._thread_fallback = ThreadExecutor(self.workers)
-        return self._thread_fallback
-
-    def map(self, fn, items) -> list:
-        items = list(items)
-        if not items:
-            return []
-        if not _picklable(fn, items[0]):
-            self.fallbacks += 1
-            return self._threads().map(fn, items)
-        futures = [self._process_pool().submit(fn, item) for item in items]
-        return [future.result() for future in futures]
 
     def submit(self, fn, *args) -> "cf.Future":
-        if not _picklable(fn, *args):
-            self.fallbacks += 1
-            return self._threads().submit(fn, *args)
-        return self._process_pool().submit(fn, *args)
-
-    def submit_unchecked(self, fn, *args) -> "cf.Future":
-        return self._process_pool().submit(fn, *args)
+        if self._pool is None:
+            self._pool = cf.ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool.submit(fn, *args)
 
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._thread_fallback is not None:
-            self._thread_fallback.shutdown()
-            self._thread_fallback = None
 
 
-def create_executor(
-    jobs: int | None = None, kind: str | None = None
-) -> Executor:
-    """Build an executor from explicit arguments, env vars, or defaults.
+def create_executor(jobs: int | None = None) -> Executor:
+    """Serial for one job, a process pool of ``jobs`` workers beyond.
 
-    ``kind="auto"`` (the default) picks serial for one job and threads
-    for more; processes must be requested explicitly since they require
-    picklable work units.
+    ``jobs=None`` reads ``REPRO_JOBS`` (default 1).
     """
-    config = RuntimeConfig.from_env(jobs=jobs, executor=kind)
-    resolved = config.executor
-    if resolved == "auto":
-        resolved = "serial" if config.jobs <= 1 else "thread"
-    if resolved == "serial":
+    jobs = RuntimeConfig.from_env(jobs=jobs).jobs
+    if jobs <= 1:
         return SerialExecutor()
-    if resolved == "thread":
-        return ThreadExecutor(config.jobs)
-    return ProcessExecutor(config.jobs)
+    return ProcessExecutor(jobs)

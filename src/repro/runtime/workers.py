@@ -4,13 +4,12 @@ One :class:`EvalCell` is one (problem, run) point of the Eq. 7 grid:
 build a fresh system instance, solve the task, score the result against
 the hidden golden testbench.  Cells are self-contained frozen dataclasses
 so a :class:`~repro.runtime.executor.ProcessExecutor` can ship them to
-worker processes; in-process executors pass the live caches alongside.
+worker processes; the serial executor passes the live caches alongside.
 
 Each cell runs under a thread-local **serial** runtime so the grid is
-parallelised exactly once: worker threads and processes never spawn
-nested pools, and a cell's internal LLM-call ordering stays identical
-to a plain serial run -- which is what makes ``--jobs N`` bit-identical
-to ``--jobs 1`` for fixed seeds.
+parallelised exactly once: a cell's internal LLM-call ordering stays
+identical to a plain serial run -- which is what makes ``--jobs N``
+bit-identical to ``--jobs 1`` for fixed seeds.
 
 When the cell carries a solve-cell fingerprint, the whole run is first
 looked up in the :class:`~repro.runtime.cache.SolveCellCache` --

@@ -1,5 +1,6 @@
 """Batch evaluation: serial-vs-parallel parity, stats, progress."""
 
+import time
 from functools import partial
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.baselines.registry import SYSTEMS, evaluate_registered
 from repro.baselines.vanilla import VanillaLLM
 from repro.core.config import MAGEConfig
+from repro.core.events import BatchFinished, ListSink
 from repro.evalsets import get_problem
 from repro.evaluation.harness import evaluate_mage, evaluate_system
 from repro.llm.interface import SamplingParams
@@ -14,10 +16,10 @@ from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
     SimulationCache,
-    ThreadExecutor,
     evaluate_many,
     runtime_session,
 )
+from repro.runtime import batch
 
 LOW = SamplingParams(temperature=0.0, top_p=0.01, n=1)
 MIXED = [get_problem(p) for p in ["cb_mux2", "cb_kmap_mux", "fs_seq_det_110"]]
@@ -32,7 +34,7 @@ class TestParity:
         results = []
         for workers in (1, 2, 4):
             executor = (
-                SerialExecutor() if workers == 1 else ThreadExecutor(workers)
+                SerialExecutor() if workers == 1 else ProcessExecutor(workers)
             )
             with executor:
                 results.append(
@@ -66,18 +68,17 @@ class TestParity:
                 problems=MIXED,
                 executor=procs,
             )
-            assert procs.fallbacks == 0  # registry partials crossed for real
         assert baseline.outcomes == parallel.outcomes
 
-    def test_mage_thread_parity(self):
+    def test_mage_process_parity(self):
         config = MAGEConfig.high_temperature()
         with SerialExecutor() as serial:
             baseline = evaluate_mage(
                 config, "verilogeval-v2", runs=2, problems=MIXED, executor=serial
             )
-        with ThreadExecutor(4) as threads:
+        with ProcessExecutor(2) as procs:
             parallel = evaluate_mage(
-                config, "verilogeval-v2", runs=2, problems=MIXED, executor=threads
+                config, "verilogeval-v2", runs=2, problems=MIXED, executor=procs
             )
         assert baseline.outcomes == parallel.outcomes
 
@@ -239,31 +240,52 @@ class TestBatchReport:
         assert baseline.cache.stores == baseline.cache.misses
         assert parallel.cache.stores == parallel.cache.misses
 
-    def test_process_pool_with_closure_keeps_live_cache(self):
-        """An unpicklable factory on a process pool must thread-fall-back
-        *with* the caller's cache, not silently lose it."""
-        cache = SimulationCache()
+    def test_process_pool_refuses_a_closure_factory(self, monkeypatch):
+        """A factory that cannot cross the process boundary is a caller
+        error, raised before any golden testbench derives or cell runs."""
+        derived = []
+        monkeypatch.setattr(
+            batch, "golden_testbench", lambda problem: derived.append(problem)
+        )
         factory = lambda: VanillaLLM("itertl-ft", LOW)  # noqa: E731
         with ProcessExecutor(2) as procs:
-            evaluate_many(
-                factory,
+            with pytest.raises(TypeError, match="--jobs 1") as raised:
+                evaluate_many(
+                    factory,
+                    "verilogeval-v2",
+                    runs=1,
+                    problems=MIXED,
+                    name="closure",
+                    executor=procs,
+                )
+            assert procs._pool is None  # nothing was submitted
+        assert "<lambda>" in str(raised.value)
+        assert derived == []
+
+    def test_wall_clock_covers_golden_derivation(self, monkeypatch):
+        """The report's clock starts before the golden testbenches
+        derive, so their time is part of the grid's wall clock."""
+        original = batch.golden_testbench
+
+        def slow(problem, *args, **kwargs):
+            time.sleep(0.05)
+            return original(problem, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "golden_testbench", slow)
+        sink = ListSink()
+        with SerialExecutor() as executor:
+            _, report = evaluate_many(
+                vanilla_factory,
                 "verilogeval-v2",
                 runs=1,
-                problems=MIXED,
-                executor=procs,
-                cache=cache,
+                problems=MIXED[:1],
+                executor=executor,
+                events=sink,
             )
-            _, warm = evaluate_many(
-                factory,
-                "verilogeval-v2",
-                runs=1,
-                problems=MIXED,
-                executor=procs,
-                cache=cache,
-            )
-        assert cache.stats.lookups > 0  # the passed cache was really used
-        assert warm.cache.misses == 0
-        assert warm.cache.hit_rate == 1.0
+        assert report.wall_seconds >= 0.05
+        finished = sink.events[-1]
+        assert isinstance(finished, BatchFinished)
+        assert finished.seconds == report.wall_seconds
 
 
 class TestForcedCacheDirectory:
@@ -303,7 +325,7 @@ class TestForcedCacheDirectory:
 class TestProgressAndName:
     def test_progress_lines_in_suite_order(self):
         lines = []
-        with ThreadExecutor(4) as executor:
+        with ProcessExecutor(2) as executor:
             evaluate_system(
                 vanilla_factory,
                 "verilogeval-v2",

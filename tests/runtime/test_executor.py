@@ -1,4 +1,4 @@
-"""Executor backends: ordering, submit semantics, selection."""
+"""Executor backends: submit semantics, selection by worker count."""
 
 import operator
 
@@ -7,7 +7,6 @@ import pytest
 from repro.runtime.executor import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
 )
 
@@ -20,31 +19,6 @@ def boom(_x):
     raise ValueError("boom")
 
 
-class TestOrdering:
-    @pytest.mark.parametrize(
-        "make",
-        [SerialExecutor, lambda: ThreadExecutor(4), lambda: ProcessExecutor(2)],
-        ids=["serial", "thread", "process"],
-    )
-    def test_map_preserves_input_order(self, make):
-        with make() as executor:
-            assert executor.map(square, range(20)) == [i * i for i in range(20)]
-
-    def test_thread_order_independent_of_completion(self):
-        import time
-
-        def slow_first(x):
-            time.sleep(0.05 if x == 0 else 0.0)
-            return x
-
-        with ThreadExecutor(4) as executor:
-            assert executor.map(slow_first, range(8)) == list(range(8))
-
-    def test_map_empty(self):
-        with ThreadExecutor(2) as executor:
-            assert executor.map(square, []) == []
-
-
 class TestSubmit:
     def test_serial_submit_future(self):
         future = SerialExecutor().submit(square, 7)
@@ -55,59 +29,40 @@ class TestSubmit:
         with pytest.raises(ValueError):
             future.result()
 
-    def test_thread_submit(self):
-        with ThreadExecutor(2) as executor:
+    def test_process_submit(self):
+        with ProcessExecutor(2) as executor:
             assert executor.submit(operator.add, 2, 3).result() == 5
+            assert executor.submit_unchecked(square, 4).result() == 16
 
-
-class TestProcessFallback:
-    def test_closure_downgrades_to_threads(self):
-        captured = 10
+    def test_process_submit_exception(self):
         with ProcessExecutor(2) as executor:
-            results = executor.map(lambda x: x + captured, range(4))
-            assert results == [10, 11, 12, 13]
-            assert executor.fallbacks == 1
-
-    def test_picklable_work_uses_processes(self):
-        with ProcessExecutor(2) as executor:
-            assert executor.map(square, range(4)) == [0, 1, 4, 9]
-            assert executor.fallbacks == 0
+            with pytest.raises(ValueError, match="boom"):
+                executor.submit(boom, 1).result()
 
 
 class TestCreateExecutor:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert create_executor().kind == "serial"
 
-    def test_jobs_selects_threads(self):
-        executor = create_executor(jobs=3)
-        try:
-            assert executor.kind == "thread"
-            assert executor.workers == 3
-        finally:
-            executor.shutdown()
+    def test_one_job_is_serial(self):
+        assert create_executor(jobs=1).kind == "serial"
+
+    def test_jobs_selects_processes(self):
+        with create_executor(jobs=2) as executor:
+            assert executor.kind == "process"
+            assert executor.describe() == "process[2]"
 
     def test_env_jobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        executor = create_executor()
-        try:
-            assert executor.kind == "thread"
-            assert executor.workers == 2
-        finally:
-            executor.shutdown()
-
-    def test_explicit_kind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        executor = create_executor(jobs=2)
-        try:
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        with create_executor() as executor:
             assert executor.kind == "process"
-        finally:
-            executor.shutdown()
+            assert executor.workers == 3
 
-    def test_serial_kind_wins_over_jobs(self):
-        assert create_executor(jobs=8, kind="serial").kind == "serial"
-
-    def test_bad_kind_rejected(self):
+    def test_zero_jobs_rejected(self):
         with pytest.raises(ValueError):
-            create_executor(jobs=2, kind="quantum")
+            create_executor(jobs=0)
+
+    def test_worker_count_is_the_only_knob(self):
+        with pytest.raises(TypeError):
+            create_executor(jobs=2, kind="serial")

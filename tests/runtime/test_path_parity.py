@@ -1,7 +1,6 @@
 """Cross-path determinism matrix: {mage, vanilla-claude, single-agent,
-aivril} x {serial, thread pool, process pool, service, multiplexed
-service, two static shards, two static shards with one killed
-mid-grid}.
+aivril} x {serial, process pool, service, multiplexed service, two
+static shards, two static shards with one killed mid-grid}.
 
 Every grid path must be *bit-identical* to a ``--jobs 1`` serial run:
 same final sources, same result rows, and the same typed event stream
@@ -20,13 +19,8 @@ from repro.core.events import CellFinished, ListSink
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem
 from repro.runtime.batch import evaluate_many
-from repro.runtime.cache import (
-    SimulationCache,
-    SolveCellCache,
-    solve_cell_key,
-    system_fingerprint,
-)
-from repro.runtime.executor import SerialExecutor, ThreadExecutor
+from repro.runtime.cache import SimulationCache
+from repro.runtime.executor import SerialExecutor
 from repro.service import MultiplexedClient, SolveServer, solve_grid
 
 # One representative per row of the matrix: the full engine, the
@@ -91,38 +85,6 @@ class TestProcessPoolParity:
             pool_source, pool_events = streams[(problem_id, SEED)]
             assert pool_source == source
             assert canonical(pool_events) == events
-
-
-class TestThreadPoolParity:
-    @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_thread_rows_and_streams_match_serial(self, key, serial_reference):
-        problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
-        grids = {}
-        for name, executor in (
-            ("serial", SerialExecutor()),
-            ("thread", ThreadExecutor(2)),
-        ):
-            solve_cache = SolveCellCache()
-            with executor:
-                result, _ = evaluate_many(
-                    SYSTEMS[key].factory,
-                    "verilogeval-v2",
-                    runs=2,
-                    seed0=SEED,
-                    problems=problems,
-                    executor=executor,
-                    cache=SimulationCache(),
-                    solve_cache=solve_cache,
-                )
-            grids[name] = (result, solve_cache)
-        assert grids["thread"][0].outcomes == grids["serial"][0].outcomes
-        fingerprint = system_fingerprint(SYSTEMS[key].factory)
-        recorded = grids["thread"][1]
-        for problem in problems:
-            record = recorded.get(solve_cell_key(fingerprint, problem, SEED))
-            source, events = serial_reference[(key, problem.id)]
-            assert record.source == source
-            assert canonical(record.events) == events
 
 
 class TestServicePathParity:

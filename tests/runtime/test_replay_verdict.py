@@ -21,7 +21,6 @@ from repro.runtime import (
     SimulationCache,
     SolveCellCache,
     SolveCellRecord,
-    ThreadExecutor,
     evaluate_many,
     solve_cell_key,
     system_fingerprint,
@@ -76,12 +75,8 @@ def _count_derivations(monkeypatch):
 class TestWarmReplaySimulatesNothing:
     @pytest.mark.parametrize(
         "executor",
-        [
-            SerialExecutor,
-            lambda: ThreadExecutor(2),
-            lambda: ProcessExecutor(2),
-        ],
-        ids=["serial", "thread", "process"],
+        [SerialExecutor, lambda: ProcessExecutor(2)],
+        ids=["serial", "process"],
     )
     @pytest.mark.parametrize("sim_cache", ["fresh", "off"])
     def test_replay(self, warm_dir, executor, sim_cache, monkeypatch):
@@ -106,6 +101,47 @@ class TestWarmReplaySimulatesNothing:
         _, report = _grid(reader, SerialExecutor())
         assert report.solve_cache.disk_hits == len(PROBLEMS) * RUNS
         assert len(reader) == len(PROBLEMS) * RUNS
+
+
+def _count_disk_reads(monkeypatch):
+    reads = []
+    for name in ("get", "peek"):
+        original = getattr(cache_module.DiskTier, name)
+
+        def counted(self, key, original=original):
+            reads.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(cache_module.DiskTier, name, counted)
+    return reads
+
+
+class TestReplayedGridStaysInProcess:
+    def test_full_replay_on_a_process_pool_runs_serially(
+        self, warm_dir, monkeypatch
+    ):
+        """Every record is already in memory after the parent's probes,
+        so the grid runs here: no pool starts and each record is read
+        from disk once."""
+        directory, cold_rows = warm_dir
+        reads = _count_disk_reads(monkeypatch)
+        pool = ProcessExecutor(2)
+        rows, report = _grid(SolveCellCache(directory), pool)
+        assert rows == cold_rows
+        assert report.executor == "serial[1]"
+        assert pool._pool is None
+        assert len(reads) == len(set(reads)) == len(PROBLEMS) * RUNS
+        assert report.solve_cache.disk_hits == len(PROBLEMS) * RUNS
+
+    def test_partly_warm_grid_still_uses_the_pool(self, warm_dir):
+        directory, cold_rows = warm_dir
+        key = solve_cell_key(system_fingerprint(FACTORY), PROBLEMS[0], 0)
+        os.remove(os.path.join(directory, f"{key}.pkl"))
+        rows, report = _grid(SolveCellCache(directory), ProcessExecutor(2))
+        assert rows == cold_rows
+        assert report.executor == "process[2]"
+        assert report.solve_cache.misses == 1
+        assert report.solve_cache.hits == len(PROBLEMS) * RUNS - 1
 
 
 def _strip_verdicts(directory: str) -> int:

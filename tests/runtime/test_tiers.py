@@ -221,12 +221,12 @@ class TestRuntimeConfigWiring:
             assert runtime.solve_cache.directory == str(tmp_path / "solve")
 
     def test_config_holds_no_cache_size_or_bound(self):
-        """A cache is sized by nothing but its directory."""
+        """A cache is sized by nothing but its directory, and the worker
+        count alone picks the executor."""
         from repro.runtime.config import RuntimeConfig
 
         assert [field.name for field in dataclasses.fields(RuntimeConfig)] == [
             "jobs",
-            "executor",
             "cache",
             "cache_dir",
             "solve_cache",

@@ -210,11 +210,12 @@ class TestCliRuntime:
         assert "hit-rate 100.0%" in solve_lines[1]
 
     def test_eval_warm_pass_replays_sim_cache(self, capsys):
-        """A second pass in one runtime is served by the simulation cache
-        and prints the same row."""
+        """A second serial pass in one runtime is served by the in-memory
+        simulation cache and prints the same row (process workers share
+        only a cache directory: see the process-pool disk test below)."""
         argv = [
             "eval", "vanilla-claude", "--runs", "2", "--limit", "3",
-            "--jobs", "2", "--verbose",
+            "--jobs", "1", "--verbose",
         ]
         rows, cache_lines = [], []
         with runtime_session():
@@ -311,22 +312,29 @@ def _event_lines(text: str) -> list[str]:
 
 
 class TestCliGridPaths:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_eval_pool_row_matches_serial(self, capsys, executor):
+    def test_eval_pool_row_matches_serial(self, capsys):
         argv = ["eval", "mage", "--runs", "2", "--limit", "3"]
         assert main(argv + ["--jobs", "1"]) == 0
         serial_row = capsys.readouterr().out.splitlines()[0]
-        assert main(argv + ["--jobs", "2", "--executor", executor]) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         pool_row = capsys.readouterr().out.splitlines()[0]
         assert pool_row == serial_row
 
     def test_eval_verbose_reports_process_executor(self, capsys):
         argv = [
             "eval", "mage", "--runs", "1", "--limit", "2",
-            "--jobs", "2", "--executor", "process", "--verbose",
+            "--jobs", "2", "--verbose",
         ]
         assert main(argv) == 0
         assert "process[2]" in capsys.readouterr().out
+
+    def test_eval_one_job_runs_serially(self, capsys):
+        argv = [
+            "eval", "mage", "--runs", "1", "--limit", "2",
+            "--jobs", "1", "--verbose",
+        ]
+        assert main(argv) == 0
+        assert "serial[1]" in capsys.readouterr().out
 
     def test_eval_process_pool_warm_pass_replays_disk_cache(
         self, capsys, tmp_path, monkeypatch
@@ -336,7 +344,7 @@ class TestCliGridPaths:
         monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path / "sim"))
         argv = [
             "eval", "vanilla-itertl", "--runs", "1", "--limit", "2",
-            "--jobs", "2", "--executor", "process", "--verbose",
+            "--jobs", "2", "--verbose",
         ]
         rows, cache_lines = [], []
         for _ in range(2):
@@ -363,6 +371,7 @@ class TestCliGridPaths:
             (["eval", "mage", "--cache-peer", "127.0.0.1:1"], "unrecognized arguments"),
             (["serve", "--cache-peer", "127.0.0.1:1"], "unrecognized arguments"),
             (["bench", "mage"], "invalid choice: 'bench'"),
+            (["eval", "mage", "--executor", "thread"], "unrecognized arguments"),
         ],
         ids=[
             "eval-rollout-batch",
@@ -374,13 +383,15 @@ class TestCliGridPaths:
             "eval-cache-peer",
             "serve-cache-peer",
             "bench",
+            "eval-executor",
         ],
     )
     def test_scheduler_flags_are_unrecognized(self, capsys, argv, error):
         """The grid runs only on the serial/pool/service paths, over
         static shards and one cache directory per layer; the
-        rollout-scheduler, ring and peer-cache flags and the old
-        ``bench`` subcommand are not part of the CLI."""
+        rollout-scheduler, ring and peer-cache flags, the executor
+        choice (``--jobs`` alone picks it) and the old ``bench``
+        subcommand are not part of the CLI."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
