@@ -10,6 +10,20 @@ from repro.core.scoring import ScoredCandidate
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem, golden_testbench
 from repro.llm import SimLLM
+from repro.runtime import runtime_session
+
+
+def record_scores(judge):
+    """Wrap ``judge.score`` to log each scored source, in call order."""
+    scored = []
+    score = judge.score
+
+    def recording(source, *args):
+        scored.append(source)
+        return score(source, *args)
+
+    judge.score = recording
+    return scored
 
 
 def make_agents(model="claude-3.5-sonnet"):
@@ -44,6 +58,18 @@ class TestSampler:
         assert len(outcome.candidates) == config.candidates + 1
         # A perfect extra candidate must always survive selection.
         assert any(c.source == problem.golden for c in outcome.selected)
+
+    def test_scores_in_source_order_off_the_runtime_pool(self):
+        problem = get_problem("fs_vending")
+        task = DesignTask.from_problem(problem)
+        tb = golden_testbench(problem)
+        _, rtl, judge, _ = make_agents()
+        scored = record_scores(judge)
+        config = MAGEConfig.high_temperature().with_seed(3)
+        with runtime_session(jobs=2) as runtime:
+            outcome = sample_and_rank(task, None, tb, rtl, judge, config)
+            assert runtime.executor._pool is None  # scoring never submitted
+        assert scored == [c.source for c in outcome.candidates]
 
     def test_sampling_disabled(self):
         problem = get_problem("fs_vending")
@@ -97,6 +123,21 @@ class TestDebugLoop:
         means = [sum(r) / len(r) for r in outcome.round_scores if r]
         for earlier, later in zip(means, means[1:]):
             assert later >= earlier - 1e-9  # Eq. 4 rollback guarantee
+
+    def test_trials_score_off_the_runtime_pool(self):
+        problem = get_problem("cb_kmap_mux")
+        task = DesignTask.from_problem(problem)
+        tb = golden_testbench(problem)
+        llm, _, judge, debug = make_agents()
+        selected = self._failing_selection(llm, judge, problem, tb)
+        assert selected
+        scored = record_scores(judge)
+        config = MAGEConfig.high_temperature().with_seed(0)
+        with runtime_session(jobs=2) as runtime:
+            outcome = debug_candidates(task, tb, selected, debug, judge, config)
+            assert runtime.executor._pool is None  # scoring never submitted
+        assert len(outcome.round_scores) > 1  # at least one round scored
+        assert scored
 
     def test_stops_early_on_success(self):
         problem = get_problem("cb_mux2")

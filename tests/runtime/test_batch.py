@@ -262,6 +262,29 @@ class TestBatchReport:
         assert "<lambda>" in str(raised.value)
         assert derived == []
 
+    def test_serial_grid_takes_a_closure_factory(self):
+        """Only a process pool needs a picklable factory."""
+        factory = lambda: VanillaLLM("itertl-ft", LOW)  # noqa: E731
+        with SerialExecutor() as executor:
+            closure, report = evaluate_many(
+                factory,
+                "verilogeval-v2",
+                runs=1,
+                problems=MIXED,
+                name="closure",
+                executor=executor,
+            )
+            reference, _ = evaluate_many(
+                vanilla_factory,
+                "verilogeval-v2",
+                runs=1,
+                problems=MIXED,
+                name="closure",
+                executor=executor,
+            )
+        assert report.executor == "serial[1]"
+        assert closure.outcomes == reference.outcomes
+
     def test_wall_clock_covers_golden_derivation(self, monkeypatch):
         """The report's clock starts before the golden testbenches
         derive, so their time is part of the grid's wall clock."""

@@ -336,6 +336,22 @@ class TestCliGridPaths:
         assert main(argv) == 0
         assert "serial[1]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("env_jobs", "described"), [("1", "serial[1]"), ("2", "process[2]")]
+    )
+    def test_eval_without_jobs_flag_reads_env(
+        self, capsys, monkeypatch, env_jobs, described
+    ):
+        monkeypatch.setenv("REPRO_JOBS", env_jobs)
+        argv = ["eval", "mage", "--runs", "1", "--limit", "2", "--verbose"]
+        assert main(argv) == 0
+        assert described in capsys.readouterr().out
+
+    def test_eval_zero_env_jobs_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert main(["eval", "mage", "--limit", "1"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().out
+
     def test_eval_process_pool_warm_pass_replays_disk_cache(
         self, capsys, tmp_path, monkeypatch
     ):
