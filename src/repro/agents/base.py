@@ -48,7 +48,3 @@ class Agent:
         self.conversation.add_assistant(replies[0])
         self.calls += 1
         return replies
-
-    @property
-    def context_chars(self) -> int:
-        return self.conversation.transcript_chars()

@@ -35,6 +35,8 @@ class SpecMessage:
 class TestbenchMessage:
     """A generated testbench travelling from the testbench agent."""
 
+    __test__ = False  # a project type, not a pytest test class
+
     text: str
 
     def render(self) -> str:

@@ -19,6 +19,8 @@ _MAX_FORMAT_RETRIES = 3
 
 
 class TestbenchAgent(Agent):
+    __test__ = False  # a project type, not a pytest test class
+
     role = "testbench"
     system_prompt = (
         "You are a hardware verification specialist. You write optimized "

@@ -145,6 +145,8 @@ class StageFinished(Event):
 class TestbenchReady(Event):
     """Step 1 (or a Step-3 regeneration) produced a parseable testbench."""
 
+    __test__ = False  # a project type, not a pytest test class
+
     kind: ClassVar[str] = "testbench-ready"
     total_checks: int
     regen_index: int = 0  # 0 = the Step-1 original
@@ -185,6 +187,8 @@ class CandidateScored(Event):
 class TestbenchVerdict(Event):
     """Step 3: the judge reviewed the testbench."""
 
+    __test__ = False  # a project type, not a pytest test class
+
     kind: ClassVar[str] = "testbench-verdict"
     correct: bool
     rationale: str = ""
@@ -200,6 +204,8 @@ class TestbenchVerdict(Event):
 @dataclass(frozen=True)
 class TestbenchRegenerated(Event):
     """Step 3: a fresh testbench, with the initial candidate rescored."""
+
+    __test__ = False  # a project type, not a pytest test class
 
     kind: ClassVar[str] = "testbench-regenerated"
     regen_index: int

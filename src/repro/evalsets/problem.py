@@ -23,6 +23,19 @@ from repro.tb.stimulus import TbStep, Testbench
 
 _REGISTRY: dict[str, "Problem"] = {}
 
+# Distinct stimulus draws and probe testbenches a process keeps.  A cold
+# verilogeval-v2 grid of 164 cells derives about 320 distinct testbenches.
+DERIVATION_MEMO_SIZE = 1024
+_STEPS: dict[tuple, tuple] = {}
+_PROBES: dict[tuple, "Testbench"] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Store into a bounded memo, dropping its oldest entry when full."""
+    if len(memo) >= DERIVATION_MEMO_SIZE:
+        memo.pop(next(iter(memo), None), None)
+    memo[key] = value
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -107,9 +120,25 @@ def _ensure_loaded() -> None:
 def input_steps(
     problem: Problem, n_random: int | None = None, seed: int = 0
 ) -> list[dict[str, int]]:
-    """Directed vectors followed by seeded pseudo-random vectors."""
-    steps: list[dict[str, int]] = [dict(v) for v in problem.directed]
+    """Directed vectors followed by seeded pseudo-random vectors.
+
+    Memoized per (problem, ``n_random``, seed): testbench agents draw the
+    same stimulus seed for a problem in many cells.  Each call returns a
+    new list, but the step dicts are shared, so callers treat them as
+    read-only.
+    """
     count = problem.n_random if n_random is None else n_random
+    key = (problem.id, count, seed)
+    hit = _STEPS.get(key)
+    if hit is not None and hit[0] is problem:
+        return list(hit[1])
+    steps = _draw_steps(problem, count, seed)
+    _remember(_STEPS, key, (problem, tuple(steps)))
+    return steps
+
+
+def _draw_steps(problem: Problem, count: int, seed: int) -> list[dict[str, int]]:
+    steps: list[dict[str, int]] = [dict(v) for v in problem.directed]
     if count <= 0:
         return steps
     rng = np.random.default_rng(problem.seed_for(seed))
@@ -147,21 +176,11 @@ def derive_testbench(
     reset) are skipped; partially-unknown outputs keep their ``x`` bits
     as don't-cares.
     """
-    design = compile_design(source, top)
-    probe_checks = {
-        out: LogicVec.all_x(design.signals[out].width) for out in outputs
-    }
-    probe = Testbench(
-        kind=kind,
-        inputs=inputs,
-        outputs=outputs,
-        steps=tuple(TbStep(inputs=s, checks=dict(probe_checks)) for s in steps),
-        clock=clock,
-        name=name,
-    )
+    probe = _probe(source, top, kind, clock, inputs, outputs, steps, name)
     # Probing is a deterministic simulation of a fixed source, so it is
     # served by the runtime's content-addressed cache; testbench agents
-    # re-deriving expectations for the same design pay only once.
+    # re-deriving expectations for the same design pay only once.  Every
+    # derivation still makes its one (counted) lookup.
     # (Imported lazily: repro.runtime.batch imports this module.)
     from repro.runtime.cache import cached_run_testbench
 
@@ -189,6 +208,45 @@ def derive_testbench(
         clock=clock,
         name=name,
     )
+
+
+def _probe(
+    source: str,
+    top: str,
+    kind: str,
+    clock: str | None,
+    inputs: tuple[str, ...],
+    outputs: tuple[str, ...],
+    steps: list[dict[str, int]],
+    name: str,
+) -> Testbench:
+    """The all-``x`` probe testbench for one derivation, memoized by
+    content, so a repeated derivation reuses its rendering (memoized on
+    the instance) for the simulation key.
+
+    The key holds a hash of the steps, not the steps themselves (a tuple
+    copy of every step would cost more memory than the probes); a hit
+    compares the steps, so a hash collision only costs a rebuild.
+    """
+    steps_hash = hash(tuple(map(tuple, map(dict.items, steps))))
+    key = (source, top, kind, clock, inputs, outputs, name, steps_hash)
+    probe = _PROBES.get(key)
+    if probe is not None and [step.inputs for step in probe.steps] == steps:
+        return probe
+    design = compile_design(source, top)
+    probe_checks = {
+        out: LogicVec.all_x(design.signals[out].width) for out in outputs
+    }
+    probe = Testbench(
+        kind=kind,
+        inputs=inputs,
+        outputs=outputs,
+        steps=tuple(TbStep(inputs=s, checks=dict(probe_checks)) for s in steps),
+        clock=clock,
+        name=name,
+    )
+    _remember(_PROBES, key, probe)
+    return probe
 
 
 def golden_testbench(

@@ -89,18 +89,3 @@ class Design:
         state = dict(self.__dict__)
         state.pop("_lowered", None)
         return state
-
-    def port_width(self, name: str) -> int:
-        """Width of a top-level port."""
-        return self.signals[name].width
-
-    def describe_ports(self) -> str:
-        """Human-readable port summary (used in agent prompts)."""
-        parts = []
-        for name in self.inputs:
-            sig = self.signals[name]
-            parts.append(f"input [{sig.width - 1}:0] {name}")
-        for name in self.outputs:
-            sig = self.signals[name]
-            parts.append(f"output [{sig.width - 1}:0] {name}")
-        return ", ".join(parts)

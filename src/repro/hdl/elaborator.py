@@ -750,13 +750,3 @@ _INT_RANGE = ast.Range(
     msb=ast.Number(value=LogicVec.from_int(31, 32)),
     lsb=ast.Number(value=LogicVec.from_int(0, 32)),
 )
-
-
-def elaborate_source(
-    source: ast.SourceFile,
-    top: str | None = None,
-    overrides: dict[str, int] | None = None,
-) -> Design:
-    """Parse-tree to design in one call (top defaults to the last module)."""
-    top_name = source.module(top).name
-    return Elaborator.from_source(source).elaborate(top_name, overrides)

@@ -7,12 +7,15 @@ offending line, the way an ``iverilog`` message would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLoc:
-    """A position in Verilog source text (1-based line and column)."""
+class SourceLoc(NamedTuple):
+    """A position in Verilog source text (1-based line and column).
+
+    A named tuple rather than a dataclass: every token carries one, and
+    a tuple is several times cheaper to build.
+    """
 
     line: int
     col: int

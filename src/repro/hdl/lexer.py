@@ -1,6 +1,9 @@
 """Tokenizer for the synthesizable Verilog subset.
 
 Produces a flat list of :class:`Token` with precise source locations.
+One compiled master regex recognises each token at its position (trivia,
+identifiers and keywords, numbers, strings, system names, longest-match
+operators); only rare shapes fall back to a few lines of python.
 Based number literals (``8'hFF``, ``4'b10x0``) are converted to
 :class:`~repro.hdl.values.LogicVec` here; unsized decimals follow the
 Verilog convention of a 32-bit self-determined size.
@@ -8,8 +11,9 @@ Verilog convention of a 32-bit self-determined size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.hdl.errors import LexError, SourceLoc
 from repro.hdl.values import LogicVec
@@ -111,12 +115,11 @@ class TokKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token.
+class Token(NamedTuple):
+    """One lexical token (a named tuple: the lexer builds one per token).
 
-    ``value`` holds a :class:`LogicVec` for NUMBER tokens and the raw
-    text otherwise.
+    ``value`` holds a :class:`LogicVec` for NUMBER tokens and None
+    otherwise.
     """
 
     kind: TokKind
@@ -165,147 +168,160 @@ def _parse_based_digits(
     return LogicVec(width, val, xmask, signed)
 
 
-class Lexer:
-    """Single-pass tokenizer with // and /* */ comment handling."""
+# Whitespace, // and /* */ comments, and compiler directives (`timescale,
+# `default_nettype, ...: skipped to end of line, the subset does not
+# interpret them).
+_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/|`[^\n]*)"
+_TRIVIA_RE = re.compile(_TRIVIA + "*")
+_IDENT_TAIL_RE = re.compile(r"[\w$]*")
+_BASED_DIGITS_RE = re.compile(r"[\w?]*")
 
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _loc(self) -> SourceLoc:
-        return SourceLoc(self.line, self.col)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        # Returns "\0" past end-of-input so character-class membership
-        # tests ("" in "_$" is vacuously True!) stay safe.
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else "\0"
-
-    def tokenize(self) -> list[Token]:
-        """Tokenize the whole source; always ends with an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                tokens.append(Token(TokKind.EOF, "", self._loc()))
-                return tokens
-            tokens.append(self._next_token())
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            elif ch == "`":
-                # Compiler directives (`timescale, `default_nettype ...):
-                # skip to end of line; our subset does not interpret them.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        loc = self._loc()
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(loc)
-        if ch.isdigit() or (ch == "'" and self._peek(1).lower() in "sbodh"):
-            return self._lex_number(loc)
-        if ch == "$":
-            return self._lex_sysname(loc)
-        if ch == '"':
-            return self._lex_string(loc)
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokKind.OP, op, loc)
-        raise LexError(f"unexpected character {ch!r}", loc)
-
-    def _lex_ident(self, loc: SourceLoc) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() in "_$":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-        return Token(kind, text, loc)
-
-    def _lex_sysname(self, loc: SourceLoc) -> Token:
-        start = self.pos
-        self._advance()  # $
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        return Token(TokKind.SYSNAME, self.source[start : self.pos], loc)
-
-    def _lex_string(self, loc: SourceLoc) -> Token:
-        self._advance()  # opening quote
-        start = self.pos
-        while self._peek() != '"':
-            if self.pos >= len(self.source) or self._peek() == "\n":
-                raise LexError("unterminated string literal", loc)
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        text = self.source[start : self.pos]
-        self._advance()  # closing quote
-        return Token(TokKind.STRING, text, loc)
-
-    def _lex_number(self, loc: SourceLoc) -> Token:
-        start = self.pos
-        size_digits = ""
-        while self._peek().isdigit() or self._peek() == "_":
-            size_digits += self._peek()
-            self._advance()
-        self._skip_trivia()
-        if self._peek() != "'":
-            # Unsized decimal: 32-bit signed per Verilog convention.
-            text = size_digits.replace("_", "")
-            if not text:
-                raise LexError("malformed number", loc)
-            value = LogicVec.from_int(int(text), 32, signed=True)
-            return Token(TokKind.NUMBER, size_digits, loc, value)
-        self._advance()  # '
-        signed = False
-        if self._peek().lower() == "s":
-            signed = True
-            self._advance()
-        base = self._peek().lower()
-        if base not in "bodh":
-            raise LexError(f"bad number base {self._peek()!r}", loc)
-        self._advance()
-        self._skip_trivia()
-        digit_start = self.pos
-        while self._peek().isalnum() or self._peek() in "_?":
-            self._advance()
-        digits = self.source[digit_start : self.pos]
-        width = int(size_digits.replace("_", "")) if size_digits.strip("_") else 32
-        if width < 1:
-            raise LexError("literal width must be >= 1", loc)
-        value = _parse_based_digits(digits, base, width, signed, loc)
-        return Token(TokKind.NUMBER, self.source[start : self.pos], loc, value)
+# Each match is the trivia before one token (group 1), then the token:
+# one alternative per token shape, tried in order.  ``\w`` is exactly
+# ``str.isalnum()`` plus ``_``, the classes the language uses.  The
+# number alternatives are fast paths: a literal with trivia inside it
+# (``8 'h FF``), an unsized decimal followed by anything that could
+# start trivia or a quote, and any non-ASCII character fall through to
+# ``other`` and are lexed by :func:`_lex_other`.  A block comment left in
+# front of a token never ends: trivia takes every closed one.
+_TOKEN_RE = re.compile(
+    rf"({_TRIVIA}*)(?:"
+    r"(?P<ident>[A-Za-z_][\w$]*)"
+    r"|(?P<comment>/\*)"
+    rf"|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})"
+    r"|(?P<based>(?P<size>[0-9][0-9_]*)?'(?P<signed>[sS]?)"
+    r"(?P<base>[bBoOdDhH])(?P<digits>[\w?]+))"
+    r"|(?P<decimal>[0-9][0-9_]*)(?![0-9_'\s/`]|[^\x00-\x7f])"
+    r"|(?P<sysname>\$\w*)"
+    r'|"(?P<string>(?:[^"\\\n]|\\[\s\S])*)"'
+    r"|(?P<other>[\s\S])"
+    r"|(?P<eof>\Z))"
+)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: tokenize ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Tokenize ``source`` into a token list that always ends with EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    while True:
+        m = match(source, pos)
+        start = m.end(1)
+        if start != pos:
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, start) + 1
+        loc = SourceLoc(line, start - line_start + 1)
+        pos = m.end()
+        group = m.lastgroup
+        if group == "ident":
+            text = m.group(group)
+            kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
+            append(Token(kind, text, loc))
+        elif group == "op":
+            append(Token(TokKind.OP, m.group(group), loc))
+        elif group == "decimal":
+            text = m.group(group)
+            value = LogicVec.from_int(int(text.replace("_", "")), 32, signed=True)
+            append(Token(TokKind.NUMBER, text, loc, value))
+        elif group == "based":
+            size_digits = m.group("size")
+            width = int(size_digits.replace("_", "")) if size_digits else 32
+            if width < 1:
+                raise LexError("literal width must be >= 1", loc)
+            value = _parse_based_digits(
+                m.group("digits"),
+                m.group("base").lower(),
+                width,
+                bool(m.group("signed")),
+                loc,
+            )
+            append(Token(TokKind.NUMBER, m.group(group), loc, value))
+        elif group == "sysname":
+            append(Token(TokKind.SYSNAME, m.group(group), loc))
+        elif group == "eof":
+            append(Token(TokKind.EOF, "", loc))
+            return tokens
+        elif group == "comment":
+            raise LexError("unterminated block comment", loc)
+        else:
+            if group == "string":
+                token = Token(TokKind.STRING, m.group(group), loc)
+            else:
+                token, pos = _lex_other(source, start, loc)
+            append(token)
+            # The only tokens that can span lines: a string with an
+            # escaped newline, a number with trivia inside it.
+            newlines = source.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, pos) + 1
+
+
+def _lex_other(source: str, start: int, loc: SourceLoc) -> tuple[Token, int]:
+    """The token at ``start`` that no fast path took, and its end."""
+    ch = source[start]
+    following = source[start + 1] if start + 1 < len(source) else "\0"
+    if ch.isalpha():  # a non-ASCII letter starts an identifier
+        end = _IDENT_TAIL_RE.match(source, start + 1).end()
+        text = source[start:end]
+        kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
+        return Token(kind, text, loc), end
+    if ch.isdigit() or (ch == "'" and following.lower() in "sbodh"):
+        return _lex_number(source, start, loc)
+    if ch == '"':
+        raise LexError("unterminated string literal", loc)
+    raise LexError(f"unexpected character {ch!r}", loc)
+
+
+def _lex_number(source: str, start: int, loc: SourceLoc) -> tuple[Token, int]:
+    """The number at ``start`` in full generality, and its end.
+
+    Size digits are ``str.isdigit()`` characters or ``_``; trivia may sit
+    between the size and the quote and between the base and its digits,
+    and is part of the token's text.
+    """
+    end = len(source)
+    pos = start
+    while pos < end and (source[pos].isdigit() or source[pos] == "_"):
+        pos += 1
+    size_digits = source[start:pos]
+    after = _after_trivia(source, pos)
+    if not source.startswith("'", after):
+        # Unsized decimal: 32-bit signed per Verilog convention.  The
+        # token ends before the trivia, which the caller skips again.
+        text = size_digits.replace("_", "")
+        if not text:
+            raise LexError("malformed number", loc)
+        value = LogicVec.from_int(int(text), 32, signed=True)
+        return Token(TokKind.NUMBER, size_digits, loc, value), pos
+    pos = after + 1
+    ch = source[pos] if pos < end else "\0"
+    signed = ch.lower() == "s"
+    if signed:
+        pos += 1
+        ch = source[pos] if pos < end else "\0"
+    base = ch.lower()
+    if base not in "bodh":
+        raise LexError(f"bad number base {ch!r}", loc)
+    digit_start = _after_trivia(source, pos + 1)
+    pos = _BASED_DIGITS_RE.match(source, digit_start).end()
+    width = int(size_digits.replace("_", "")) if size_digits.strip("_") else 32
+    if width < 1:
+        raise LexError("literal width must be >= 1", loc)
+    value = _parse_based_digits(source[digit_start:pos], base, width, signed, loc)
+    return Token(TokKind.NUMBER, source[start:pos], loc, value), pos
+
+
+def _after_trivia(source: str, pos: int) -> int:
+    """The first position at or after ``pos`` that is not trivia."""
+    pos = _TRIVIA_RE.match(source, pos).end()
+    if source.startswith("/*", pos):
+        line_start = source.rfind("\n", 0, pos) + 1
+        loc = SourceLoc(source.count("\n", 0, pos) + 1, pos - line_start + 1)
+        raise LexError("unterminated block comment", loc)
+    return pos

@@ -49,11 +49,19 @@ _BINARY_PRECEDENCE = {
 
 _UNARY_OPS = frozenset({"~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^", "^~"})
 
+# Kinds whose text ``_check``/``_accept``/``_expect`` match: operators and
+# keywords, never an identifier or string that happens to spell one.
+_MARK_KINDS = (TokKind.OP, TokKind.KEYWORD)
+
 
 class Parser:
     """Token-stream parser producing :class:`repro.hdl.ast_nodes` trees."""
 
     def __init__(self, tokens: list[Token]):
+        # The cursor never moves past the final EOF token, so it always
+        # indexes the list directly; only lookahead needs clamping.
+        if not tokens or tokens[-1].kind is not TokKind.EOF:
+            raise ValueError("the token list must end with an EOF token")
         self.tokens = tokens
         self.pos = 0
 
@@ -62,29 +70,33 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _next(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokKind.EOF:
             self.pos += 1
         return tok
 
     def _check(self, text: str) -> bool:
-        tok = self._peek()
-        return tok.kind in (TokKind.OP, TokKind.KEYWORD) and tok.text == text
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind in _MARK_KINDS
 
     def _accept(self, text: str) -> Token | None:
-        if self._check(text):
-            return self._next()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in _MARK_KINDS:
+            self.pos += 1
+            return tok
         return None
 
     def _expect(self, text: str) -> Token:
-        tok = self._peek()
-        if not self._check(text):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.loc)
-        return self._next()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in _MARK_KINDS:
+            self.pos += 1
+            return tok
+        raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.loc)
 
     def _expect_ident(self) -> Token:
         tok = self._peek()

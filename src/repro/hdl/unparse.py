@@ -244,8 +244,3 @@ def unparse_module(module: ast.Module) -> str:
             lines.extend(_unparse_item(decl))
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def unparse_source(source: ast.SourceFile) -> str:
-    """Render all modules of a source file."""
-    return "\n".join(unparse_module(m) for m in source.modules)

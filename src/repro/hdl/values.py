@@ -99,11 +99,6 @@ class LogicVec:
     # ------------------------------------------------------------------
 
     @property
-    def is_fully_known(self) -> bool:
-        """True when no bit is ``x``."""
-        return self.xmask == 0
-
-    @property
     def has_x(self) -> bool:
         """True when at least one bit is ``x``."""
         return self.xmask != 0

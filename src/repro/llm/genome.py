@@ -45,6 +45,8 @@ class TestbenchGenome:
     values were altered from the true golden behaviour.
     """
 
+    __test__ = False  # a project type, not a pytest test class
+
     problem_id: str
     corrupted: tuple[tuple[int, str], ...] = ()
 

@@ -94,6 +94,25 @@ def _normalise(text: str) -> str:
     return " ".join(text.split())
 
 
+def _normalise_conversation(messages: list[ChatMessage]) -> str:
+    r"""``_normalise`` of the ``"\n"``-joined conversation.
+
+    ``"\n"`` is whitespace, so that is the non-empty normalised messages
+    joined by spaces.  Each message is normalised once and the result
+    memoized on the (immutable) instance: a conversation resends every
+    earlier turn on each call.
+    """
+    parts = []
+    for message in messages:
+        memo = getattr(message, "_normalised", None)
+        if memo is None:
+            memo = _normalise(message.content)
+            object.__setattr__(message, "_normalised", memo)  # frozen memo slot
+        if memo:
+            parts.append(memo)
+    return " ".join(parts)
+
+
 @functools.cache
 def _spec_index() -> tuple[tuple[str, Problem], ...]:
     """Normalised specs, longest first: a pure function of the problem
@@ -146,7 +165,7 @@ class SimLLM:
         task = self._classify(last_user)
         # The conversation is normalised once: problem lookup and every
         # completion's seed share it.
-        normalised = _normalise(text)
+        normalised = _normalise_conversation(messages)
         problem = self._find_problem(normalised)
         outputs = []
         for index in range(params.n):

@@ -313,6 +313,12 @@ class TieredCache:
         if self._disk is not None:
             self._disk.put(key, value)
 
+    def absorb(self, delta: CacheStats) -> None:
+        """Count another process's work on a cache over the same store
+        (a service child's per-job delta) in this cache's row."""
+        with self._lock:
+            self.stats.add(delta)
+
     def clear(self) -> None:
         """Drop the memory copies; the disk directory keeps its entries."""
         with self._lock:

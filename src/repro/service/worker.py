@@ -25,8 +25,10 @@ landed since the server's own probe) and stores
 afterwards, so a repeated submit replays its event stream and serves
 the stored golden verdict without simulating.  The child's own
 simulation cache is built on the server's directory.
-``STAGE_CLOCK`` and ``GATEWAY_STATS`` are per-process, so each
-terminal message carries the job's deltas and the parent merges them.
+``STAGE_CLOCK``, ``GATEWAY_STATS`` and the child's simulation-cache
+counters are per-process, so each terminal message carries the job's
+deltas and the parent merges them (the simulation delta into the
+server's cache row, which ``stats`` reports).
 ``executed`` counts only jobs whose pipeline actually ran -- the counter
 the dedup and cache contracts are verified against.
 
@@ -49,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
     from repro.llm.gateway.settings import GatewaySettings
 
 from repro.runtime.cache import (
+    CacheStats,
     SimulationCache,
     SolveCellCache,
     SolveCellRecord,
@@ -286,7 +289,7 @@ def _child_main(conn, sim_cache, gateway) -> None:
     ``sim_cache`` is False (layer disabled) or the directory of the
     server's simulation cache (None for a memory-only cache).  The
     clocks are reset before each job, so the snapshots sent with its
-    terminal message are its deltas.
+    terminal message are its deltas; so is the simulation-cache row.
     """
     # The parent spawned us with SIGINT blocked: ignore it before
     # unblocking, so a Ctrl-C at the terminal reaches only the server,
@@ -306,6 +309,7 @@ def _child_main(conn, sim_cache, gateway) -> None:
             job = conn.recv()
             STAGE_CLOCK.reset()
             GATEWAY_STATS.reset()
+            before = cache.stats.snapshot() if cache is not None else CacheStats()
             try:
                 result = solve_service_request(
                     *job, sink=relay, sim_cache=cache, gateway=gateway
@@ -313,7 +317,10 @@ def _child_main(conn, sim_cache, gateway) -> None:
                 reply = ("done", result)
             except Exception as exc:  # noqa: BLE001 -- becomes an error frame
                 reply = ("error", f"{type(exc).__name__}: {exc}")
-            clocks = (STAGE_CLOCK.snapshot(), GATEWAY_STATS.snapshot())
+            simulations = (
+                cache.stats.delta(before) if cache is not None else CacheStats()
+            )
+            clocks = (STAGE_CLOCK.snapshot(), GATEWAY_STATS.snapshot(), simulations)
             conn.send((*reply, *clocks))
     except (EOFError, OSError):
         pass  # the server is gone: exit with it
@@ -439,9 +446,11 @@ class Worker(threading.Thread):
                 job.publish(event)
         except (EOFError, OSError):
             raise WorkerError(self._child_died()) from None
-        stages, gateway = clocks
+        stages, gateway, simulations = clocks
         STAGE_CLOCK.merge(stages)
         GATEWAY_STATS.add(**gateway)
+        if self.sim_cache is not None:
+            self.sim_cache.absorb(simulations)
         if kind == "error":
             raise WorkerError(payload)
         if key is not None:

@@ -36,6 +36,8 @@ class CheckRecord:
 class TestReport:
     """Everything the judge and debug agents need from one simulation."""
 
+    __test__ = False  # a project type, not a pytest test class
+
     testbench: Testbench
     records: list[CheckRecord] = field(default_factory=list)
     error: str | None = None  # compile/runtime failure, if any

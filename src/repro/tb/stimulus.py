@@ -31,6 +31,8 @@ from repro.hdl.values import LogicVec
 class TestbenchFormatError(ValueError):
     """Raised when testbench text cannot be parsed."""
 
+    __test__ = False  # a project type, not a pytest test class
+
 
 @dataclass(frozen=True)
 class TbStep:
@@ -48,6 +50,8 @@ class TbStep:
 @dataclass(frozen=True)
 class Testbench:
     """A complete testbench program."""
+
+    __test__ = False  # a project type, not a pytest test class
 
     kind: str  # "clocked" | "comb"
     inputs: tuple[str, ...]
@@ -166,12 +170,6 @@ def parse_testbench(text: str, name: str = "tb") -> Testbench:
     )
 
 
-def _render_expected(value: LogicVec) -> str:
-    if value.has_x:
-        return value.to_bits()
-    return str(value.to_uint())
-
-
 def render_testbench(tb: Testbench) -> str:
     """Render a testbench in the textual exchange format.
 
@@ -182,19 +180,21 @@ def render_testbench(tb: Testbench) -> str:
     memo = getattr(tb, "_rendered", None)
     if memo is not None:
         return memo
-    lines = []
     header = f"TESTBENCH {tb.kind}"
     if tb.clock:
         header += f" clock={tb.clock}"
-    lines.append(header)
-    lines.append("INPUTS " + " ".join(tb.inputs))
-    lines.append("OUTPUTS " + " ".join(tb.outputs))
+    lines = [header, "INPUTS " + " ".join(tb.inputs), "OUTPUTS " + " ".join(tb.outputs)]
     for step in tb.steps:
-        drives = " ".join(f"{k}={v}" for k, v in step.inputs.items())
+        drives = " ".join([f"{k}={v}" for k, v in step.inputs.items()])
         line = f"STEP {drives}".rstrip()
         if step.checks:
+            # An expectation with x bits renders as a bit pattern, any
+            # other as its unsigned value.
             expects = " ".join(
-                f"{k}={_render_expected(v)}" for k, v in step.checks.items()
+                [
+                    f"{k}={v.to_bits() if v.xmask else v.val}"
+                    for k, v in step.checks.items()
+                ]
             )
             line += f" ; EXPECT {expects}"
         lines.append(line)

@@ -2,6 +2,7 @@
 score on its own golden testbench, and suites must be well-formed."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from repro.evalsets import (
     input_steps,
     suite_names,
 )
-from repro.evalsets.problem import Problem, derive_testbench
+from repro.evalsets.problem import Problem, _draw_steps, derive_testbench
 from repro.hdl.lint import lint
+from repro.runtime import runtime_session
 from repro.tb.runner import run_testbench
+from repro.tb.stimulus import render_testbench
 
 
 class TestRegistry:
@@ -163,6 +166,21 @@ class TestStimulus:
         steps = input_steps(problem, n_random=0)
         assert len(steps) == len(problem.directed)
 
+    def test_memoized_draw_matches_a_fresh_one(self):
+        problem = get_problem("sq_counter_ud")
+        steps = input_steps(problem, seed=11)
+        again = input_steps(problem, seed=11)
+        assert again == steps == _draw_steps(problem, problem.n_random, 11)
+        assert again is not steps  # a new list per call
+
+    def test_memo_serves_only_the_problem_it_drew_for(self):
+        problem = get_problem("sq_dff_ar")
+        input_steps(problem, seed=12)
+        held = replace(problem, random_policy={"areset": 1})
+        steps = input_steps(held, seed=12)
+        assert steps == _draw_steps(held, held.n_random, 12)
+        assert all(step["areset"] == 1 for step in steps[len(held.directed):])
+
 
 class TestDeriveTestbench:
     def test_expected_values_match_simulation(self):
@@ -194,6 +212,24 @@ class TestDeriveTestbench:
             steps,
         )
         assert tb.total_checks == 0
+
+    def test_repeat_reuses_the_probe_and_still_looks_it_up(self):
+        problem = get_problem("sq_counter_ud")
+        args = (
+            problem.golden,
+            problem.top,
+            problem.kind,
+            problem.clock,
+            problem.data_inputs,
+            problem.outputs,
+        )
+        with runtime_session(jobs=1, cache=True) as runtime:
+            first = derive_testbench(*args, input_steps(problem, seed=13))
+            second = derive_testbench(*args, input_steps(problem, seed=13))
+            stats = runtime.cache.stats
+        assert render_testbench(first) == render_testbench(second)
+        # One counted lookup per derivation: a miss, then a hit.
+        assert (stats.lookups, stats.hits) == (2, 1)
 
     def test_broken_golden_raises(self):
         from repro.hdl.errors import HdlError

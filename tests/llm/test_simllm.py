@@ -7,7 +7,12 @@ from repro.llm import ChatMessage, SamplingParams, SimLLM
 from repro.llm.genome import GenomeRegistry
 from repro.llm.interface import create_llm
 from repro.llm.profiles import get_profile
-from repro.llm.simllm import extract_code_block, extract_tb_block
+from repro.llm.simllm import (
+    _normalise,
+    _normalise_conversation,
+    extract_code_block,
+    extract_tb_block,
+)
 from repro.tb.runner import run_testbench
 from repro.tb.stimulus import parse_testbench
 
@@ -55,6 +60,20 @@ class TestExtraction:
 
     def test_no_block(self):
         assert extract_code_block("plain text") is None
+
+
+class TestNormalisation:
+    def test_per_message_memo_equals_normalising_the_joined_text(self):
+        messages = [
+            ChatMessage("system", "  You are\ta designer.  "),
+            ChatMessage("user", ""),
+            ChatMessage("user", " \n "),
+            ChatMessage("assistant", "line one\nline   two\n"),
+            ChatMessage("user", "last"),
+        ]
+        joined = _normalise("\n".join(m.content for m in messages))
+        assert _normalise_conversation(messages) == joined
+        assert _normalise_conversation(messages) == joined  # from the memos
 
 
 class TestDeterminism:

@@ -100,14 +100,18 @@ class TestWarmServing:
         assert after["broker"]["submitted"] == before["broker"]["submitted"]
 
     def test_stats_snapshot_reports_both_cache_layers(self, server):
-        """The record stores the child's verdict, so a cold solve and
-        its replay leave the server's simulation layer untouched; a
-        record without a verdict is scored through it."""
+        """A cold solve's simulation lookups happen in a worker child and
+        reach the server's simulation row; its replay serves the stored
+        verdict without one; a record without a verdict is scored
+        through the server's own layer."""
         with MultiplexedClient(server.address) as client:
             cold = client.solve("mage", "cb_mux2")
+            after_cold = client.stats()["caches"]["simulation"]
             client.solve("mage", "cb_mux2")
             stats = client.stats()
-            assert stats["caches"]["simulation"]["lookups"] == 0
+            assert after_cold["lookups"] > 0
+            assert after_cold["stores"] > 0
+            assert stats["caches"]["simulation"] == after_cold
             assert stats["caches"]["solve_cell"]["stores"] == 1
             assert stats["workers"] == 2
 
@@ -120,7 +124,7 @@ class TestWarmServing:
             stats = client.stats()
         assert rescored.cached
         assert (rescored.passed, rescored.score) == (cold.passed, cold.score)
-        assert stats["caches"]["simulation"]["stores"] > 0
+        assert stats["caches"]["simulation"]["lookups"] > after_cold["lookups"]
 
 
 class TestInFlightDedup:
