@@ -587,7 +587,7 @@ def _cmd_eval(args) -> int:
     from repro.baselines.registry import SYSTEMS, system_names
     from repro.core.events import StreamSink
     from repro.evaluation.harness import default_runs
-    from repro.runtime import create_executor, evaluate_many
+    from repro.runtime import WorkerError, create_executor, evaluate_many
 
     if args.system not in SYSTEMS:
         print(f"unknown system; choose from: {', '.join(system_names())}")
@@ -649,8 +649,9 @@ def _cmd_eval(args) -> int:
             events=events,
         )
         _print_eval_result(result, report, verbose=args.verbose)
-    except (KeyError, ValueError) as exc:
-        # Bad suite name, zero runs, an empty problem slice, ...
+    except (KeyError, ValueError, WorkerError) as exc:
+        # Bad suite name, zero runs, an empty problem slice, a worker
+        # process that died mid-cell, ...
         print(f"error: {exc}")
         return 2
     finally:

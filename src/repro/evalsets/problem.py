@@ -66,6 +66,14 @@ class Problem:
         if self.kind == "clocked" and not self.clock:
             raise ValueError(f"{self.id}: clocked problem needs a clock")
 
+    def __reduce_ex__(self, protocol):
+        # A registered problem crosses a process boundary as its id, so
+        # a worker process gets its own registry object, and the memos
+        # that only serve that object (``input_steps``) hit again.
+        if _REGISTRY.get(self.id) is self:
+            return get_problem, (self.id,)
+        return super().__reduce_ex__(protocol)
+
     def design(self) -> Design:
         """The compiled golden design (shared, see :func:`compile_design`)."""
         return compile_design(self.golden, self.top)

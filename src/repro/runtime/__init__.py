@@ -3,7 +3,8 @@
 The scaling layer under the MAGE engine and the evaluation harness:
 
 - :mod:`repro.runtime.executor` -- the serial executor and the process
-  pool behind one ``submit`` API; the worker count picks one;
+  pool behind one ``submit`` API (the worker count picks one), and the
+  one worker process the pool and the service both drive;
 - :mod:`repro.runtime.cache` -- the caches: two
   content-addressed memoizers (``run_testbench`` keyed by
   ``hash(design_source, testbench, top_module)``, whole solve cells
@@ -50,6 +51,7 @@ from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
+    WorkerError,
     create_executor,
 )
 
@@ -67,6 +69,7 @@ __all__ = [
     "SolveCellCache",
     "SolveCellRecord",
     "TieredCache",
+    "WorkerError",
     "cached_run_testbench",
     "clear_disk_cache",
     "create_executor",

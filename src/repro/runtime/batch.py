@@ -370,16 +370,10 @@ def evaluate_many(
         # Every cell replays a record the probes already hold in memory.
         pool = SerialExecutor()
     crosses_processes = pool.kind == "process"
-    if crosses_processes:
-        # Self-contained cells; workers build per-process caches
-        # (shared on disk when a directory is set).
-        submit = lambda cell: pool.submit(run_cell, cell)  # noqa: E731
-    else:
-        submit = lambda cell: pool.submit(  # noqa: E731
-            run_cell, cell, live_cache, live_solve
-        )
-
-    futures = [submit(cell) for cell in cells]
+    # Cells shipped to worker processes go self-contained: workers build
+    # per-process caches (shared on disk when a directory is set).
+    live = () if crosses_processes else (live_cache, live_solve)
+    futures = [pool.submit(run_cell, cell, *live) for cell in cells]
     by_problem: dict[int, list[CellResult]] = {}
     flush_progress = _progress_flusher(
         chosen, runs, resolved_name, progress, by_problem

@@ -3,8 +3,9 @@
 One :class:`EvalCell` is one (problem, run) point of the Eq. 7 grid:
 build a fresh system instance, solve the task, score the result against
 the hidden golden testbench.  Cells are self-contained frozen dataclasses
-so a :class:`~repro.runtime.executor.ProcessExecutor` can ship them to
-worker processes; the serial executor passes the live caches alongside.
+so a :class:`~repro.runtime.executor.WorkerProcess` can run them, for
+the local pool and the service alike; the serial executor passes the
+live caches alongside.
 
 Each cell runs under a thread-local **serial** runtime so the grid is
 parallelised exactly once: a cell's internal LLM-call ordering stays
@@ -79,9 +80,9 @@ class CellResult:
     """What comes back: the tally entry plus timing and cache accounting.
 
     ``cache`` and ``solve_cache`` are this cell's deltas of the two
-    caches' counters, every field.  They are exact per-cell in serial and
-    process execution; under thread execution concurrent cells share
-    counters, so batch totals are taken from the live caches instead.
+    caches' counters, every field: exact per cell, because a process
+    runs one cell at a time.  ``source`` is the solved design, which a
+    service worker stores in its solve-cell record.
     """
 
     problem_index: int
@@ -94,37 +95,19 @@ class CellResult:
     simulations: int = 0
     solve_cache: CacheStats = field(default_factory=CacheStats)
     # Whether THIS cell's solve was served from the solve-cell cache.
-    # Recorded at the lookup itself (not from stats deltas), so it stays
-    # correct even when concurrent thread cells share one stats object.
     solve_cached: bool = False
+    source: str = ""
 
 
-# Per-process cache registries for pool workers: cells landing in the
-# same worker process share one cache per disk directory.
-_WORKER_CACHES: dict[str | None, SimulationCache] = {}
-_WORKER_SOLVE_CACHES: dict[str | None, SolveCellCache] = {}
+# Per-process caches for cells shipped without live ones: cells landing
+# in the same worker process share one cache per (kind, disk directory).
+_WORKER_CACHES: dict[tuple[type, str | None], object] = {}
 
 
-def _resolve_cache(cell: EvalCell) -> SimulationCache | None:
-    """The worker-process simulation cache for a cell shipped without a
-    live cache: cells landing in the same process share one cache per
-    disk directory."""
-    if not cell.cache_enabled:
-        return None
-    cache = _WORKER_CACHES.get(cell.cache_dir)
+def _worker_cache(kind: type, directory: str | None):
+    cache = _WORKER_CACHES.get((kind, directory))
     if cache is None:
-        cache = _WORKER_CACHES[cell.cache_dir] = SimulationCache(cell.cache_dir)
-    return cache
-
-
-def _resolve_solve_cache(cell: EvalCell) -> SolveCellCache | None:
-    if not cell.solve_enabled or cell.fingerprint is None:
-        return None
-    cache = _WORKER_SOLVE_CACHES.get(cell.solve_dir)
-    if cache is None:
-        cache = _WORKER_SOLVE_CACHES[cell.solve_dir] = SolveCellCache(
-            cell.solve_dir
-        )
+        cache = _WORKER_CACHES[(kind, directory)] = kind(directory)
     return cache
 
 
@@ -194,14 +177,16 @@ def run_cell(
     cell: EvalCell,
     cache: SimulationCache | None = None,
     solve_cache: SolveCellCache | None = None,
+    sink=None,
 ) -> CellResult:
-    """Execute one cell (module-level, hence process-pool picklable)."""
+    """Execute one cell (module-level, hence picklable for a worker
+    process); ``sink`` receives its run events live."""
     if cache is None and cell.cache_enabled:
-        cache = _resolve_cache(cell)
-    if solve_cache is None:
-        solve_cache = _resolve_solve_cache(cell)
-    elif cell.fingerprint is None:
+        cache = _worker_cache(SimulationCache, cell.cache_dir)
+    if cell.fingerprint is None:
         solve_cache = None
+    elif solve_cache is None and cell.solve_enabled:
+        solve_cache = _worker_cache(SolveCellCache, cell.solve_dir)
     before = cache.stats.snapshot() if cache is not None else CacheStats()
     solve_before = (
         solve_cache.stats.snapshot() if solve_cache is not None else CacheStats()
@@ -226,6 +211,7 @@ def run_cell(
             cell.factory,
             cell.problem,
             cell.seed,
+            sink=sink,
             solve_cache=solve_cache,
             fingerprint=cell.fingerprint,
             score=score,
@@ -250,4 +236,5 @@ def run_cell(
         simulations=simulation_count() - sims_before,
         solve_cache=solve_delta,
         solve_cached=solve_cached,
+        source=record.source,
     )

@@ -4,8 +4,9 @@ The one-shot :func:`~repro.runtime.batch.evaluate_many` model, turned
 into a service: a localhost TCP :class:`SolveServer` owns a priority
 :class:`Broker` (with backpressure and in-flight dedup), a pool of
 long-lived :class:`~repro.service.worker.Worker` s -- each a broker
-consumer thread driving one child process that runs the existing staged
-pipeline -- and both content-addressed cache layers.
+consumer thread driving one :class:`~repro.runtime.executor.WorkerProcess`,
+the child a local ``--jobs N`` grid runs its cells on -- and both
+content-addressed cache layers.
 Clients speak a length-framed JSON protocol
 (:mod:`repro.service.protocol`) whose event frames are the exact typed
 events of :mod:`repro.core.events` -- the event stream is the wire
@@ -65,7 +66,6 @@ from repro.service.worker import (
     registered_fingerprint,
     registered_system_name,
     serve_cached_record,
-    solve_service_request,
 )
 
 __all__ = [
@@ -104,7 +104,6 @@ __all__ = [
     "render_prometheus",
     "serve_cached_record",
     "solve_grid",
-    "solve_service_request",
     "stop_server",
     "write_frame",
 ]

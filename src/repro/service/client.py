@@ -512,7 +512,6 @@ def solve_grid(
     seed0: int = 0,
     problems=None,
     shards: list[str] | None = None,
-    connections: int = 2,
     timeout: float | None = None,
     progress: Callable[[str], None] | None = None,
     events: EventSink | Callable[[Event], None] | None = None,
@@ -524,11 +523,14 @@ def solve_grid(
     fixed as ``seed0 + run`` before dispatch, the shard assignment is a
     pure function of the cell's identity, and the merge keys results by
     ``(problem, run)`` -- so the result grid is bit-identical to local
-    ``--jobs 1`` execution regardless of shard count, per-shard
-    connection count, completion order, or mid-grid shard failures.
+    ``--jobs 1`` execution regardless of shard count, in-flight depth,
+    completion order, or mid-grid shard failures.
 
     Placement: cells round-robin over ``shards`` by flat grid index;
-    a repeated address is refused with a ``ValueError``.
+    a repeated address is refused with a ``ValueError``.  Each shard
+    keeps two cells in flight per server worker (read once from its
+    ``stats`` after its first cell), so no worker idles for a round
+    trip between cells.
 
     Fault tolerance: each shard's workers share one multiplexed
     connection; a cell that fails with a transport error is retried
@@ -689,7 +691,20 @@ def solve_grid(
                         report.retried_cells += 1
         raise _ShardDead(f"{shard}: {last}")
 
-    def worker(shard: str) -> None:
+    threads: list[threading.Thread] = []
+
+    def launch(shard: str, count: int, widen: bool = False) -> None:
+        for index in range(count):
+            thread = threading.Thread(
+                target=worker,
+                args=(shard, widen and index == 0),
+                name=f"repro-grid-{shard}-{len(threads)}",
+                daemon=True,
+            )
+            threads.append(thread)
+            thread.start()
+
+    def worker(shard: str, widen: bool) -> None:
         while True:
             with cond:
                 while (
@@ -713,21 +728,21 @@ def solve_grid(
                 )
                 return
             record(shard, cell, outcome, time.perf_counter() - submitted)
+            if widen:
+                # Read after the shard's first cell, so the read costs
+                # the grid no round trip up front.
+                widen = False
+                try:
+                    client, _ = links[shard].get()
+                    depth = 2 * client.stats()["workers"]
+                except (OSError, ServiceError, ProtocolError):
+                    depth = 2  # the shard's next cell finds out why
+                launch(shard, min(depth, len(cells)) - 2)
 
     started = time.perf_counter()
-    threads = [
-        threading.Thread(
-            target=worker,
-            args=(shard,),
-            name=f"repro-grid-{shard}-{index}",
-            daemon=True,
-        )
-        for shard in shards
-        for index in range(max(1, min(connections, max(1, len(cells)))))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
+    for shard in shards:
+        launch(shard, min(2, len(cells)), widen=True)
+    for thread in threads:  # grows as each shard widens
         thread.join()
     for link in links.values():
         link.close()

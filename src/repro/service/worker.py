@@ -2,46 +2,25 @@
 
 A :class:`Worker` is a daemon thread bound to a
 :class:`~repro.service.broker.Broker`, so priority, in-flight dedup and
-the graceful drain live where they always did.  Each worker owns one
-child process (``multiprocessing`` *spawn* context) that runs the
-CPU-bound part, :func:`solve_service_request` -- exactly the computation
-an :func:`~repro.runtime.batch.evaluate_many` cell runs, a fresh system
-instance under a pinned-serial runtime session scored against the hidden
-golden testbench -- so ``serve --workers N`` solves on N processes
-rather than N threads sharing one GIL.  Bit-for-bit parity with the
-local executor is structural: both paths share
-:func:`repro.runtime.workers.solve_streaming`.
+the graceful drain live where they always did.  Each worker drives one
+spawned :class:`~repro.runtime.executor.WorkerProcess` (the child a local
+``--jobs N`` pool forks N of) and runs each cold job there as one grid
+cell, :func:`~repro.runtime.workers.run_cell`, relaying its events live:
+``serve --workers N`` solves on N processes, and parity with a local
+grid is structural.
 
-One ``Pipe`` per worker carries the job ``(system, problem, seed)`` to
-the child and, back to the parent, one ``("event", Event.to_json())``
-message per run event followed by one terminal ``done`` or ``error``.
-The parent relays each event to ``job.publish`` as it arrives; sharing
-one pipe is what orders the live stream before the outcome.
-
-The parent owns the caches.  It looks the cell up in the
-solve-cell cache before dispatching (a dedup-raced store may have
-landed since the server's own probe) and stores
-``SolveCellRecord(source, system, relayed events, passed, score)``
-afterwards, so a repeated submit replays its event stream and serves
-the stored golden verdict without simulating.  The child's own
-simulation cache is built on the server's directory.
-``STAGE_CLOCK``, ``GATEWAY_STATS`` and the child's simulation-cache
-counters are per-process, so each terminal message carries the job's
-deltas and the parent merges them (the simulation delta into the
-server's cache row, which ``stats`` reports).
-``executed`` counts only jobs whose pipeline actually ran -- the counter
-the dedup and cache contracts are verified against.
-
-A child that dies mid-job fails that job with an error naming its exit
-code (counted in ``errors``) and is respawned.  Children ignore SIGINT,
-so Ctrl-C drains through the server, and exit on pipe EOF, so a killed
-server leaves no orphans.
+The parent owns the solve-cell cache.  It looks the cell up before
+dispatching (a dedup-raced store may have landed since the server's own
+probe) and stores the solved record, verdict and relayed events
+included, so a repeated submit replays without simulating.  The child's
+simulation cache lives on the server's directory, and each cell's delta
+of its counters joins the server's row.  ``executed`` counts only jobs
+whose pipeline actually ran -- the counter the dedup and cache contracts
+are verified against.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -51,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover -- annotation-only import
     from repro.llm.gateway.settings import GatewaySettings
 
 from repro.runtime.cache import (
-    CacheStats,
     SimulationCache,
     SolveCellCache,
     SolveCellRecord,
@@ -60,15 +38,8 @@ from repro.runtime.cache import (
     system_fingerprint,
 )
 from repro.runtime.context import RuntimeContext, runtime_session
-from repro.runtime.executor import SerialExecutor
-from repro.runtime.workers import solve_streaming
-
-_SPAWN = multiprocessing.get_context("spawn")
-
-
-class WorkerError(Exception):
-    """A job failed in (or with) a worker process; the message is the
-    error frame's text."""
+from repro.runtime.executor import SerialExecutor, WorkerError, WorkerProcess
+from repro.runtime.workers import EvalCell, run_cell
 
 
 @dataclass(frozen=True)
@@ -84,26 +55,21 @@ class ServiceResult:
 
 
 class ServiceStats:
-    """Thread-safe service counters (worker executions, cache serves,
-    and errors)."""
+    """Thread-safe service counters: ``executed`` (pipelines actually
+    run), ``cache_served`` (results served from the solve-cell cache)
+    and ``errors``."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.executed = 0  # pipelines actually run (not cache-served)
-        self.cache_served = 0  # results served from the solve-cell cache
-        self.errors = 0
+        self._counts = dict.fromkeys(("executed", "cache_served", "errors"), 0)
 
     def count(self, field: str) -> None:
         with self._lock:
-            setattr(self, field, getattr(self, field) + 1)
+            self._counts[field] += 1
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {
-                "executed": self.executed,
-                "cache_served": self.cache_served,
-                "errors": self.errors,
-            }
+            return dict(self._counts)
 
 
 # Registered-system display names and config fingerprints, resolved
@@ -118,19 +84,12 @@ _NAME_LOCK = threading.Lock()
 
 def registered_system_name(key: str) -> str:
     """The ``.name`` a fresh instance of a registered system reports."""
-    from repro.baselines.registry import SYSTEMS, system_names
+    from repro.baselines.registry import create_system
 
     with _NAME_LOCK:
         name = _NAME_CACHE.get(key)
         if name is None:
-            spec = SYSTEMS.get(key)
-            if spec is None:
-                raise KeyError(
-                    f"unknown system {key!r}; "
-                    f"known: {', '.join(system_names())}"
-                )
-            name = spec.factory().name
-            _NAME_CACHE[key] = name
+            name = _NAME_CACHE[key] = create_system(key).name
         return name
 
 
@@ -230,104 +189,8 @@ def serve_cached_record(
     )
 
 
-def solve_service_request(
-    system: str,
-    problem_id: str,
-    seed: int,
-    sink=None,
-    sim_cache: SimulationCache | None = None,
-    gateway: "GatewaySettings | None" = None,
-) -> ServiceResult:
-    """Run one (system, problem, seed) cell exactly as a grid cell would.
-
-    The solve-cell cache is the caller's business (the worker looks the
-    cell up before dispatching and stores what comes back).  Raises
-    ``KeyError`` for an unknown system or problem id; the caller turns
-    that into an error frame.
-    """
-    from repro.baselines.registry import SYSTEMS, system_names
-    from repro.evalsets import get_problem, golden_testbench
-
-    spec = SYSTEMS.get(system)
-    if spec is None:
-        raise KeyError(
-            f"unknown system {system!r}; known: {', '.join(system_names())}"
-        )
-    problem = get_problem(problem_id)
-    # Same isolation as a batch cell: the whole request runs under a
-    # serial inner runtime (pinning the server's gateway settings), so
-    # workers never nest parallelism and LLM-call ordering matches a
-    # plain local solve.  The golden probe simulation goes through the
-    # server's cache like every other.
-    inner = RuntimeContext(
-        executor=SerialExecutor(), cache=sim_cache, gateway=gateway
-    )
-    with runtime_session(context=inner):
-        golden = golden_testbench(problem)
-        started = time.perf_counter()
-        record, _ = solve_streaming(
-            spec.factory,
-            problem,
-            seed,
-            sink=sink,
-            score=lambda source: cached_run_testbench(
-                source, golden, problem.top, cache=sim_cache
-            ),
-        )
-    return ServiceResult(
-        source=record.source,
-        passed=record.passed,
-        score=record.score,
-        seconds=time.perf_counter() - started,
-        system=registered_system_name(system),
-    )
-
-
-def _child_main(conn, sim_cache, gateway) -> None:
-    """A worker process: solve jobs from ``conn`` until EOF.
-
-    ``sim_cache`` is False (layer disabled) or the directory of the
-    server's simulation cache (None for a memory-only cache).  The
-    clocks are reset before each job, so the snapshots sent with its
-    terminal message are its deltas; so is the simulation-cache row.
-    """
-    # The parent spawned us with SIGINT blocked: ignore it before
-    # unblocking, so a Ctrl-C at the terminal reaches only the server,
-    # which drains us itself.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    from repro.core.pipeline import STAGE_CLOCK
-    from repro.llm.gateway.client import GATEWAY_STATS
-
-    cache = None if sim_cache is False else SimulationCache(sim_cache)
-
-    def relay(event) -> None:
-        conn.send(("event", event.to_json()))
-
-    try:
-        while True:
-            job = conn.recv()
-            STAGE_CLOCK.reset()
-            GATEWAY_STATS.reset()
-            before = cache.stats.snapshot() if cache is not None else CacheStats()
-            try:
-                result = solve_service_request(
-                    *job, sink=relay, sim_cache=cache, gateway=gateway
-                )
-                reply = ("done", result)
-            except Exception as exc:  # noqa: BLE001 -- becomes an error frame
-                reply = ("error", f"{type(exc).__name__}: {exc}")
-            simulations = (
-                cache.stats.delta(before) if cache is not None else CacheStats()
-            )
-            clocks = (STAGE_CLOCK.snapshot(), GATEWAY_STATS.snapshot(), simulations)
-            conn.send((*reply, *clocks))
-    except (EOFError, OSError):
-        pass  # the server is gone: exit with it
-
-
 class Worker(threading.Thread):
-    """One broker consumer thread and the child process it drives."""
+    """One broker consumer thread and the worker process it drives."""
 
     def __init__(
         self,
@@ -344,61 +207,30 @@ class Worker(threading.Thread):
         self.sim_cache = sim_cache
         self.solve_cache = solve_cache
         self.gateway = gateway
-        self.process = None  # the current child (replaced on respawn)
-        self._conn = None
-        self._lock = threading.Lock()
-        self._halted = False
+        self._child: WorkerProcess | None = None
+
+    @property
+    def process(self):
+        """The current child process (replaced on respawn)."""
+        return self._child.process if self._child is not None else None
 
     def start(self) -> None:
         """Spawn the child, then start consuming.  Neither waits for
         the child's imports: the first job queues in the pipe."""
-        self._spawn()
+        self._child = WorkerProcess("spawn", f"{self.name}-process")
         super().start()
 
-    def _spawn(self) -> None:
-        with self._lock:
-            if self._halted:
-                return
-            cache = self.sim_cache
-            spec = False if cache is None else cache.directory
-            conn, child_end = _SPAWN.Pipe()
-            process = _SPAWN.Process(
-                target=_child_main,
-                args=(child_end, spec, self.gateway),
-                name=f"{self.name}-process",
-                daemon=True,
-            )
-            # The child inherits the blocked mask, so a Ctrl-C during
-            # its imports stays pending until _child_main ignores it.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                process.start()
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            child_end.close()
-            self.process, self._conn = process, conn
-
     def halt(self) -> None:
-        """Kill the child and never respawn it: after the drain, when
-        the child is idle and killing it loses nothing (nor waits for a
-        child still importing), or on the server's kill."""
-        with self._lock:
-            self._halted = True
-            process = self.process
-        if process is not None:
-            process.kill()
+        """Kill the child for good: after the drain, or on a kill."""
+        if self._child is not None:
+            self._child.halt()
 
     def run(self) -> None:
         try:
             while (job := self.broker.next_job()) is not None:
                 self._run(job)
         finally:
-            # This thread is the child's only reaper: two threads
-            # joining one process race for its exit code.
-            self.halt()
-            if self.process is not None:
-                self.process.join()
-                self._conn.close()
+            self._child.close()
 
     def _run(self, job) -> None:
         key = None
@@ -429,47 +261,42 @@ class Worker(threading.Thread):
         self.broker.finish(job, result)
 
     def _solve(self, job, key: str | None) -> ServiceResult:
-        """Run one cold job in the child, relaying its events live."""
-        from repro.core.events import Event
-        from repro.core.pipeline import STAGE_CLOCK
-        from repro.llm.gateway.client import GATEWAY_STATS
+        """Run one cold job in the child as a grid cell, relaying its
+        events live, and store what it solved."""
+        from repro.baselines.registry import SYSTEMS
+        from repro.evalsets import get_problem
 
+        system = registered_system_name(job.system)  # unknown: KeyError
+        sim_cache = self.sim_cache
+        cell = EvalCell(
+            problem_index=0,
+            run_index=0,
+            factory=SYSTEMS[job.system].factory,
+            problem=get_problem(job.problem),
+            golden_tb=None,  # derived in the child, off the server's GIL
+            seed=job.seed,
+            cache_enabled=sim_cache is not None,
+            cache_dir=sim_cache.directory if sim_cache is not None else None,
+            gateway=self.gateway,
+        )
         events = []
-        try:
-            self._conn.send((job.system, job.problem, job.seed))
-            while True:
-                kind, payload, *clocks = self._conn.recv()
-                if kind != "event":
-                    break
-                event = Event.from_json(payload)
-                events.append(event)
-                job.publish(event)
-        except (EOFError, OSError):
-            raise WorkerError(self._child_died()) from None
-        stages, gateway, simulations = clocks
-        STAGE_CLOCK.merge(stages)
-        GATEWAY_STATS.add(**gateway)
-        if self.sim_cache is not None:
-            self.sim_cache.absorb(simulations)
-        if kind == "error":
-            raise WorkerError(payload)
+
+        def relay(event) -> None:
+            events.append(event)
+            job.publish(event)
+
+        row = self._child.call(run_cell, (cell,), on_event=relay)
+        if sim_cache is not None:
+            sim_cache.absorb(row.cache)
         if key is not None:
             self.solve_cache.put(
                 key,
                 SolveCellRecord(
-                    source=payload.source,
-                    system=payload.system,
+                    source=row.source,
+                    system=system,
                     events=tuple(events),
-                    passed=payload.passed,
-                    score=payload.score,
+                    passed=row.passed,
+                    score=row.score,
                 ),
             )
-        return payload
-
-    def _child_died(self) -> str:
-        """Reap the dead child, respawn it (unless halted), and name it."""
-        process = self.process
-        process.join(10.0)
-        self._conn.close()
-        self._spawn()
-        return f"worker process died mid-job (exit code {process.exitcode})"
+        return ServiceResult(row.source, row.passed, row.score, row.seconds, system)

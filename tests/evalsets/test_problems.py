@@ -1,6 +1,7 @@
 """Benchmark-suite integrity: every golden design must earn a perfect
 score on its own golden testbench, and suites must be well-formed."""
 
+import pickle
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -50,6 +51,15 @@ class TestRegistry:
     def test_get_unknown_problem(self):
         with pytest.raises(KeyError):
             get_problem("nonexistent")
+
+    def test_registered_problem_unpickles_as_the_registry_object(self):
+        problem = get_problem("cb_mux4")
+        assert pickle.loads(pickle.dumps(problem)) is problem
+
+    def test_unregistered_problem_pickles_by_value(self):
+        variant = replace(get_problem("cb_mux4"), title="a variant")
+        copy = pickle.loads(pickle.dumps(variant))
+        assert copy == variant and copy is not variant
 
     def test_difficulty_validation(self):
         with pytest.raises(ValueError):
