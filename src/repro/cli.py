@@ -27,9 +27,9 @@ per-cell events as they finish.
 
 Service mode: ``serve`` binds a localhost TCP solve service (broker +
 long-lived worker pool over both cache layers); ``submit`` streams one
-cell's typed events from it; ``eval --service HOST:PORT[,HOST:PORT...]``
-shards the evaluation grid across running servers with a deterministic
-merge (bit-identical to local ``--jobs 1``); ``cache --service`` and
+cell's typed events from it; ``eval --service HOST:PORT`` runs the
+evaluation grid through a running server with a deterministic merge
+(bit-identical to local ``--jobs 1``); ``cache --service`` and
 ``serve --stop`` query and drain a running server.
 
 LLM gateway: ``eval``/``run``/``serve`` accept ``--gateway`` (route
@@ -669,23 +669,17 @@ def _print_eval_result(result, report, verbose: bool) -> None:
 
 
 def _eval_via_service(args, runs: int, events) -> int:
-    """Route one evaluation grid through running service shards."""
-    from repro.service import (
-        ProtocolError,
-        ServiceError,
-        parse_shards,
-        solve_grid,
-    )
+    """Route one evaluation grid through a running server."""
+    from repro.service import ProtocolError, ServiceError, solve_grid
 
     try:
-        shards = parse_shards(args.service)
         result, report = solve_grid(
             args.system,
             args.suite,
             runs=runs,
             seed0=args.seed0,
             problems=_choose_problems(args.suite, args.limit),
-            shards=shards,
+            address=args.service,
             progress=(lambda line: print("  " + line)) if args.verbose else None,
             events=events,
         )
@@ -898,10 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--service",
         default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="route the grid through running solve servers (round-robin "
-        "shards, deterministic merge; a dead shard's cells migrate to the "
-        "others; bit-identical to local --jobs 1)",
+        metavar="HOST:PORT",
+        help="route the grid through a running solve server "
+        "(deterministic merge, bit-identical to local --jobs 1)",
     )
     _add_gateway_flags(evaluate)
     evaluate.set_defaults(fn=_cmd_eval)

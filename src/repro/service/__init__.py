@@ -10,10 +10,10 @@ content-addressed cache layers.
 Clients speak a length-framed JSON protocol
 (:mod:`repro.service.protocol`) whose event frames are the exact typed
 events of :mod:`repro.core.events` -- the event stream is the wire
-protocol.  :func:`solve_grid` shards the Eq. 7 ``problems x runs`` grid
-round-robin across a static list of servers with a deterministic merge,
-bit-identical to local serial evaluation; a shard that dies mid-grid
-has its cells migrated to the survivors.  :class:`MultiplexedClient`
+protocol.  :func:`solve_grid` runs the Eq. 7 ``problems x runs`` grid
+through one server with a deterministic merge, bit-identical to local
+serial evaluation; a server that dies mid-grid fails the grid with a
+typed :class:`ServiceError`.  :class:`MultiplexedClient`
 is the one client: any number of concurrent requests of every kind
 over one connection.
 
@@ -37,7 +37,6 @@ from repro.service.client import (
     SolveOutcome,
     fetch_stats,
     parse_address,
-    parse_shards,
     solve_grid,
     stop_server,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "encode_frame",
     "fetch_stats",
     "parse_address",
-    "parse_shards",
     "read_frame",
     "registered_fingerprint",
     "registered_system_name",

@@ -239,10 +239,10 @@ class Broker:
 
         The ungraceful twin of :meth:`close`, used by a server being
         killed rather than drained: subscribers of queued jobs get a
-        terminal error frame (so remote clients can re-shard the cell
-        to a surviving peer) instead of waiting on workers that will
-        never run them.  Jobs already dispatched to a worker finish
-        normally.  Returns how many queued jobs were failed.
+        terminal error frame (so remote clients fail or retry the cell at
+        once) instead of waiting on workers that will never run them.
+        Jobs already dispatched to a worker finish normally.  Returns how
+        many queued jobs were failed.
         """
         aborted: list[Job] = []
         with self._ready:

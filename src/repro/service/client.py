@@ -1,29 +1,27 @@
-"""The solve service client and the sharded grid built on it.
+"""The solve service client and the grid built on it.
 
 :class:`MultiplexedClient` is the one client: one socket, any number of
 in-flight requests from any number of threads, with reply frames
-demultiplexed by request id on a background reader thread.  A grid
-shard's worth of concurrent solves runs over a single connection, and
-every request kind the server answers -- solves and control (``ping``,
+demultiplexed by request id on a background reader thread.  A whole
+grid's concurrent solves run over a single connection, and every
+request kind the server answers -- solves and control (``ping``,
 ``stats``, ``shutdown``) -- goes over the same socket.  The one-shot
 helpers (:func:`fetch_stats`, :func:`stop_server`) each open one for a
 single request.
 
-:func:`solve_grid` runs the Eq. 7 ``problems x runs`` grid fanned over
-one or more server shards with a deterministic merge: results are
-keyed by ``(problem, run)``, and the reassembled
+:func:`solve_grid` runs the Eq. 7 ``problems x runs`` grid through one
+server with a deterministic merge: results are keyed by ``(problem,
+run)``, and the reassembled
 :class:`~repro.evaluation.harness.EvalResult` is bit-identical to a
-local ``evaluate_many`` at the same seeds no matter how many shards
-served it or in what order cells finished.
+local ``evaluate_many`` at the same seeds no matter in what order cells
+finished.
 
-**Shard death.**  ``solve_grid`` survives it: a cell that hits a
-transport failure (connection severed, half-written frame, server
-killed) is retried once on a fresh connection, and if the shard is
-really gone its remaining cells migrate round-robin to the surviving
-shards.  Re-running a cell is harmless by construction (the outcome is
+**Server failure.**  A cell that hits a transport failure (connection
+severed, half-written frame, server restarted) is retried once on a
+fresh connection; re-running a cell is harmless, because its outcome is
 a pure function of ``(system, problem, seed)`` and the server dedups
-in-flight work), so the merged grid stays bit-identical through
-failures.
+in-flight work.  A cell that fails its retry fails the whole grid with
+a :class:`ServiceError` naming the address and the last error.
 """
 
 from __future__ import annotations
@@ -80,6 +78,10 @@ class SolveOutcome:
 def parse_address(address: str) -> tuple[str, int]:
     """``host:port`` -> ``(host, port)`` (host defaults to localhost)."""
     text = address.strip()
+    if "," in text:
+        raise ValueError(
+            f"bad service address {text!r}; expected one host:port"
+        )
     if ":" not in text:
         raise ValueError(f"bad service address {text!r}; expected host:port")
     host, _, port_text = text.rpartition(":")
@@ -88,25 +90,6 @@ def parse_address(address: str) -> tuple[str, int]:
     except ValueError as exc:
         raise ValueError(f"bad service port in {text!r}") from exc
     return host or "127.0.0.1", port
-
-
-def _check_shards(shards: list[str]) -> None:
-    """Fail fast on a malformed or repeated shard address."""
-    seen = set()
-    for shard in shards:
-        endpoint = parse_address(shard)  # ":1" and "127.0.0.1:1" are one
-        if endpoint in seen:
-            raise ValueError(f"service address {shard!r} given twice")
-        seen.add(endpoint)
-
-
-def parse_shards(spec: str) -> list[str]:
-    """Comma-separated ``host:port`` list -> validated address list."""
-    shards = [part.strip() for part in spec.split(",") if part.strip()]
-    if not shards:
-        raise ValueError("no service addresses given")
-    _check_shards(shards)
-    return shards
 
 
 class MultiplexedClient:
@@ -360,18 +343,15 @@ def stop_server(address: str, timeout: float | None = 10.0) -> None:
 
 @dataclass
 class GridReport:
-    """Execution statistics for one sharded service grid."""
+    """Execution statistics for one service grid."""
 
-    shards: list[str]
+    address: str
     wall_seconds: float = 0.0
     cells: int = 0
     cached_cells: int = 0
     dedup_cells: int = 0
     retried_cells: int = 0
-    migrated_cells: int = 0
-    dead_shards: list[str] = field(default_factory=list)
     latencies: list[float] = field(default_factory=list)
-    shard_cells: dict[str, int] = field(default_factory=dict)
 
     @property
     def cells_per_second(self) -> float:
@@ -390,40 +370,27 @@ class GridReport:
         return max(self.latencies, default=0.0)
 
     def render(self) -> str:
-        lines = [
-            f"shards          {len(self.shards)}  ({', '.join(self.shards)})",
-            f"wall clock      {self.wall_seconds:8.2f} s",
-            f"grid cells      {self.cells:8d}  "
-            f"({self.cells_per_second:.2f} cells/s)",
-            f"cache-served    {self.cached_cells:8d}",
-            f"dedup-shared    {self.dedup_cells:8d}",
-            f"latency         mean {self.mean_latency * 1000.0:8.1f} ms  "
-            f"max {self.max_latency * 1000.0:8.1f} ms",
-        ]
-        if self.retried_cells or self.migrated_cells or self.dead_shards:
-            dead = ", ".join(self.dead_shards) or "none"
-            lines.append(
-                f"elasticity      {self.retried_cells} retried  "
-                f"{self.migrated_cells} migrated  dead shards: {dead}"
-            )
-        for shard in self.shards:
-            lines.append(
-                f"  {shard:20s} {self.shard_cells.get(shard, 0):6d} cells"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            [
+                f"server          {self.address}",
+                f"wall clock      {self.wall_seconds:8.2f} s",
+                f"grid cells      {self.cells:8d}  "
+                f"({self.cells_per_second:.2f} cells/s)",
+                f"cache-served    {self.cached_cells:8d}",
+                f"dedup-shared    {self.dedup_cells:8d}",
+                f"retried         {self.retried_cells:8d}",
+                f"latency         mean {self.mean_latency * 1000.0:8.1f} ms  "
+                f"max {self.max_latency * 1000.0:8.1f} ms",
+            ]
+        )
 
 
 @dataclass(frozen=True)
 class _GridCell:
-    index: int  # flat grid index (drives the static shard assignment)
     problem_index: int
     run_index: int
     problem_id: str
     seed: int
-
-
-class _ShardDead(Exception):
-    """A shard failed a cell twice on fresh connections; migrate."""
 
 
 def _is_transient(exc: Exception) -> bool:
@@ -463,8 +430,8 @@ class ClientLink:
     Every caller multiplexes over one :class:`MultiplexedClient`; when
     the connection dies, the first caller to notice invalidates it (by
     the generation it was using, so racing callers don't tear down a
-    fresh replacement) and the next :meth:`get` dials anew.  A grid
-    shard's workers share one link.
+    fresh replacement) and the next :meth:`get` dials anew.  A grid's
+    workers share one link.
     """
 
     def __init__(
@@ -511,43 +478,38 @@ def solve_grid(
     runs: int = 1,
     seed0: int = 0,
     problems=None,
-    shards: list[str] | None = None,
+    address: str | None = None,
     timeout: float | None = None,
     progress: Callable[[str], None] | None = None,
     events: EventSink | Callable[[Event], None] | None = None,
 ):
-    """Evaluate the ``problems x runs`` grid through service shards.
+    """Evaluate the ``problems x runs`` grid through the server at ``address``.
 
     Returns ``(EvalResult, GridReport)``.  The determinism contract
     matches :func:`~repro.runtime.batch.evaluate_many`: cell seeds are
-    fixed as ``seed0 + run`` before dispatch, the shard assignment is a
-    pure function of the cell's identity, and the merge keys results by
-    ``(problem, run)`` -- so the result grid is bit-identical to local
-    ``--jobs 1`` execution regardless of shard count, in-flight depth,
-    completion order, or mid-grid shard failures.
+    fixed as ``seed0 + run`` before dispatch and the merge keys results
+    by ``(problem, run)``, so the result grid is bit-identical to local
+    ``--jobs 1`` execution regardless of in-flight depth or completion
+    order.
 
-    Placement: cells round-robin over ``shards`` by flat grid index;
-    a repeated address is refused with a ``ValueError``.  Each shard
-    keeps two cells in flight per server worker (read once from its
-    ``stats`` after its first cell), so no worker idles for a round
-    trip between cells.
-
-    Fault tolerance: each shard's workers share one multiplexed
-    connection; a cell that fails with a transport error is retried
-    once on a fresh connection, and a shard that fails twice in a row
-    is declared dead -- its unfinished cells migrate round-robin to the
-    surviving shards.  ``events``
-    receives live :class:`~repro.core.events.CellFinished` frames in
-    completion order plus a terminal ``BatchFinished``, like the local
-    batch API.
+    The grid keeps two cells in flight per server worker (read once
+    from the server's ``stats`` after the first cell), so no worker
+    idles for a round trip between cells; every request shares one
+    multiplexed connection.  A cell that fails with a transport error
+    is retried once on a fresh connection.  A deterministic server
+    error, or a second transport failure, fails the grid: no new cell
+    starts, and a :class:`ServiceError` names the address, the cell and
+    the error.  ``events`` receives live
+    :class:`~repro.core.events.CellFinished` frames in completion order
+    plus a terminal ``BatchFinished``, like the local batch API.
     """
     from repro.evalsets.suites import get_suite
     from repro.evaluation.harness import EvalResult, ProblemOutcome
     from repro.service.worker import registered_system_name
 
-    if not shards:
-        raise ValueError("solve_grid needs at least one service address")
-    _check_shards(shards)
+    if not address:
+        raise ValueError("solve_grid needs a service address")
+    parse_address(address)  # a malformed address fails before any work
     if runs < 1:
         raise ValueError("runs must be >= 1")
     chosen = problems if problems is not None else get_suite(suite)
@@ -556,34 +518,19 @@ def solve_grid(
     resolved_name = registered_system_name(system)
     sink = as_sink(events)
 
-    cells: list[_GridCell] = []
-    for problem_index, problem in enumerate(chosen):
-        for run in range(runs):
-            cells.append(
-                _GridCell(
-                    index=len(cells),
-                    problem_index=problem_index,
-                    run_index=run,
-                    problem_id=problem.id,
-                    seed=seed0 + run,
-                )
-            )
-
-    # Deterministic placement: flat-index round-robin.
-    work: dict[str, deque] = {shard: deque() for shard in shards}
-    for cell in cells:
-        work[shards[cell.index % len(shards)]].append(cell)
-
-    report = GridReport(shards=list(shards))
+    pending = deque(
+        _GridCell(problem_index, run, problem.id, seed0 + run)
+        for problem_index, problem in enumerate(chosen)
+        for run in range(runs)
+    )
+    total = len(pending)
+    report = GridReport(address=address)
     outcomes: dict[tuple[int, int], SolveOutcome] = {}
-    fatal: list[str] = []
+    failures: list[str] = []
     by_problem: dict[int, int] = {}
     next_to_report = 0
-    remaining = len(cells)
-    finished = threading.Event()
-    dead: set[str] = set()
-    cond = threading.Condition()
-    links = {shard: ClientLink(shard, timeout) for shard in shards}
+    lock = threading.Lock()
+    link = ClientLink(address, timeout)
 
     def flush_progress() -> None:
         # Progress lines in suite order, like evaluate_many.
@@ -603,16 +550,10 @@ def solve_grid(
                 )
             next_to_report += 1
 
-    def record(shard: str, cell: _GridCell, outcome: SolveOutcome,
-               latency: float) -> None:
-        nonlocal remaining
-        with cond:
-            if (cell.problem_index, cell.run_index) in outcomes:
-                return  # a migrated duplicate raced us; identical anyway
+    def record(cell: _GridCell, outcome: SolveOutcome, latency: float) -> None:
+        with lock:
             outcomes[(cell.problem_index, cell.run_index)] = outcome
-            remaining -= 1
             report.latencies.append(latency)
-            report.shard_cells[shard] = report.shard_cells.get(shard, 0) + 1
             if outcome.cached:
                 report.cached_cells += 1
             if outcome.dedup:
@@ -634,130 +575,79 @@ def solve_grid(
                 )
             )
             flush_progress()
-            if remaining == 0:
-                finished.set()
-            cond.notify_all()
 
-    def abort(message: str) -> None:
-        with cond:
-            fatal.append(message)
-            finished.set()
-            cond.notify_all()
-
-    def declare_dead(shard: str, orphan: _GridCell | None) -> None:
-        """Migrate a dead shard's unfinished cells to the survivors.
-
-        Orphans round-robin over the survivors by flat grid index --
-        the same deterministic answer any client would compute, so
-        concurrent grids re-shard identically.
-        """
-        with cond:
-            orphans = list(work[shard])
-            work[shard].clear()
-            if orphan is not None:
-                orphans.append(orphan)
-            first_death = shard not in dead
-            dead.add(shard)
-            if first_death:
-                report.dead_shards.append(shard)
-            survivors = [s for s in shards if s not in dead]
-            if not survivors:
-                fatal.append(f"all shards dead (last: {shard})")
-                finished.set()
-                cond.notify_all()
-                return
-            for cell in orphans:
-                work[survivors[cell.index % len(survivors)]].append(cell)
-                report.migrated_cells += 1
-            cond.notify_all()
-        links[shard].close()
-
-    def solve_cell(shard: str, cell: _GridCell) -> SolveOutcome:
+    def solve_cell(cell: _GridCell) -> SolveOutcome:
         """Up to two attempts, the second on a fresh connection."""
-        last: Exception | None = None
-        for attempt in range(2):
-            generation = None
-            try:
-                client, generation = links[shard].get()
-                return client.solve(system, cell.problem_id, seed=cell.seed)
-            except Exception as exc:  # noqa: BLE001 -- triaged below
-                if not _is_transient(exc):
-                    raise
-                last = exc
-                if generation is not None:
-                    links[shard].invalidate(generation)
-                if attempt == 0:
-                    with cond:
-                        report.retried_cells += 1
-        raise _ShardDead(f"{shard}: {last}")
+        generation = None
+        try:
+            client, generation = link.get()
+            return client.solve(system, cell.problem_id, seed=cell.seed)
+        except (OSError, ProtocolError, ServiceError) as exc:
+            if not _is_transient(exc):
+                raise
+            if generation is not None:
+                link.invalidate(generation)
+        with lock:
+            report.retried_cells += 1
+        client, _ = link.get()
+        return client.solve(system, cell.problem_id, seed=cell.seed)
 
     threads: list[threading.Thread] = []
 
-    def launch(shard: str, count: int, widen: bool = False) -> None:
+    def launch(count: int, widen: bool = False) -> None:
         for index in range(count):
             thread = threading.Thread(
                 target=worker,
-                args=(shard, widen and index == 0),
-                name=f"repro-grid-{shard}-{len(threads)}",
+                args=(widen and index == 0,),
+                name=f"repro-grid-{len(threads)}",
                 daemon=True,
             )
             threads.append(thread)
             thread.start()
 
-    def worker(shard: str, widen: bool) -> None:
+    def worker(widen: bool) -> None:
         while True:
-            with cond:
-                while (
-                    not work[shard]
-                    and not finished.is_set()
-                    and shard not in dead
-                ):
-                    cond.wait(timeout=0.5)
-                if finished.is_set() or shard in dead:
+            with lock:
+                if failures or not pending:
                     return
-                cell = work[shard].popleft()
+                cell = pending.popleft()
             submitted = time.perf_counter()
             try:
-                outcome = solve_cell(shard, cell)
-            except _ShardDead:
-                declare_dead(shard, cell)
-                continue
-            except Exception as exc:  # noqa: BLE001 -- deterministic error
-                abort(
-                    f"{shard} {cell.problem_id} run {cell.run_index}: {exc}"
-                )
+                outcome = solve_cell(cell)
+            except Exception as exc:  # noqa: BLE001 -- fails the grid
+                with lock:
+                    failures.append(
+                        f"{address}: {cell.problem_id} run "
+                        f"{cell.run_index}: {exc}"
+                    )
                 return
-            record(shard, cell, outcome, time.perf_counter() - submitted)
+            record(cell, outcome, time.perf_counter() - submitted)
             if widen:
-                # Read after the shard's first cell, so the read costs
-                # the grid no round trip up front.
+                # Read after the first cell, so the read costs the grid
+                # no round trip up front.
                 widen = False
                 try:
-                    client, _ = links[shard].get()
+                    client, _ = link.get()
                     depth = 2 * client.stats()["workers"]
                 except (OSError, ServiceError, ProtocolError):
-                    depth = 2  # the shard's next cell finds out why
-                launch(shard, min(depth, len(cells)) - 2)
+                    depth = 2  # the next cell finds out why
+                launch(min(depth, total) - 2)
 
     started = time.perf_counter()
-    for shard in shards:
-        launch(shard, min(2, len(cells)), widen=True)
-    for thread in threads:  # grows as each shard widens
+    launch(min(2, total), widen=True)
+    for thread in threads:  # grows once the first cell widens the grid
         thread.join()
-    for link in links.values():
-        link.close()
+    link.close()
     report.wall_seconds = time.perf_counter() - started
     report.cells = len(outcomes)
 
-    if fatal:
+    if failures:
+        raise ServiceError(failures[0])
+    if len(outcomes) != total:
         raise ServiceError(
-            f"{len(fatal)} grid failure(s): " + "; ".join(fatal[:3])
+            f"grid incomplete: {len(outcomes)}/{total} cells returned"
         )
-    if len(outcomes) != len(cells):
-        raise ServiceError(
-            f"grid incomplete: {len(outcomes)}/{len(cells)} cells returned"
-        )
-    sink.emit(BatchFinished(cells=len(cells), seconds=report.wall_seconds))
+    sink.emit(BatchFinished(cells=total, seconds=report.wall_seconds))
 
     result = EvalResult(system=resolved_name, suite=suite)
     for problem_index, problem in enumerate(chosen):

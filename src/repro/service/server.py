@@ -6,7 +6,7 @@ and one writer task per connection, with each *request* dispatched to a
 thread pool.  Frames carry request ids, so any number of requests can
 be in flight on one connection and their reply streams interleave
 frame-by-frame -- a :class:`~repro.service.client.MultiplexedClient`
-runs a whole grid shard over one socket.  A malformed frame (bad
+runs a whole grid over one socket.  A malformed frame (bad
 bytes, wrong protocol version) is answered with an id-0 ``ErrorFrame``
 naming the problem, then the connection closes.
 
@@ -459,8 +459,8 @@ class SolveServer:
         error), worker processes are killed (failing the jobs they were
         running), every connection is severed mid-whatever, the
         listener closes, and nothing is drained.  Chaos tests use this
-        to prove clients re-shard; production paths should call
-        :meth:`shutdown`.
+        to prove clients fail with a typed error; production paths should
+        call :meth:`shutdown`.
         """
         with self._shutdown_lock:
             if self._stopped.is_set():

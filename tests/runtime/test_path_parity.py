@@ -1,6 +1,6 @@
 """Cross-path determinism matrix: {mage, vanilla-claude, single-agent,
-aivril} x {serial, process pool, service, multiplexed service, two
-static shards, two static shards with one killed mid-grid}.
+aivril} x {serial, process pool, service, multiplexed service, service
+grid}.
 
 Every grid path must be *bit-identical* to a ``--jobs 1`` serial run:
 same final sources, same result rows, and the same typed event stream
@@ -10,12 +10,10 @@ before comparison; every other field -- scores, pool shapes, LLM-call
 counts, stage order -- must match exactly.
 """
 
-import threading
-
 import pytest
 
 from repro.baselines.registry import SYSTEMS
-from repro.core.events import CellFinished, ListSink
+from repro.core.events import ListSink
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem
 from repro.runtime.batch import evaluate_many
@@ -136,93 +134,28 @@ class TestServicePathParity:
         _, events = serial_reference[("mage", PROBLEM_IDS[0])]
         assert canonical(sink.events) == events
 
-
-class TestStaticShardParity:
-    """The static-shard matrix rows: cells placed round-robin over two
-    servers -- with and without one of them killed mid-grid -- must
-    produce the exact rows a serial local run does, for every system in
-    the matrix.
-
-    Four runs per problem give each shard six cells, so a kill on the
-    first finished cell always lands while the victim still has queued
-    work: the migration path is exercised on every parametrization."""
-
-    RUNS = 4
-
-    @pytest.fixture(scope="class")
-    def serial_grids(self):
-        """key -> serial-reference EvalResult for the 3-problem grid."""
-        problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
-        reference = {}
-        for key in SYSTEM_KEYS:
-            with SerialExecutor() as executor:
-                result, _ = evaluate_many(
-                    SYSTEMS[key].factory,
-                    "verilogeval-v2",
-                    runs=self.RUNS,
-                    seed0=SEED,
-                    problems=problems,
-                    executor=executor,
-                    cache=SimulationCache(),
-                )
-            reference[key] = result
-        return reference
-
-    @pytest.fixture(scope="class")
-    def shard_servers(self):
-        servers = [SolveServer(workers=1).start() for _ in range(2)]
-        yield servers
-        for server in servers:
-            server.kill()
-
     @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_two_shard_grid_rows_match_serial(
-        self, key, serial_grids, shard_servers
-    ):
+    def test_service_grid_rows_match_serial(self, key, server):
+        """``eval --service``'s path: the grid merged by ``solve_grid``
+        from one server has the rows of a serial local grid."""
+        problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
+        with SerialExecutor() as executor:
+            serial_result, _ = evaluate_many(
+                SYSTEMS[key].factory,
+                "verilogeval-v2",
+                runs=2,
+                seed0=SEED,
+                problems=problems,
+                executor=executor,
+                cache=SimulationCache(),
+            )
         result, report = solve_grid(
             key,
             "verilogeval-v2",
-            runs=self.RUNS,
+            runs=2,
             seed0=SEED,
-            problems=[get_problem(problem_id) for problem_id in PROBLEM_IDS],
-            shards=[server.address for server in shard_servers],
+            problems=problems,
+            address=server.address,
         )
-        assert result.outcomes == serial_grids[key].outcomes
-        assert report.shard_cells == {
-            server.address: len(PROBLEM_IDS) * self.RUNS // 2
-            for server in shard_servers
-        }
-        assert report.dead_shards == []
-
-    @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_shard_kill_grid_rows_match_serial(self, key, serial_grids):
-        """Killing one shard on the first finished cell still yields
-        bit-identical rows: its orphans migrate to the survivor."""
-        problems = [get_problem(problem_id) for problem_id in PROBLEM_IDS]
-        servers = [SolveServer(workers=1).start() for _ in range(2)]
-        victim = servers[0]
-        try:
-            killed = threading.Event()
-
-            def chaos(event):
-                if isinstance(event, CellFinished) and not killed.is_set():
-                    killed.set()
-                    victim.kill()
-
-            result, report = solve_grid(
-                key,
-                "verilogeval-v2",
-                runs=self.RUNS,
-                seed0=SEED,
-                problems=problems,
-                shards=[server.address for server in servers],
-                events=chaos,
-            )
-        finally:
-            for server in servers:
-                server.kill()
-        assert killed.is_set()
-        assert result.outcomes == serial_grids[key].outcomes
-        assert report.dead_shards == [victim.address]
-        assert report.migrated_cells >= 1
-        assert report.cells == len(problems) * self.RUNS
+        assert result.outcomes == serial_result.outcomes
+        assert report.cells == len(problems) * 2

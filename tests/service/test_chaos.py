@@ -1,4 +1,4 @@
-"""Chaos harness for sharded grids: a scriptable TCP fault injector
+"""Chaos harness for service grids: a scriptable TCP fault injector
 plus the failure drills the async control plane must survive.
 
 :class:`ChaosProxy` is a localhost forwarder that sits between a
@@ -6,8 +6,8 @@ client and a live server and misbehaves on command -- added latency,
 or a one-shot mid-frame truncation of the reply stream.  The drills
 pin the recovery contracts down:
 
-- a shard SIGKILLed mid-grid has its orphaned cells migrated onto the
-  surviving shard with bit-identical result rows;
+- a server SIGKILLed mid-grid fails ``solve_grid`` and ``repro eval
+  --service`` with a typed error naming it, and leaves no thread behind;
 - a reply stream severed halfway through a frame is retried on a
   fresh connection and converges on the same outcome.
 
@@ -28,11 +28,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.baselines.registry import SYSTEMS
 from repro.core.events import CellFinished
 from repro.evalsets import get_problem
-from repro.runtime import SerialExecutor, evaluate_many
-from repro.runtime.cache import SimulationCache
 from repro.service import (
     MultiplexedClient,
     ServiceError,
@@ -169,12 +166,16 @@ class ChaosProxy:
             self._drop(pair)
 
 
-def _spawn_server():
-    """A real ``repro serve`` process (the kill drill needs SIGKILL)."""
-    env = dict(os.environ)
+def _env(**extra):
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def _spawn_server():
+    """A real ``repro serve`` process (the kill drill needs SIGKILL)."""
     command = [
         sys.executable, "-m", "repro", "serve",
         "--port", "0", "--workers", "1",
@@ -184,7 +185,7 @@ def _spawn_server():
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env=env,
+        env=_env(),
     )
     address = None
     for _ in range(20):
@@ -198,60 +199,80 @@ def _spawn_server():
     return proc, address
 
 
-class TestShardKillMidGrid:
+class TestServerKillMidGrid:
     PROBLEM_IDS = ["cb_mux2", "cb_kmap_mux", "fs_vending", "ar_addsub8"]
     RUNS = 3
     SEED0 = 5
 
-    def test_sigkilled_shard_migrates_bit_identically(self):
-        """SIGKILL one of two ``--service A,B`` shards mid-grid: its
-        orphaned cells migrate to the survivor and every result row
-        still matches a local ``--jobs 1`` run bit-for-bit."""
+    def test_sigkilled_server_fails_the_grid_by_name(self):
+        """SIGKILL the one ``repro serve`` on the first finished cell:
+        the grid fails within 30 s with a ServiceError naming the
+        server, and every grid thread exits."""
         problems = [get_problem(p) for p in self.PROBLEM_IDS]
-        with SerialExecutor() as executor:
-            local, _ = evaluate_many(
-                SYSTEMS["mage"].factory,
-                "verilogeval-v2",
-                runs=self.RUNS,
-                seed0=self.SEED0,
-                problems=problems,
-                executor=executor,
-                cache=SimulationCache(),
-            )
+        proc, address = _spawn_server()
+        killed = threading.Event()
 
-        servers = []
+        def chaos(event):
+            if isinstance(event, CellFinished) and not killed.is_set():
+                killed.set()
+                proc.send_signal(signal.SIGKILL)
+
+        started = time.monotonic()
         try:
-            for _ in range(2):
-                servers.append(_spawn_server())
-            # Round-robin gives each shard six of the twelve cells, so
-            # a kill on the first finished cell provably orphans work.
-            victim_proc, victim_address = servers[0]
-            killed = threading.Event()
-
-            def chaos(event):
-                if isinstance(event, CellFinished) and not killed.is_set():
-                    killed.set()
-                    victim_proc.send_signal(signal.SIGKILL)
-
-            result, report = solve_grid(
-                "mage",
-                "verilogeval-v2",
-                runs=self.RUNS,
-                seed0=self.SEED0,
-                problems=problems,
-                shards=[address for _, address in servers],
-                events=chaos,
-            )
+            with pytest.raises(ServiceError) as caught:
+                solve_grid(
+                    "mage",
+                    "verilogeval-v2",
+                    runs=self.RUNS,
+                    seed0=self.SEED0,
+                    problems=problems,
+                    address=address,
+                    events=chaos,
+                )
         finally:
-            for proc, _ in servers:
-                proc.kill()
-                proc.wait(timeout=10)
-
+            proc.kill()
+            proc.wait(timeout=10)
+        assert time.monotonic() - started < 30
         assert killed.is_set()
-        assert result.outcomes == local.outcomes
-        assert report.dead_shards == [victim_address]
-        assert report.migrated_cells >= 1
-        assert report.cells == len(problems) * self.RUNS
+        assert str(caught.value).startswith(address + ": ")
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-grid-")
+        ]
+
+    def test_eval_service_reports_a_killed_server_and_exits_2(self):
+        """The same kill through ``repro eval --service``: one
+        ``error:`` line naming the server, exit code 2, no traceback."""
+        proc, address = _spawn_server()
+        command = [
+            sys.executable, "-m", "repro", "eval", "mage",
+            "--runs", str(self.RUNS), "--limit", "4",
+            "--seed0", str(self.SEED0), "--service", address, "--progress",
+        ]
+        evaluation = subprocess.Popen(
+            command,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=_env(PYTHONUNBUFFERED="1"),
+        )
+        try:
+            lines = []
+            for line in evaluation.stdout:
+                lines.append(line.rstrip("\n"))
+                if " score " in line and proc.poll() is None:
+                    proc.send_signal(signal.SIGKILL)  # first finished cell
+            code = evaluation.wait(timeout=30)
+        finally:
+            evaluation.kill()
+            proc.kill()
+            proc.wait(timeout=10)
+        assert code == 2
+        errors = [line for line in lines if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {address}: ")
+        assert not any("Traceback" in line for line in lines)
 
 
 class TestHalfWrittenFrame:
@@ -288,12 +309,11 @@ class TestHalfWrittenFrame:
                     runs=1,
                     seed0=1,
                     problems=[get_problem("cb_kmap_mux")],
-                    shards=[proxy.address],
+                    address=proxy.address,
                 )
             finally:
                 proxy.close()
         assert report.retried_cells == 1
-        assert report.dead_shards == []
         (outcome,) = result.outcomes
         assert outcome.passes == int(expected.passed)
         assert outcome.scores == [expected.score]
@@ -310,7 +330,7 @@ class TestHalfWrittenFrame:
                     runs=1,
                     seed0=0,
                     problems=[get_problem("cb_mux2")],
-                    shards=[proxy.address],
+                    address=proxy.address,
                 )
             finally:
                 proxy.close()

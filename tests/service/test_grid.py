@@ -1,4 +1,4 @@
-"""Sharded grids: ≥2 real server processes, bit-identical merge."""
+"""Service grids: a real server process, bit-identical merge."""
 
 import os
 import socket
@@ -18,9 +18,8 @@ from repro.service import (
     ErrorFrame,
     GridReport,
     ServiceError,
-    SolveServer,
     encode_frame,
-    parse_shards,
+    parse_address,
     read_frame,
     solve_grid,
     stop_server,
@@ -50,38 +49,35 @@ def _spawn_server():
 
 
 @pytest.fixture(scope="module")
-def two_servers():
-    started = []
+def server_address():
+    proc, address = _spawn_server()
     try:
-        for _ in range(2):
-            started.append(_spawn_server())
-        yield [address for _, address in started]
+        yield address
     finally:
-        for proc, address in started:
-            try:
-                stop_server(address)
-            except (OSError, ServiceError, ValueError):
-                pass
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+        try:
+            stop_server(address)
+        except (OSError, ServiceError, ValueError):
+            pass
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
 
 
-class TestShardedGrid:
-    def test_two_process_grid_is_bit_identical_to_local_serial(
-        self, two_servers
+class TestServiceGrid:
+    def test_server_process_grid_is_bit_identical_to_local_serial(
+        self, server_address
     ):
-        """The acceptance contract: a grid sharded over two server
-        *processes* merges to exactly the local --jobs 1 result."""
+        """The acceptance contract: a grid served by a ``repro serve``
+        *process* merges to exactly the local --jobs 1 result."""
         problems = [get_problem(p) for p in PROBLEMS]
-        sharded, report = solve_grid(
+        served, report = solve_grid(
             "mage",
             "verilogeval-v2",
             runs=2,
             seed0=0,
             problems=problems,
-            shards=two_servers,
+            address=server_address,
         )
         with SerialExecutor() as executor:
             local, _ = evaluate_many(
@@ -92,15 +88,13 @@ class TestShardedGrid:
                 problems=problems,
                 executor=executor,
             )
-        assert sharded.system == local.system
-        assert sharded.suite == local.suite
-        assert sharded.outcomes == local.outcomes  # scores bit-identical
-        # Both shards actually served cells (round-robin by grid index).
-        assert len(report.shard_cells) == 2
-        assert all(count > 0 for count in report.shard_cells.values())
+        assert served.system == local.system
+        assert served.suite == local.suite
+        assert served.outcomes == local.outcomes  # scores bit-identical
+        assert report.address == server_address
         assert report.cells == len(problems) * 2
 
-    def test_repeat_grid_is_cache_served_and_identical(self, two_servers):
+    def test_repeat_grid_is_cache_served_and_identical(self, server_address):
         problems = [get_problem(p) for p in PROBLEMS]
         first, _ = solve_grid(
             "mage",
@@ -108,7 +102,7 @@ class TestShardedGrid:
             runs=2,
             seed0=0,
             problems=problems,
-            shards=two_servers,
+            address=server_address,
         )
         again, report = solve_grid(
             "mage",
@@ -116,12 +110,12 @@ class TestShardedGrid:
             runs=2,
             seed0=0,
             problems=problems,
-            shards=two_servers,
+            address=server_address,
         )
         assert again.outcomes == first.outcomes
         assert report.cached_cells == report.cells  # all warm
 
-    def test_grid_streams_cell_events(self, two_servers):
+    def test_grid_streams_cell_events(self, server_address):
         problems = [get_problem(p) for p in PROBLEMS[:2]]
         sink = ListSink()
         progress = []
@@ -131,7 +125,7 @@ class TestShardedGrid:
             runs=1,
             seed0=0,
             problems=problems,
-            shards=two_servers,
+            address=server_address,
             events=sink,
             progress=progress.append,
         )
@@ -143,7 +137,7 @@ class TestShardedGrid:
         assert problems[0].id in progress[0]
         assert problems[1].id in progress[1]
 
-    def test_single_shard_seed0_changes_results_key(self, two_servers):
+    def test_seed0_changes_results_key(self, server_address):
         """seed0 is honoured on the wire: different base seed, different
         solve-cell identity (no false cache hits across seeds)."""
         problems = [get_problem(PROBLEMS[0])]
@@ -153,7 +147,7 @@ class TestShardedGrid:
             runs=1,
             seed0=40,
             problems=problems,
-            shards=two_servers[:1],
+            address=server_address,
         )
         _, second = solve_grid(
             "mage",
@@ -161,167 +155,108 @@ class TestShardedGrid:
             runs=1,
             seed0=41,
             problems=problems,
-            shards=two_servers[:1],
+            address=server_address,
         )
         assert first.cached_cells == 0
         assert second.cached_cells == 0
 
-    def test_bad_shard_list_raises(self):
-        with pytest.raises(ValueError):
-            solve_grid("mage", "verilogeval-v2", shards=[])
-        with pytest.raises(ValueError):
+    def test_bad_address_raises(self):
+        with pytest.raises(ValueError, match="needs a service address"):
+            solve_grid("mage", "verilogeval-v2", address="")
+        with pytest.raises(ValueError, match="expected host:port"):
             solve_grid(
                 "mage",
                 "verilogeval-v2",
-                shards=["not-an-address"],
-                problems=[get_problem("cb_mux2")],
-            )
-
-    def test_repeated_shard_address_is_refused(self):
-        """``A,A`` would start two workers' worth of connections on A
-        and list A twice in the report; it is a typo, so it fails."""
-        assert parse_shards("127.0.0.1:1, 127.0.0.1:2") == [
-            "127.0.0.1:1",
-            "127.0.0.1:2",
-        ]
-        with pytest.raises(ValueError, match="'127.0.0.1:1' given twice"):
-            parse_shards("127.0.0.1:1,127.0.0.1:2, 127.0.0.1:1")
-        with pytest.raises(ValueError, match="'127.0.0.1:1' given twice"):
-            solve_grid(
-                "mage",
-                "verilogeval-v2",
-                shards=["127.0.0.1:1", "127.0.0.1:1"],
+                address="not-an-address",
                 problems=[get_problem("cb_mux2")],
             )
 
 
-class TestShardAddresses:
-    """``--service A,B`` parsing and the per-shard report, without
-    starting a server: static shards are the only multi-server mode."""
+class TestAddress:
+    """Address parsing and the grid report, without starting a server."""
 
     @pytest.mark.parametrize(
-        "spec, shards",
+        "address, endpoint",
         [
-            ("127.0.0.1:1", ["127.0.0.1:1"]),
-            ("127.0.0.1:1,127.0.0.1:2", ["127.0.0.1:1", "127.0.0.1:2"]),
-            (" 127.0.0.1:1 , 127.0.0.1:2 ", ["127.0.0.1:1", "127.0.0.1:2"]),
-            ("127.0.0.1:1,,127.0.0.1:2,", ["127.0.0.1:1", "127.0.0.1:2"]),
+            ("127.0.0.1:7341", ("127.0.0.1", 7341)),
+            (" 127.0.0.1:7341 ", ("127.0.0.1", 7341)),
+            (":7341", ("127.0.0.1", 7341)),
         ],
-        ids=["one", "two", "padded", "empty-parts"],
+        ids=["plain", "padded", "default-host"],
     )
-    def test_parse_shards_keeps_order(self, spec, shards):
-        assert parse_shards(spec) == shards
+    def test_parse_address(self, address, endpoint):
+        assert parse_address(address) == endpoint
 
     @pytest.mark.parametrize(
-        "spec, repeated",
+        "address, message",
         [
-            ("127.0.0.1:1,127.0.0.1:1", "127.0.0.1:1"),
-            ("127.0.0.1:1,127.0.0.1:2,127.0.0.1:1", "127.0.0.1:1"),
-            ("127.0.0.1:1, 127.0.0.1:1 ", "127.0.0.1:1"),
-            ("127.0.0.1:1,:1", ":1"),
-        ],
-        ids=["adjacent", "apart", "padded", "default-host"],
-    )
-    def test_parse_shards_names_the_repeated_address(self, spec, repeated):
-        with pytest.raises(ValueError, match=f"{repeated!r} given twice"):
-            parse_shards(spec)
-
-    @pytest.mark.parametrize(
-        "spec, message",
-        [
-            ("", "no service addresses"),
-            (" , ", "no service addresses"),
+            ("127.0.0.1:1,127.0.0.1:2", "expected one host:port"),
+            ("127.0.0.1:1,", "expected one host:port"),
             ("localhost", "expected host:port"),
             ("localhost:http", "bad service port"),
         ],
-        ids=["empty", "only-commas", "no-port", "named-port"],
+        ids=["comma-list", "trailing-comma", "no-port", "named-port"],
     )
-    def test_parse_shards_refuses_malformed_specs(self, spec, message):
+    def test_parse_address_refuses_malformed_addresses(
+        self, address, message
+    ):
         with pytest.raises(ValueError, match=message):
-            parse_shards(spec)
+            parse_address(address)
 
-    def test_report_lists_each_shard_once_with_its_cells(self):
-        report = GridReport(
-            shards=["127.0.0.1:1", "127.0.0.1:2"],
-            cells=5,
-            shard_cells={"127.0.0.1:1": 3, "127.0.0.1:2": 2},
-        )
-        rows = [
-            line.split()
-            for line in report.render().splitlines()
-            if line.startswith("  ")
-        ]
-        assert rows == [
-            ["127.0.0.1:1", "3", "cells"],
-            ["127.0.0.1:2", "2", "cells"],
-        ]
-        assert "elasticity" not in report.render()  # nothing migrated
+    def test_report_names_its_one_address(self):
+        report = GridReport(address="127.0.0.1:1", cells=5, retried_cells=1)
+        lines = report.render().splitlines()
+        assert lines[0].split() == ["server", "127.0.0.1:1"]
+        assert ["retried", "1"] in [line.split() for line in lines]
 
 
-def _closed_addresses(count):
-    """Distinct loopback addresses nothing listens on (connections are
-    refused); all ports are held until every one is picked."""
-    sockets = [
-        socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        for _ in range(count)
+def _closed_address():
+    """A loopback address nothing listens on (connections are refused)."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{sock.getsockname()[1]}"
+
+
+def _grid_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-grid-")
     ]
-    try:
-        for sock in sockets:
-            sock.bind(("127.0.0.1", 0))
-        return [f"127.0.0.1:{sock.getsockname()[1]}" for sock in sockets]
-    finally:
-        for sock in sockets:
-            sock.close()
 
 
-class TestDeadShardMigration:
-    """Round-robin migration off a shard that never answers, against an
-    in-process server: the kept half of the grid's fault tolerance."""
+class TestUnreachableServer:
+    def test_closed_port_fails_the_grid_after_one_retry(self, monkeypatch):
+        """A refused connection is transient, so the cell is retried once
+        on a fresh connection; the second refusal fails the grid with a
+        ServiceError naming the address."""
+        dialed = []
+        connect = socket.create_connection
 
-    def test_unreachable_shard_migrates_to_the_live_one(self):
-        problems = [get_problem(pid) for pid in PROBLEMS]
-        with SerialExecutor() as executor:
-            local, _ = evaluate_many(
-                SYSTEMS["mage"].factory,
-                "verilogeval-v2",
-                runs=2,
-                seed0=3,
-                problems=problems,
-                executor=executor,
-            )
-        [dead] = _closed_addresses(1)
-        with SolveServer(workers=1) as server:
-            result, report = solve_grid(
-                "mage",
-                "verilogeval-v2",
-                runs=2,
-                seed0=3,
-                problems=problems,
-                shards=[dead, server.address],
-            )
-        assert result.outcomes == local.outcomes
-        assert report.dead_shards == [dead]
-        # Cells 0, 2, 4 were placed on the dead shard and moved.
-        assert report.migrated_cells == 3
-        assert report.shard_cells == {server.address: 6}
-        assert "dead shards: " + dead in report.render()
+        def counting_connect(endpoint, *args, **kwargs):
+            dialed.append(endpoint)
+            return connect(endpoint, *args, **kwargs)
 
-    def test_all_shards_unreachable_fails_the_grid(self):
-        shards = _closed_addresses(2)
-        with pytest.raises(ServiceError, match="all shards dead"):
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
+        address = _closed_address()
+        with pytest.raises(ServiceError) as caught:
             solve_grid(
                 "mage",
                 "verilogeval-v2",
-                shards=shards,
+                address=address,
                 problems=[get_problem("cb_mux2")],
             )
+        assert address in str(caught.value)
+        assert "refused" in str(caught.value).lower()
+        assert dialed == [parse_address(address)] * 2
+        assert _grid_threads() == []
 
 
 class TestConnectionRefusal:
     def test_grid_aborts_with_the_servers_reason(self):
         """A server that refuses the connection itself (an id-0 error
         frame, then close) aborts the grid with its reason: the refusal
-        is deterministic, so no retry, no dead shard, no migration."""
+        is deterministic, so no retry."""
         listener = socket.create_server(("127.0.0.1", 0))
         accepted = []
 
@@ -353,7 +288,7 @@ class TestConnectionRefusal:
                     "mage",
                     "verilogeval-v2",
                     problems=[get_problem("cb_mux2")],
-                    shards=[f"{host}:{port}"],
+                    address=f"{host}:{port}",
                 )
         finally:
             # close() alone leaves accept() blocked; shutdown() wakes it.

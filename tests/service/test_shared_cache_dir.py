@@ -203,27 +203,29 @@ class TestSharedDirectory:
             warm_b.source,
         )
 
-    def test_static_shards_on_one_directory_serve_a_warm_grid(self, tmp_path):
+    def test_a_fresh_server_on_one_directory_serves_a_warm_grid(
+        self, tmp_path
+    ):
         """A grid warmed through one server is wholly cache-served by a
-        fresh pair of static shards on the same directories."""
+        fresh server on the same directories."""
         problems = [get_problem(pid) for pid in ("cb_mux2", "cb_kmap_mux")]
 
-        def grid(shards):
+        def grid(address):
             return solve_grid(
                 "mage",
                 "verilogeval-v2",
                 runs=2,
                 seed0=5,
                 problems=problems,
-                shards=shards,
+                address=address,
             )
 
         with _server(tmp_path) as warm:
-            cold, cold_report = grid([warm.address])
+            cold, cold_report = grid(warm.address)
         assert cold_report.cached_cells == 0
-        with _server(tmp_path) as shard_a, _server(tmp_path) as shard_b:
-            result, report = grid([shard_a.address, shard_b.address])
-            executed = shard_a.executed_count() + shard_b.executed_count()
+        with _server(tmp_path) as fresh:
+            result, report = grid(fresh.address)
+            executed = fresh.executed_count()
         assert result.outcomes == cold.outcomes
         assert report.cached_cells == report.cells == 4
         assert executed == 0
@@ -249,7 +251,7 @@ class TestSharedDirectory:
                 runs=1,
                 seed0=2,
                 problems=problems,
-                shards=[server.address],
+                address=server.address,
             )
         cache = SimulationCache(str(tmp_path / "sim"))
         with SerialExecutor() as executor:

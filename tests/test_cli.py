@@ -403,8 +403,8 @@ class TestCliGridPaths:
         ],
     )
     def test_scheduler_flags_are_unrecognized(self, capsys, argv, error):
-        """The grid runs only on the serial/pool/service paths, over
-        static shards and one cache directory per layer; the
+        """The grid runs only on the serial/pool/service paths, through
+        one server address and one cache directory per layer; the
         rollout-scheduler, ring and peer-cache flags, the executor
         choice (``--jobs`` alone picks it) and the old ``bench``
         subcommand are not part of the CLI."""
@@ -483,7 +483,7 @@ class TestCliServiceMode:
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "shards" in out
+        assert f"server          {server_addr}" in out
         assert "cells" in out
         assert "batch finished:" in out
 
@@ -679,14 +679,23 @@ class TestCliCacheFabric:
         assert "tier" not in out
         assert "peer" not in out  # one host: no peer attribution
 
-    def test_eval_service_rejects_a_repeated_shard(self, capsys):
-        argv = [
-            "eval", "mage", "--limit", "1",
-            "--service", "127.0.0.1:1,127.0.0.1:1",
-        ]
-        assert main(argv) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "mage", "--limit", "1", "--service"],
+            ["submit", "mage", "cb_mux2", "--addr"],
+        ],
+        ids=["eval-service", "submit-addr"],
+    )
+    def test_a_comma_list_of_addresses_is_refused(self, capsys, argv):
+        """Every command takes one server address; a comma list fails
+        before any connection with the reason, not a resolver error."""
+        assert main(argv + ["127.0.0.1:1,127.0.0.1:2"]) == 2
         out = capsys.readouterr().out
-        assert "'127.0.0.1:1' given twice" in out
+        assert out.splitlines() == [
+            "error: bad service address '127.0.0.1:1,127.0.0.1:2'; "
+            "expected one host:port"
+        ]
 
     @pytest.mark.parametrize("via", ["flags", "env"])
     def test_serve_cache_directories_reach_the_server(
