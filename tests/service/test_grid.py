@@ -24,6 +24,8 @@ from repro.service import (
     solve_grid,
     stop_server,
 )
+from repro.service.client import ClientLink, _is_transient
+from repro.service.protocol import ProtocolError
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 PROBLEMS = ["cb_mux2", "cb_kmap_mux", "fs_seq_det_110"]
@@ -208,6 +210,83 @@ class TestAddress:
         lines = report.render().splitlines()
         assert lines[0].split() == ["server", "127.0.0.1:1"]
         assert ["retried", "1"] in [line.split() for line in lines]
+
+
+class TestRetryTriage:
+    """Which cell failures earn the one retry on a fresh connection."""
+
+    @pytest.mark.parametrize(
+        "exc, transient",
+        [
+            (ConnectionRefusedError("refused"), True),
+            (ProtocolError("frame too large"), True),
+            (ServiceError("server closed the connection"), True),
+            (ServiceError("connection severed mid-frame: eof"), True),
+            (ServiceError("connection lost: reset"), True),
+            (ServiceError("timed out after 5s waiting for x"), True),
+            (ServiceError("busy: queue full"), True),
+            (ServiceError("unknown system 'nope'"), False),
+            (ServiceError("protocol version mismatch: got 3"), False),
+        ],
+        ids=[
+            "os-error",
+            "protocol-error",
+            "server-closed",
+            "severed",
+            "lost",
+            "timed-out",
+            "busy",
+            "unknown-system",
+            "version-mismatch",
+        ],
+    )
+    def test_is_transient(self, exc, transient):
+        assert _is_transient(exc) is transient
+
+
+def _holding_listener():
+    """A loopback listener that accepts and keeps every connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    held = []
+
+    def accept_all():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            held.append(conn)
+
+    thread = threading.Thread(target=accept_all, daemon=True)
+    thread.start()
+    return listener, thread, held
+
+
+class TestClientLink:
+    def test_a_stale_generation_leaves_the_fresh_connection_alone(self):
+        """A caller that saw an old connection die must not tear down the
+        replacement another caller already dialled."""
+        listener, thread, held = _holding_listener()
+        host, port = listener.getsockname()[:2]
+        link = ClientLink(f"{host}:{port}", timeout=5.0)
+        try:
+            first, generation = link.get()
+            assert link.get() == (first, generation)  # shared, not redialled
+            link.invalidate(generation)
+            assert first.closed
+            second, fresh = link.get()
+            assert second is not first and fresh == generation + 1
+            link.invalidate(generation)  # a late caller, old generation
+            assert not second.closed
+            assert link.get() == (second, fresh)
+        finally:
+            link.close()
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+            thread.join(timeout=10)
+            for conn in held:
+                conn.close()
+        assert not thread.is_alive()
 
 
 def _closed_address():

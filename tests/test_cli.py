@@ -697,6 +697,26 @@ class TestCliCacheFabric:
             "expected one host:port"
         ]
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["cache", "--service"], "error: cannot reach service at "),
+            (["stats", "--service"], "error: cannot reach service at "),
+            (["serve", "--stop"], "error: cannot stop "),
+        ],
+        ids=["cache-service", "stats-service", "serve-stop"],
+    )
+    def test_control_commands_refuse_a_comma_list(self, capsys, argv, prefix):
+        """The one-shot control commands refuse a comma list the same
+        way: one ``error:`` line carrying the parser's reason, exit 2."""
+        spec = "127.0.0.1:1,127.0.0.1:2"
+        assert main(argv + [spec]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            f"{prefix}{spec}: bad service address {spec!r}; "
+            "expected one host:port"
+        ]
+
     @pytest.mark.parametrize("via", ["flags", "env"])
     def test_serve_cache_directories_reach_the_server(
         self, capsys, tmp_path, via
