@@ -499,12 +499,15 @@ def solve_grid(
     is retried once on a fresh connection.  A deterministic server
     error, or a second transport failure, fails the grid: no new cell
     starts, and a :class:`ServiceError` names the address, the cell and
-    the error.  ``events`` receives live
+    the error.  A ``progress`` or ``events`` callback that raises stops
+    the grid the same way, and its own exception is raised in the
+    caller's thread.  ``events`` receives live
     :class:`~repro.core.events.CellFinished` frames in completion order
     plus a terminal ``BatchFinished``, like the local batch API.
     """
     from repro.evalsets.suites import get_suite
     from repro.evaluation.harness import EvalResult, ProblemOutcome
+    from repro.runtime.batch import _progress_flusher
     from repro.service.worker import registered_system_name
 
     if not address:
@@ -526,29 +529,13 @@ def solve_grid(
     total = len(pending)
     report = GridReport(address=address)
     outcomes: dict[tuple[int, int], SolveOutcome] = {}
-    failures: list[str] = []
-    by_problem: dict[int, int] = {}
-    next_to_report = 0
+    by_problem: dict[int, list[SolveOutcome]] = {}
+    flush_progress = _progress_flusher(
+        chosen, runs, resolved_name, progress, by_problem
+    )
+    failures: list[Exception] = []
     lock = threading.Lock()
     link = ClientLink(address, timeout)
-
-    def flush_progress() -> None:
-        # Progress lines in suite order, like evaluate_many.
-        nonlocal next_to_report
-        while (
-            next_to_report < len(chosen)
-            and by_problem.get(next_to_report, 0) == runs
-        ):
-            if progress is not None:
-                done = [
-                    outcomes[(next_to_report, run)] for run in range(runs)
-                ]
-                passes = sum(1 for o in done if o.passed)
-                progress(
-                    f"{resolved_name} {chosen[next_to_report].id}: "
-                    f"{passes}/{runs} passed"
-                )
-            next_to_report += 1
 
     def record(cell: _GridCell, outcome: SolveOutcome, latency: float) -> None:
         with lock:
@@ -558,9 +545,7 @@ def solve_grid(
                 report.cached_cells += 1
             if outcome.dedup:
                 report.dedup_cells += 1
-            by_problem[cell.problem_index] = (
-                by_problem.get(cell.problem_index, 0) + 1
-            )
+            by_problem.setdefault(cell.problem_index, []).append(outcome)
             sink.emit(
                 CellFinished(
                     problem_id=cell.problem_id,
@@ -617,11 +602,19 @@ def solve_grid(
             except Exception as exc:  # noqa: BLE001 -- fails the grid
                 with lock:
                     failures.append(
-                        f"{address}: {cell.problem_id} run "
-                        f"{cell.run_index}: {exc}"
+                        ServiceError(
+                            f"{address}: {cell.problem_id} run "
+                            f"{cell.run_index}: {exc}"
+                        )
                     )
                 return
-            record(cell, outcome, time.perf_counter() - submitted)
+            try:
+                record(cell, outcome, time.perf_counter() - submitted)
+            except Exception as exc:  # noqa: BLE001 -- the caller's callback
+                # Raised again in the caller's thread, as a local grid would.
+                with lock:
+                    failures.append(exc)
+                return
             if widen:
                 # Read after the first cell, so the read costs the grid
                 # no round trip up front.
@@ -642,7 +635,7 @@ def solve_grid(
     report.cells = len(outcomes)
 
     if failures:
-        raise ServiceError(failures[0])
+        raise failures[0]
     if len(outcomes) != total:
         raise ServiceError(
             f"grid incomplete: {len(outcomes)}/{total} cells returned"

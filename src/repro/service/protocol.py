@@ -272,27 +272,3 @@ def write_frame(stream: BinaryIO, frame: Frame) -> None:
     stream.write(encode_frame(frame))
     stream.flush()
 
-
-async def read_frame_async(reader) -> Frame | None:
-    """Async twin of :func:`read_frame` for asyncio streams.
-
-    Returns the frame, or None on clean EOF at a frame boundary; raises
-    :class:`PeerGone` on EOF mid-frame and :class:`ProtocolError` on
-    corrupt bytes, never hangs on a short read.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF at a frame boundary
-        raise PeerGone("truncated frame header") from exc
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame too large ({length} bytes)")
-    try:
-        data = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise PeerGone("truncated frame body") from exc
-    return decode_payload_versioned(data)

@@ -1,12 +1,12 @@
-"""Asyncio TCP solve server: multiplexed connections over one event loop.
+"""Threaded TCP solve server: multiplexed connections, one reader each.
 
-:class:`SolveServer` binds a localhost TCP socket and serves every
-client connection on a single asyncio event loop: one reader coroutine
-and one writer task per connection, with each *request* dispatched to a
-thread pool.  Frames carry request ids, so any number of requests can
-be in flight on one connection and their reply streams interleave
-frame-by-frame -- a :class:`~repro.service.client.MultiplexedClient`
-runs a whole grid over one socket.  A malformed frame (bad
+:class:`SolveServer` binds a localhost TCP socket; one accept thread
+hands each client connection to its own reader thread, and each
+*request* goes to a handler thread pool.  Frames carry request ids, so
+any number of requests can be in flight on one connection and their
+reply streams interleave frame-by-frame -- a
+:class:`~repro.service.client.MultiplexedClient` runs a whole grid
+over one socket, and is built the same way.  A malformed frame (bad
 bytes, wrong protocol version) is answered with an id-0 ``ErrorFrame``
 naming the problem, then the connection closes.
 
@@ -41,12 +41,11 @@ a script that starts a server in-process needs the usual ``if __name__
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import dataclasses
+import itertools
 import socket
 import threading
-import time
 
 from repro.runtime.cache import SimulationCache, SolveCellCache
 from repro.service.broker import Broker, BrokerClosed, BrokerFull
@@ -63,7 +62,7 @@ from repro.service.protocol import (
     SolveRequest,
     StatsReply,
     encode_frame,
-    read_frame_async,
+    read_frame,
 )
 from repro.service.worker import (
     ServiceStats,
@@ -74,114 +73,95 @@ from repro.service.worker import (
 
 
 class _Connection:
-    """One client connection on the event loop.
+    """One client connection, served by its own reader thread.
 
-    The reader coroutine (``run``) parses frames and dispatches each
-    request; a dedicated writer task drains ``_outbox`` so that frames
-    enqueued by concurrent handler threads interleave at frame
-    granularity and per-request order is preserved (each handler
-    enqueues its own frames sequentially).  ``send`` is the only
-    cross-thread entry point: it marshals onto the loop with
-    ``call_soon_threadsafe``.
+    The reader (``run``) parses frames, answers control requests itself
+    and hands each solve to the handler pool.  Every thread writes its
+    own frames with ``send``, whole frames under one lock, so replies
+    interleave at frame granularity and per-request order is preserved
+    (each handler sends its frames sequentially).  The reader owns the
+    final close; other threads only ``shutdown`` the socket, which wakes
+    it.
     """
 
-    def __init__(self, service: "SolveServer", reader, writer):
+    def __init__(self, service: "SolveServer", sock: socket.socket, name: str):
         self.service = service
-        self.reader = reader
-        self.writer = writer
-        self.loop = asyncio.get_running_loop()
-        self._outbox: asyncio.Queue = asyncio.Queue()
-        self._tasks: set = set()
+        self.sock = sock
+        self.thread = threading.Thread(target=self.run, name=name, daemon=True)
+        self._write_lock = threading.Lock()
+        self._handlers: set[concurrent.futures.Future] = set()
+        self._handlers_lock = threading.Lock()
         self._closed = False
 
-    # -- cross-thread send ---------------------------------------------
-
     def send(self, frame: Frame) -> bool:
-        """Enqueue one frame from any thread; False once the client is
+        """Write one frame from any thread; False once the client is
         known to be gone (handlers use this to stop streaming)."""
         if self._closed:
             return False
         try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is self.loop:
-            # Already on the loop (control handlers): enqueue now,
-            # so the reader's close sentinel can never overtake a reply
-            # that was sent before it.
-            self._enqueue(frame)
-            return not self._closed
+            data = encode_frame(frame)
+        except ProtocolError as exc:
+            # The frame itself is unsendable (e.g. a payload past the
+            # frame ceiling); tell the client with a typed error rather
+            # than dropping the connection silently.
+            data = encode_frame(
+                ErrorFrame(
+                    id=getattr(frame, "id", 0),
+                    message=f"unsendable reply: {exc}",
+                )
+            )
         try:
-            self.loop.call_soon_threadsafe(self._enqueue, frame)
-        except RuntimeError:
-            return False  # loop already closed (server killed)
+            with self._write_lock:
+                self.sock.sendall(data)
+        except OSError:
+            self._closed = True
         return not self._closed
 
-    def _enqueue(self, frame: Frame | None) -> None:
-        if not self._closed or frame is None:
-            self._outbox.put_nowait(frame)
+    def handlers(self) -> list[concurrent.futures.Future]:
+        """This connection's solves still in flight."""
+        with self._handlers_lock:
+            return list(self._handlers)
 
-    # -- loop-side machinery -------------------------------------------
+    def _forget(self, future: concurrent.futures.Future) -> None:
+        with self._handlers_lock:
+            self._handlers.discard(future)
 
-    async def _write_loop(self) -> None:
-        while True:
-            frame = await self._outbox.get()
-            if frame is None:
-                return
-            try:
-                data = encode_frame(frame)
-            except ProtocolError as exc:
-                # The frame itself is unsendable (e.g. a payload past
-                # the frame ceiling); tell the client with a typed error
-                # rather than dropping the connection silently.
-                data = encode_frame(
-                    ErrorFrame(
-                        id=getattr(frame, "id", 0),
-                        message=f"unsendable reply: {exc}",
-                    )
-                )
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionError, OSError):
-                self._closed = True
-                return
-
-    async def run(self) -> None:
-        writer_task = asyncio.create_task(self._write_loop())
+    def run(self) -> None:
+        stream = self.sock.makefile("rb")
         try:
             while True:
                 try:
-                    frame = await read_frame_async(self.reader)
+                    frame = read_frame(stream)
                 except PeerGone:
                     break  # client died mid-frame
                 except ProtocolError as exc:
-                    self._enqueue(ErrorFrame(id=0, message=str(exc)))
+                    self.send(ErrorFrame(id=0, message=str(exc)))
                     break
+                except OSError:
+                    break  # severed by the server or the network
                 if frame is None:
                     break  # clean EOF
                 if not self._dispatch(frame):
                     break  # shutdown request: close after the ack
         finally:
             # Let in-flight handlers publish their terminal frames, then
-            # flush the outbox and close.
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-            self._enqueue(None)
-            await writer_task
+            # close.
+            concurrent.futures.wait(self.handlers())
             self._closed = True
-            try:
-                self.writer.close()
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self.service._remove_connection(self)
+            for closer in (stream.close, self.sock.close):
+                try:
+                    closer()
+                except OSError:
+                    pass
 
-    def abort(self) -> None:
-        """Sever the transport immediately (the kill path)."""
+    def sever(self) -> None:
+        """Stop all traffic now; the reader wakes and closes."""
         self._closed = True
-        transport = self.writer.transport
-        if transport is not None:
-            transport.abort()
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
     def _dispatch(self, frame: Frame) -> bool:
         """Route one frame; False closes the connection (shutdown)."""
@@ -189,7 +169,7 @@ class _Connection:
         if isinstance(frame, ControlRequest):
             return service._handle_control(self, frame)
         if not isinstance(frame, SolveRequest):
-            self._enqueue(
+            self.send(
                 ErrorFrame(
                     id=getattr(frame, "id", 0),
                     message=f"unexpected frame type {frame.type!r}",
@@ -199,11 +179,13 @@ class _Connection:
         # Each request runs on its own pool thread: a streaming solve
         # can wait minutes on the broker while pings, stats, and other
         # solves keep flowing on this same connection.
-        task = self.loop.run_in_executor(
-            service._pool, service._handle_solve, self, frame
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        try:
+            future = service._pool.submit(service._handle_solve, self, frame)
+        except RuntimeError:
+            return False  # the server stopped while this frame arrived
+        with self._handlers_lock:
+            self._handlers.add(future)
+        future.add_done_callback(self._forget)
         return True
 
 
@@ -273,15 +255,11 @@ class SolveServer:
             max_workers=max_pending + 16,
             thread_name_prefix="repro-service-handler",
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._async_server: asyncio.AbstractServer | None = None
+        self._accept_thread: threading.Thread | None = None
         self._connections: set[_Connection] = set()
-        self._loop_ready = threading.Event()
+        self._connections_lock = threading.Lock()
         self._stopped = threading.Event()
         self._shutdown_lock = threading.Lock()
-        self._active_solves = 0
-        self._idle = threading.Condition()
 
     @staticmethod
     def _resolve(cache, default_cls):
@@ -319,105 +297,55 @@ class SolveServer:
     def start(self) -> "SolveServer":
         for worker in self._workers:
             worker.start()
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="repro-service-loop", daemon=True
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="repro-service-accept", daemon=True
         )
-        self._loop_thread.start()
-        self._loop_ready.wait()
+        self._accept_thread.start()
         return self
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        async def boot() -> None:
-            self._listen_sock.setblocking(False)
-            self._async_server = await asyncio.start_server(
-                self._serve_connection, sock=self._listen_sock
-            )
-
+    def _accept_loop(self) -> None:
         try:
-            loop.run_until_complete(boot())
+            for index in itertools.count():
+                try:
+                    sock, _ = self._listen_sock.accept()
+                except OSError:
+                    return  # the listener was shut down
+                # Without this, Nagle holds each Done written right
+                # after an Ack for the client's delayed ACK.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn = _Connection(self, sock, f"repro-service-conn-{index}")
+                with self._connections_lock:
+                    self._connections.add(conn)
+                conn.thread.start()
         finally:
-            self._loop_ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            # Drain cancellations and close whatever is still open.
-            try:
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-            except Exception:  # noqa: BLE001 -- best-effort teardown
-                pass
-            loop.close()
+            self._listen_sock.close()
 
-    async def _serve_connection(self, reader, writer) -> None:
-        # asyncio sets TCP_NODELAY only when the listening socket's proto
-        # is IPPROTO_TCP, and ours is 0: without this, Nagle holds each
-        # Done written right after an Ack for the client's delayed ACK.
-        writer.get_extra_info("socket").setsockopt(
-            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-        )
-        conn = _Connection(self, reader, writer)
-        self._connections.add(conn)
-        try:
-            await conn.run()
-        except asyncio.CancelledError:
-            # kill() cancels connection tasks; asyncio's stream-server
-            # done-callback calls task.exception(), which would re-raise
-            # the cancellation as a logged callback error.
-            conn.abort()
-        finally:
+    def _remove_connection(self, conn: _Connection) -> None:
+        with self._connections_lock:
             self._connections.discard(conn)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the server has shut down."""
         return self._stopped.wait(timeout=timeout)
 
-    def _solve_started(self) -> None:
-        with self._idle:
-            self._active_solves += 1
-
-    def _solve_finished(self) -> None:
-        with self._idle:
-            self._active_solves -= 1
-            self._idle.notify_all()
-
-    def _call_in_loop(self, coro, timeout: float | None = 10.0):
-        """Run one coroutine on the loop thread from outside it."""
-        if self._loop is None:
-            coro.close()
-            return None
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+    def _stop_accepting(self) -> None:
+        """Close the listener; once this returns, no connection is added."""
+        if self._accept_thread is None:
+            self._listen_sock.close()  # never started: just release the port
+            return
         try:
-            return future.result(timeout=timeout)
-        except (concurrent.futures.TimeoutError, RuntimeError):
-            return None
+            # close() alone leaves accept() blocked; shutdown() wakes it.
+            self._listen_sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._accept_thread.join()
 
-    async def _close_listener(self) -> None:
-        if self._async_server is not None:
-            self._async_server.close()
-            try:
-                await self._async_server.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _close_connections(self, abort: bool) -> None:
-        for conn in list(self._connections):
-            if abort:
-                conn.abort()
-            else:
-                conn._closed = True
-                try:
-                    conn.writer.close()
-                except (ConnectionError, OSError):
-                    pass
+    def _sever_connections(self) -> list[_Connection]:
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.sever()
+        return connections
 
     def shutdown(self, handler_grace: float = 30.0) -> None:
         """Graceful drain: refuse new work, finish the queue, close.
@@ -430,25 +358,20 @@ class SolveServer:
         with self._shutdown_lock:
             if self._stopped.is_set():
                 return
-            if self._loop is None:
-                # Never started: just release the port.
-                self._listen_sock.close()
-                self._stopped.set()
-                return
-            self._call_in_loop(self._close_listener())
+            self._stop_accepting()
             self.broker.close()  # queued jobs still drain to workers
             for worker in self._workers:
-                worker.join()
-            deadline = time.monotonic() + handler_grace
-            with self._idle:
-                while self._active_solves > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._idle.wait(
-                        timeout=remaining
-                    ):
-                        break
-            self._call_in_loop(self._close_connections(abort=False))
-            self._stop_loop()
+                if worker.ident is not None:
+                    worker.join()
+            with self._connections_lock:
+                handlers = [
+                    future
+                    for conn in self._connections
+                    for future in conn.handlers()
+                ]
+            concurrent.futures.wait(handlers, timeout=handler_grace)
+            for conn in self._sever_connections():
+                conn.thread.join(timeout=10.0)
             self._pool.shutdown(wait=False)
             self._stopped.set()
 
@@ -466,14 +389,8 @@ class SolveServer:
             if self._stopped.is_set():
                 return
             self.broker.abort("server killed")
-            if self._loop is not None:
-                self._call_in_loop(self._close_listener(), timeout=2.0)
-                self._call_in_loop(
-                    self._close_connections(abort=True), timeout=2.0
-                )
-                self._stop_loop()
-            else:
-                self._listen_sock.close()
+            self._stop_accepting()
+            severed = self._sever_connections()
             # After the connections are severed, as with a real SIGKILL:
             # no client hears about the jobs this fails.
             for worker in self._workers:
@@ -481,35 +398,22 @@ class SolveServer:
             for worker in self._workers:
                 if worker.ident is not None:
                     worker.join(timeout=10.0)
+            # Readers wait for their handlers, which the halt just freed.
+            for conn in severed:
+                conn.thread.join(timeout=10.0)
             self._pool.shutdown(wait=False)
             self._stopped.set()
-
-    def _stop_loop(self) -> None:
-        loop, thread = self._loop, self._loop_thread
-        if loop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(loop.stop)
-        except RuntimeError:
-            pass
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=10.0)
 
     # -- request handlers (pool threads) --------------------------------
 
     def _handle_solve(self, conn: _Connection, req: SolveRequest) -> None:
-        # Tracked so shutdown() can wait for the terminal frame of
-        # every accepted solve to hit the wire.
-        self._solve_started()
         try:
             self._solve_request(conn, req)
-        except Exception as exc:  # noqa: BLE001 -- keep the loop alive
+        except Exception as exc:  # noqa: BLE001 -- becomes an error frame
             self.stats.count("errors")
             conn.send(
                 ErrorFrame(id=req.id, message=f"{type(exc).__name__}: {exc}")
             )
-        finally:
-            self._solve_finished()
 
     def _solve_request(self, conn: _Connection, req: SolveRequest) -> None:
         key = f"{req.system}/{req.problem}/{req.seed}"
@@ -591,7 +495,7 @@ class SolveServer:
             )
         )
 
-    # -- control (loop thread; all fast) ---------------------------------
+    # -- control (reader thread; all fast) -------------------------------
 
     def _handle_control(self, conn: _Connection, req: ControlRequest) -> bool:
         """Returns False when the connection should close."""
@@ -599,17 +503,16 @@ class SolveServer:
             conn.send(Ack(id=req.id))
             return True
         if req.op == "stats":
-            # Snapshotting walks worker and cache locks: off the loop.
-            task = conn.loop.run_in_executor(
-                self._pool, self._send_stats, conn, req.id
-            )
-            conn._tasks.add(task)
-            task.add_done_callback(conn._tasks.discard)
+            try:
+                conn.send(StatsReply(id=req.id, stats=self.stats_snapshot()))
+            except Exception as exc:  # noqa: BLE001 -- becomes an error frame
+                conn.send(
+                    ErrorFrame(id=req.id, message=f"{type(exc).__name__}: {exc}")
+                )
             return True
         if req.op == "shutdown":
             conn.send(Ack(id=req.id))
-            # Drain from a helper thread: shutdown() joins the loop and
-            # the workers, which must not happen on the loop thread.
+            # Drain from a helper thread: shutdown() joins this reader.
             threading.Thread(
                 target=self.shutdown, name="repro-service-drain", daemon=True
             ).start()
@@ -618,17 +521,6 @@ class SolveServer:
             ErrorFrame(id=req.id, message=f"unknown control op {req.op!r}")
         )
         return True
-
-    def _send_stats(self, conn: _Connection, request_id: int) -> None:
-        try:
-            conn.send(StatsReply(id=request_id, stats=self.stats_snapshot()))
-        except Exception as exc:  # noqa: BLE001 -- keep the loop alive
-            conn.send(
-                ErrorFrame(
-                    id=request_id,
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            )
 
     # -- introspection ---------------------------------------------------
 

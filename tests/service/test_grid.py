@@ -139,6 +139,36 @@ class TestServiceGrid:
         assert problems[0].id in progress[0]
         assert problems[1].id in progress[1]
 
+    @pytest.mark.parametrize("callback", ["progress", "events"])
+    def test_a_raising_callback_is_raised_in_the_callers_thread(
+        self, server_address, monkeypatch, callback
+    ):
+        """A callback that raises stops the grid: its own exception
+        reaches the caller, no grid thread dies of it, and none
+        outlives the call."""
+        hooked = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: hooked.append(args.exc_type)
+        )
+
+        class CallbackFailed(Exception):
+            pass
+
+        def fail(_):
+            raise CallbackFailed(callback)
+
+        with pytest.raises(CallbackFailed):
+            solve_grid(
+                "mage",
+                "verilogeval-v2",
+                runs=1,
+                problems=[get_problem(p) for p in PROBLEMS],
+                address=server_address,
+                **{callback: fail},
+            )
+        assert hooked == []
+        assert _grid_threads() == []
+
     def test_seed0_changes_results_key(self, server_address):
         """seed0 is honoured on the wire: different base seed, different
         solve-cell identity (no false cache hits across seeds)."""

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -20,6 +21,7 @@ from repro.service import (
     ServiceError,
     SolveServer,
 )
+from repro.service import protocol
 from repro.service.worker import service_cell_key
 from repro.tb.runner import run_testbench
 
@@ -188,6 +190,40 @@ class TestConcurrentDistinctCells:
             task = DesignTask.from_problem(get_problem(problem_id))
             assert outcomes[problem_id].source == system.solve(task, seed=3)
 
+    def test_replies_interleave_whole_frames_under_contention(self, server):
+        """Handler threads and the reader share one socket: with more
+        threads than cores and a tiny switch interval, every streamed
+        replay and ping on one connection still arrives whole."""
+        with MultiplexedClient(server.address) as client:
+            reference = ListSink()
+            client.solve("mage", "cb_kmap_mux", events=reference)
+            failures = []
+
+            def hammer():
+                try:
+                    for _ in range(5):
+                        sink = ListSink()
+                        client.solve("mage", "cb_kmap_mux", events=sink)
+                        assert sink.events == reference.events
+                        assert client.ping()
+                except Exception as exc:  # noqa: BLE001 -- reported below
+                    failures.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=hammer) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert not client.closed
+        assert server.executed_count() == 1
+
     def test_unknown_system_fails_only_its_job(self, server):
         with MultiplexedClient(server.address) as client:
             with pytest.raises(ServiceError, match="unknown system"):
@@ -256,6 +292,61 @@ class TestLifecycle:
         server.shutdown()
         with pytest.raises(OSError):
             MultiplexedClient(server.address, timeout=2)
+
+
+def _new_service_threads(before):
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-service-") and thread not in before
+    ]
+
+
+def _wait_until(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestStopWithAnIdleClient:
+    @pytest.mark.parametrize("stop", ["shutdown", "kill"])
+    def test_stop_closes_the_connection_and_ends_every_thread(self, stop):
+        """The accept thread, the connection's reader and the handler
+        pool all end, and the idle client sees its connection close."""
+        before = set(threading.enumerate())
+        server = SolveServer(workers=1).start()
+        client = MultiplexedClient(server.address)
+        try:
+            assert client.ping()
+            started = time.monotonic()
+            getattr(server, stop)()
+            assert time.monotonic() - started < 2.0
+            assert _wait_until(lambda: client.closed)
+            assert _wait_until(lambda: not _new_service_threads(before)), (
+                _new_service_threads(before)
+            )
+        finally:
+            client.close()
+            server.kill()
+
+
+class TestUnsendableReply:
+    def test_an_oversized_reply_is_a_typed_error(self, server, monkeypatch):
+        """A reply past the frame ceiling becomes an error frame for its
+        request, and the connection keeps serving."""
+        ceiling = protocol.MAX_FRAME_BYTES
+        with MultiplexedClient(server.address) as client:
+            client.solve("mage", "cb_kmap_mux")
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 300)
+            with pytest.raises(
+                ServiceError,
+                match=r"^unsendable reply: frame too large \(\d+ bytes\)$",
+            ):
+                client.solve("mage", "cb_kmap_mux")
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", ceiling)
+            assert client.ping()
+            assert client.solve("mage", "cb_kmap_mux").cached
 
 
 class TestConnectionErrors:

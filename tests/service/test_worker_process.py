@@ -103,8 +103,7 @@ class TestNoNagleStall:
             with MultiplexedClient(server.address) as client:
                 client.ping()
                 (conn,) = server._connections
-                sock = conn.writer.get_extra_info("socket")
-                assert sock.getsockopt(
+                assert conn.sock.getsockopt(
                     socket.IPPROTO_TCP, socket.TCP_NODELAY
                 )
 
