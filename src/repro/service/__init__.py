@@ -15,7 +15,9 @@ through one server with a deterministic merge, bit-identical to local
 serial evaluation; a server that dies mid-grid fails the grid with a
 typed :class:`ServiceError`.  :class:`MultiplexedClient`
 is the one client: any number of concurrent requests of every kind
-over one connection.
+over one connection.  Server and client are built alike, on threads: a
+reader thread per connection parses frames, and every thread writes
+whole frames under the connection's lock.
 
 Servers share warm cells with each other, and with local evaluations,
 through one cache directory: point them at the same

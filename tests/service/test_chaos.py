@@ -1,5 +1,5 @@
 """Chaos harness for service grids: a scriptable TCP fault injector
-plus the failure drills the async control plane must survive.
+plus the failure drills the solve service must survive.
 
 :class:`ChaosProxy` is a localhost forwarder that sits between a
 client and a live server and misbehaves on command -- added latency,
