@@ -16,12 +16,13 @@ method (or a plain callable wrapped in :class:`CallbackSink`):
 - :class:`ListSink` records the stream verbatim (what the solve-cell
   cache stores next to the source).
 
-Events are immutable and picklable: they cross process boundaries
-inside cached solve cells and checkpointed run states.  They are also
-JSON round-trippable (:meth:`Event.to_json` / :meth:`Event.from_json`):
-the service wire protocol ships the exact event stream a local run
-would produce, so a remote client rebuilds transcripts and figures
-from frames alone -- no transcript parsing.
+Events are immutable and JSON round-trippable (:meth:`Event.to_json` /
+:meth:`Event.from_json`), which is how they cross every boundary: a
+worker process streams them to its parent, the solve-cell cache keeps
+them in its disk records, and the service wire protocol ships the
+exact event stream a local run would produce, so a remote client
+rebuilds transcripts and figures from frames alone -- no transcript
+parsing.
 """
 
 from __future__ import annotations

@@ -10,16 +10,19 @@ replay run can never silently fall through to a provider.
 
 The store is a :class:`~repro.runtime.cache.TieredCache`
 (memory -> disk): every process pointed at one cassette directory
-records into and replays from the same entries.
+records into and replays from the same entries, each one JSON record
+in the :data:`CASSETTE_RECORDS` codec.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 
 from repro.llm.interface import ChatMessage, SamplingParams
 from repro.runtime.cache import TieredCache, _digest
+from repro.runtime.codec import Codec, dump_json, expect
 
 
 class CassetteMiss(KeyError):
@@ -38,10 +41,38 @@ class CassetteRecord:
     completion_tokens: int = 0
 
 
+def _encode_record(record: CassetteRecord) -> bytes:
+    return dump_json(
+        {
+            "completions": record.completions,
+            "backend": record.backend,
+            "prompt_tokens": record.prompt_tokens,
+            "completion_tokens": record.completion_tokens,
+        }
+    )
+
+
+def _decode_record(body: bytes) -> CassetteRecord:
+    fields = expect(json.loads(body), dict)
+    return CassetteRecord(
+        completions=tuple(
+            expect(text, str) for text in expect(fields["completions"], list)
+        ),
+        backend=expect(fields["backend"], str),
+        prompt_tokens=expect(fields["prompt_tokens"], int),
+        completion_tokens=expect(fields["completion_tokens"], int),
+    )
+
+
+CASSETTE_RECORDS = Codec(
+    "cassette", 1, CassetteRecord, _encode_record, _decode_record
+)
+
+
 class CassetteStore(TieredCache):
     """Cassette entries keyed by :func:`cassette_key`."""
 
-    value_type = CassetteRecord
+    codec = CASSETTE_RECORDS
     layer = "llm"
 
 

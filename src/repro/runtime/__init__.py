@@ -12,6 +12,8 @@ The scaling layer under the MAGE engine and the evaluation harness:
   stream), each a :class:`TieredCache`: an in-memory LRU over an
   optional disk directory, with read-through promotion, write-through
   stores, and one row of hit/miss counters;
+- :mod:`repro.runtime.codec` -- the versioned, checksummed JSON record
+  format each cache's disk tier reads and writes;
 - :mod:`repro.runtime.context` -- the ambient (executor, caches) set the
   engine's hot paths pick up without signature threading;
 - :mod:`repro.runtime.batch` -- ``evaluate_many``, fanning the Eq. 7

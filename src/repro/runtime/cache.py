@@ -4,10 +4,13 @@ Both memoization layers of the runtime -- simulation reports and whole
 solve cells -- are instances of one :class:`TieredCache`:
 
 - in memory, an LRU map of up to :data:`MEMORY_ENTRIES` values;
-- on disk, when a directory is given, a :class:`DiskTier` of pickled
-  values, atomically written, shared across processes and sessions; a
-  truncated or garbage file counts as a miss (tracked by the
-  ``corrupt`` counter), never an exception.
+- on disk, when a directory is given, a :class:`DiskTier` of
+  ``<key>.rec`` files, atomically written, shared across processes and
+  sessions.  Each file is one record in its cache's versioned,
+  checksummed codec (:mod:`repro.runtime.codec`); a truncated, garbled,
+  foreign or older entry counts as a miss (tracked by the ``corrupt``
+  counter), never an exception.  Nothing on disk is unpickled: files
+  another process wrote are only ever parsed as JSON.
 
 Reads are read-through with promotion: a disk hit is copied into
 memory, so the next lookup is in-process.  Writes go to both.  The
@@ -30,6 +33,9 @@ The concrete caches:
   deterministic in (system configuration, problem, seed), so
   ``hash(config, problem, seed)`` addresses the final source, the
   typed event stream of the run, and the golden verdict on the source.
+  A record read from disk keeps its events encoded until something
+  iterates them, so a warm cell that serves only source and verdict
+  never builds them.
 
 Keys are SHA-256 over length-prefixed fields, so no concatenation of
 fields can collide with a different split of the same bytes.
@@ -40,25 +46,36 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import json
 import os
-import pickle
 import tempfile
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.runtime.codec import NONE, TEST_REPORTS, Codec, dump_json, expect
 from repro.tb.runner import TestReport, run_testbench
 from repro.tb.stimulus import Testbench, render_testbench
+
+# Disk entries are ``<key>.rec``.  ``*.pkl`` files are pickles an older
+# version wrote: never opened, only removed by ``repro cache --clear``.
+SUFFIX = ".rec"
+LEGACY_SUFFIX = ".pkl"
+
+
+def _feed(digest, part: str) -> None:
+    data = part.encode()
+    digest.update(len(data).to_bytes(8, "little"))
+    digest.update(data)
 
 
 def _digest(parts: tuple[str, ...]) -> str:
     """SHA-256 over length-prefixed fields (boundary-collision safe)."""
     digest = hashlib.sha256()
     for part in parts:
-        data = part.encode()
-        digest.update(len(data).to_bytes(8, "little"))
-        digest.update(data)
+        _feed(digest, part)
     return digest.hexdigest()
 
 
@@ -133,48 +150,69 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
+    # Every warm cell takes two snapshots and a delta, so the fields are
+    # spelled out rather than looped over by name.
     def snapshot(self) -> "CacheStats":
-        return self.delta(CacheStats())
+        return CacheStats(
+            self.hits,
+            self.misses,
+            self.stores,
+            self.disk_hits,
+            self.corrupt,
+            self.errors,
+            self.evictions,
+        )
 
     def delta(self, earlier: "CacheStats") -> "CacheStats":
         return CacheStats(
-            *[getattr(self, name) - getattr(earlier, name) for name in _COUNTERS]
+            self.hits - earlier.hits,
+            self.misses - earlier.misses,
+            self.stores - earlier.stores,
+            self.disk_hits - earlier.disk_hits,
+            self.corrupt - earlier.corrupt,
+            self.errors - earlier.errors,
+            self.evictions - earlier.evictions,
         )
 
     def add(self, other: "CacheStats") -> None:
         """Add ``other``'s counters into this row, field by field."""
-        for name in _COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-
-_COUNTERS = tuple(field.name for field in dataclasses.fields(CacheStats))
+        self.hits += other.hits
+        self.misses += other.misses
+        self.stores += other.stores
+        self.disk_hits += other.disk_hits
+        self.corrupt += other.corrupt
+        self.errors += other.errors
+        self.evictions += other.evictions
 
 
 class DiskTier:
-    """Pickled values under a directory, shared across processes.
+    """``<key>.rec`` records under a directory, shared across processes.
 
-    Every failure mode of a read -- missing file, truncated pickle,
-    garbage bytes, a pickle of the wrong type -- is a miss; all but the
-    missing file also count as ``corrupt``.  Writes are atomic (temp
-    file + rename) and best-effort: a failed one counts in ``errors``
-    and leaves no temp file behind.  ``stats`` is the owning cache's
-    :class:`CacheStats`, so both counters land in its one row.
+    ``codec`` (the owning cache's) encodes each value and decodes each
+    read.  Every failure mode of a read -- missing file, truncated or
+    bit-flipped bytes, another layer's record, an older version, a
+    well-framed record of the wrong shape -- is a miss; all but the
+    missing file also count as ``corrupt``.  Legacy ``*.pkl`` entries
+    are never opened.  Writes are atomic (temp file + rename) and
+    best-effort: a failed one counts in ``errors`` and leaves no temp
+    file behind.  ``stats`` is the owning cache's :class:`CacheStats`,
+    so both counters land in its one row.
     """
 
     def __init__(
         self,
         directory: str,
-        value_type: type = object,
+        codec: Codec,
         stats: CacheStats | None = None,
     ):
         self.directory = directory
-        self.value_type = value_type
+        self.codec = codec
         self.stats = stats if stats is not None else CacheStats()
         self._lock = threading.Lock()
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.pkl")
+        return os.path.join(self.directory, key + SUFFIX)
 
     def get(self, key: str) -> Any | None:
         try:
@@ -183,27 +221,27 @@ class DiskTier:
             return None
         try:
             with handle:
-                value = pickle.load(handle)
-        except Exception:  # noqa: BLE001 -- any unreadable entry is a miss
-            value = None
-        if value is None or not isinstance(value, self.value_type):
+                return self.codec.loads(handle.read())
+        except (ValueError, KeyError, TypeError, OSError):
             # The file exists but does not hold a usable value: corrupt.
             with self._lock:
                 self.stats.corrupt += 1
             return None
-        return value
 
     # A read changes no counter but ``corrupt``, so a probe is a read.
     peek = get
 
     def put(self, key: str, value: Any) -> None:
+        # Encoding errors are the caller's bug and propagate; only the
+        # write itself is best-effort.
+        data = self.codec.dumps(value)
         # Atomic write: concurrent workers may race on the same key, and
-        # a reader must never observe a half-written pickle.
+        # a reader must never observe a half-written record.
         tmp_path = None
         try:
             fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle)
+                handle.write(data)
             os.replace(tmp_path, self._path(key))
             tmp_path = None
         except OSError:
@@ -227,11 +265,12 @@ class TieredCache:
     through to both.  Cached values are shared objects; callers treat
     them as read-only, which every consumer in the engine already does.
 
-    ``value_type`` guards the disk tier: a pickle that does not
-    deserialise to it is a miss, so corrupt files never reach callers.
+    ``codec`` is the disk tier's record format (each concrete cache
+    names its own): an entry it does not decode is a miss, so corrupt
+    files never reach callers.
     """
 
-    value_type: type = object
+    codec: Codec | None = None
     # Which cache this is ("sim" | "solve" | "llm"), for stats and traces.
     layer: str = "generic"
 
@@ -243,7 +282,7 @@ class TieredCache:
         # still the disk's, so ``disk_hits`` does not depend on probing.
         self._peeked: set[str] = set()
         self._disk = (
-            DiskTier(directory, self.value_type, self.stats)
+            DiskTier(directory, self.codec, self.stats)
             if directory is not None
             else None
         )
@@ -329,7 +368,7 @@ class TieredCache:
 class SimulationCache(TieredCache):
     """Memoized simulation reports keyed by :func:`simulation_key`."""
 
-    value_type = TestReport
+    codec = TEST_REPORTS
     layer = "sim"
 
 
@@ -366,6 +405,56 @@ def cached_run_testbench(
 # ----------------------------------------------------------------------
 
 
+class EncodedEvents(Sequence):
+    """A disk record's event stream, kept as the JSON array its codec
+    read and decoded on first iteration.
+
+    ``len()`` comes from the record's header, so counting events never
+    decodes them; iterating, indexing, comparing or hashing decodes
+    once and keeps the tuple.  The codec's checksum has already vouched
+    for the bytes, so decoding raises only on a record some other
+    writer framed with a valid checksum.
+    """
+
+    __slots__ = ("_data", "_count", "_events")
+
+    def __init__(self, data: bytes, count: int):
+        if count < 0:
+            raise ValueError(f"negative event count {count}")
+        self._data = data
+        self._count = count
+        self._events: tuple | None = None
+
+    def _decoded(self) -> tuple:
+        if self._events is None:
+            from repro.core.events import Event
+
+            self._events = tuple(
+                Event.from_json(payload) for payload in json.loads(self._data)
+            )
+        return self._events
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, EncodedEvents)):
+            return self._decoded() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._decoded())
+
+    def __repr__(self) -> str:
+        return f"EncodedEvents({self._count} events)"
+
+
 @dataclass(frozen=True)
 class SolveCellRecord:
     """What one cached solve cell stores: the final source, the typed
@@ -375,22 +464,52 @@ class SolveCellRecord:
     The verdict is a pure function of the cell key, which hashes the
     problem's full content, golden design included, so a replay serves
     it without simulating.  ``passed``/``score`` are None when the
-    source was never scored -- and on records pickled before the
-    verdict was stored, which unpickle with the class defaults; both
-    are scored on replay.
+    source was never scored; such a record is scored on replay.
+    ``events`` is a tuple when the record was built in this process and
+    an :class:`EncodedEvents` when it was read from disk.
     """
 
     source: str
     system: str
-    events: tuple = ()
+    events: Sequence = ()
     passed: bool | None = None
     score: float | None = None
+
+
+def _encode_record(record: SolveCellRecord) -> bytes:
+    header = {
+        "source": record.source,
+        "system": record.system,
+        "passed": record.passed,
+        "score": record.score,
+        "events": len(record.events),
+    }
+    events = dump_json([event.to_json() for event in record.events])
+    return dump_json(header) + b"\n" + events
+
+
+def _decode_record(body: bytes) -> SolveCellRecord:
+    # Only the header line is parsed; the events stay bytes.
+    header, _, events = body.partition(b"\n")
+    fields = expect(json.loads(header), dict)
+    return SolveCellRecord(
+        source=expect(fields["source"], str),
+        system=expect(fields["system"], str),
+        events=EncodedEvents(events, expect(fields["events"], int)),
+        passed=expect(fields["passed"], bool, NONE),
+        score=expect(fields["score"], float, NONE),
+    )
+
+
+SOLVE_RECORDS = Codec(
+    "solve-cell", 1, SolveCellRecord, _encode_record, _decode_record
+)
 
 
 class SolveCellCache(TieredCache):
     """Memoized whole-run results keyed by :func:`solve_cell_key`."""
 
-    value_type = SolveCellRecord
+    codec = SOLVE_RECORDS
     layer = "solve"
 
 
@@ -404,18 +523,36 @@ def solve_cell_key(fingerprint: str, problem, seed: int) -> str:
     benchmark problem -- including interface or difficulty changes that
     leave the spec text untouched -- invalidates its cells.
     """
-    return _digest((fingerprint, _content_repr(problem), str(int(seed))))
+    digest = _key_prefix(fingerprint, problem).copy()
+    _feed(digest, str(int(seed)))
+    return digest.hexdigest()
 
 
-def _content_repr(problem) -> str:
-    """``_stable_repr(problem)``, memoised on the frozen instance: every
-    cell of a grid keys off the same problem, and its text embeds the
-    whole spec and golden design."""
-    memo = getattr(problem, "_content_repr", None)
-    if memo is None:
-        memo = _stable_repr(problem)
-        object.__setattr__(problem, "_content_repr", memo)  # frozen memo slot
-    return memo
+class _KeyPrefixes(dict):
+    """fingerprint -> SHA-256 state after ``(fingerprint, content)`` for
+    one problem.  Hash states do not pickle, so a problem shipped to
+    another process takes the memo along empty."""
+
+    def __reduce__(self):
+        return _KeyPrefixes, ()
+
+
+def _key_prefix(fingerprint: str, problem):
+    """The hash state every cell key of ``problem`` under ``fingerprint``
+    starts from, memoised on the frozen instance: every cell of a grid
+    keys off the same problem, and its content embeds the whole spec
+    and golden design.  Callers ``copy()`` it before feeding the seed."""
+    prefixes = getattr(problem, "_key_prefixes", None)
+    if prefixes is None:
+        prefixes = _KeyPrefixes()
+        object.__setattr__(problem, "_key_prefixes", prefixes)  # frozen memo slot
+    state = prefixes.get(fingerprint)
+    if state is None:
+        state = hashlib.sha256()
+        _feed(state, fingerprint)
+        _feed(state, _stable_repr(problem))
+        prefixes[fingerprint] = state
+    return state
 
 
 class _Unfingerprintable(Exception):
@@ -521,7 +658,7 @@ def disk_cache_info(directory: str) -> DiskCacheInfo:
     except OSError:
         names = []
     for name in names:
-        if not name.endswith(".pkl"):
+        if not name.endswith(SUFFIX):
             continue
         entries += 1
         try:
@@ -532,15 +669,16 @@ def disk_cache_info(directory: str) -> DiskCacheInfo:
 
 
 def clear_disk_cache(directory: str) -> DiskCacheInfo:
-    """Delete every cache entry under ``directory``; returns what was
-    removed (missing directory -> empty report, never an error)."""
+    """Delete every cache entry under ``directory``, stray temp files and
+    legacy ``*.pkl`` entries (unlinked unopened) included; returns the
+    entries removed (missing directory -> empty report, never an error)."""
     info = disk_cache_info(directory)
     try:
         names = os.listdir(directory)
     except OSError:
         names = []
     for name in names:
-        if not (name.endswith(".pkl") or name.endswith(".tmp")):
+        if not name.endswith((SUFFIX, LEGACY_SUFFIX, ".tmp")):
             continue
         try:
             os.remove(os.path.join(directory, name))

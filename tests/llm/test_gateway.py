@@ -219,7 +219,7 @@ class TestCassette:
         first = recorder.sample(MESSAGES, HIGH_TEMPERATURE)
         second = recorder.sample(MESSAGES, HIGH_TEMPERATURE)
         # Two distinct cassette entries, not one overwritten slot.
-        assert len(list(tmp_path.glob("*.pkl"))) == 2
+        assert len(list(tmp_path.glob("*.rec"))) == 2
         replayer = make_gateway(
             mode="replay", cassette_dir=str(tmp_path), backends=("down",)
         )

@@ -212,7 +212,7 @@ class TestBatchReport:
                 solve_cache=SolveCellCache(str(tmp_path / "solve")),
             )
         assert report.simulations == simulation_count() - before
-        assert report.cache.stores == len(list((tmp_path / "sim").glob("*.pkl")))
+        assert report.cache.stores == len(list((tmp_path / "sim").glob("*.rec")))
 
     def test_process_cache_lookups_match_serial(self):
         """Across processes the parent's probe lookups are added to the
@@ -327,7 +327,7 @@ class TestForcedCacheDirectory:
                 cache=True,
             )
         assert report.cache.stores > 0
-        assert len(list((tmp_path / "sim").glob("*.pkl"))) == (
+        assert len(list((tmp_path / "sim").glob("*.rec"))) == (
             report.cache.stores
         )
 
@@ -342,7 +342,7 @@ class TestForcedCacheDirectory:
                 executor=executor,
                 solve_cache=True,
             )
-        assert len(list((tmp_path / "solve").glob("*.pkl"))) == len(MIXED)
+        assert len(list((tmp_path / "solve").glob("*.rec"))) == len(MIXED)
 
 
 class TestProgressAndName:

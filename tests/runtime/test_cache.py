@@ -134,9 +134,9 @@ class TestDiskLayer:
         directory = str(tmp_path / "simcache")
         cache = SimulationCache(directory)
         key = simulation_key(AND_OR, golden_tb, problem.top)
-        (tmp_path / "simcache" / f"{key}.pkl").write_bytes(b"not a pickle")
+        (tmp_path / "simcache" / f"{key}.rec").write_bytes(b"not a record")
         report = cached_run_testbench(AND_OR, golden_tb, problem.top, cache=cache)
-        assert cache.stats.misses == 1
+        assert (cache.stats.misses, cache.stats.corrupt) == (1, 1)
         assert report.passed
 
 
@@ -182,7 +182,7 @@ class TestPeek:
         reader = SimulationCache(directory)
         assert len(reader) == 0
         assert reader.peek(key) is not None
-        assert len(reader) == 1  # promoted: the counted get won't re-unpickle
+        assert len(reader) == 1  # promoted: the counted get won't re-decode
         assert reader.peek(key) is not None
         got = reader.get(key)
         assert got is not None

@@ -8,7 +8,9 @@ space."""
 import os
 import time
 
+from repro.llm.gateway.cassette import CASSETTE_RECORDS, CassetteRecord
 from repro.runtime.cache import (
+    SOLVE_RECORDS,
     DiskTier,
     SolveCellCache,
     SolveCellRecord,
@@ -16,12 +18,12 @@ from repro.runtime.cache import (
     disk_cache_info,
 )
 
-PAYLOAD = "x" * 64
+PAYLOAD = SolveCellRecord(source="x" * 64, system="s")
 
 
 def backdate(tier: DiskTier, key: str, seconds: float) -> float:
     """Shift one entry's mtime ``seconds`` into the past; returns it."""
-    path = os.path.join(tier.directory, f"{key}.pkl")
+    path = os.path.join(tier.directory, f"{key}.rec")
     stamp = time.time() - seconds
     os.utime(path, (stamp, stamp))
     return os.stat(path).st_mtime
@@ -29,7 +31,7 @@ def backdate(tier: DiskTier, key: str, seconds: float) -> float:
 
 class TestUnbounded:
     def test_every_write_stays_on_disk(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"))
+        tier = DiskTier(str(tmp_path / "c"), SOLVE_RECORDS)
         for index in range(20):
             tier.put(f"k{index}", PAYLOAD)
         assert disk_cache_info(tier.directory).entries == 20
@@ -39,13 +41,13 @@ class TestUnbounded:
         directory = str(tmp_path / "c")
         record = SolveCellRecord(source="module m;", system="s")
         SolveCellCache(directory).put("k", record)
-        backdate(DiskTier(directory), "k", 365 * 24 * 3600)
+        backdate(DiskTier(directory, SOLVE_RECORDS), "k", 365 * 24 * 3600)
         reader = SolveCellCache(directory)
         assert reader.get("k") == record
         assert (reader.stats.disk_hits, reader.stats.misses) == (1, 0)
 
     def test_clearing_reclaims_the_space(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"))
+        tier = DiskTier(str(tmp_path / "c"), SOLVE_RECORDS)
         for index in range(3):
             tier.put(f"k{index}", PAYLOAD)
         removed = clear_disk_cache(tier.directory)
@@ -56,23 +58,27 @@ class TestUnbounded:
 
 class TestReadsTouchNothing:
     def test_get_and_peek_leave_the_mtime(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"))
+        tier = DiskTier(str(tmp_path / "c"), SOLVE_RECORDS)
         tier.put("k", PAYLOAD)
         stamp = backdate(tier, "k", 300)
         assert tier.get("k") == PAYLOAD
         assert tier.peek("k") == PAYLOAD
-        path = os.path.join(tier.directory, "k.pkl")
+        path = os.path.join(tier.directory, "k.rec")
         assert os.stat(path).st_mtime == stamp
 
     def test_a_standalone_tier_counts_its_own_corrupt_reads(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"), SolveCellRecord)
-        tier.put("k", PAYLOAD)  # a str, not a SolveCellRecord
+        directory = str(tmp_path / "c")
+        tier = DiskTier(directory, SOLVE_RECORDS)
+        # Another layer's record, not a SolveCellRecord.
+        DiskTier(directory, CASSETTE_RECORDS).put(
+            "k", CassetteRecord(completions=("x",), backend="mock")
+        )
         assert tier.get("k") is None
         assert tier.peek("k") is None
         assert tier.stats.corrupt == 2
 
     def test_a_read_changes_no_counter(self, tmp_path):
-        tier = DiskTier(str(tmp_path / "c"))
+        tier = DiskTier(str(tmp_path / "c"), SOLVE_RECORDS)
         tier.put("k", PAYLOAD)
         before = tier.stats.snapshot()
         assert tier.get("k") == PAYLOAD

@@ -26,7 +26,7 @@ from repro.runtime import (
     system_fingerprint,
 )
 from repro.runtime import batch, cache as cache_module, workers
-from repro.runtime.cache import simulation_count
+from repro.runtime.cache import SOLVE_RECORDS, simulation_count
 from repro.service.worker import serve_cached_record
 
 PROBLEMS = [get_problem(p) for p in ("cb_mux2", "fs_vending")]
@@ -136,7 +136,7 @@ class TestReplayedGridStaysInProcess:
     def test_partly_warm_grid_still_uses_the_pool(self, warm_dir):
         directory, cold_rows = warm_dir
         key = solve_cell_key(system_fingerprint(FACTORY), PROBLEMS[0], 0)
-        os.remove(os.path.join(directory, f"{key}.pkl"))
+        os.remove(os.path.join(directory, f"{key}.rec"))
         rows, report = _grid(SolveCellCache(directory), ProcessExecutor(2))
         assert rows == cold_rows
         assert report.executor == "process[2]"
@@ -145,31 +145,30 @@ class TestReplayedGridStaysInProcess:
 
 
 def _strip_verdicts(directory: str) -> int:
-    """Rewrite every record as a pickle without ``passed``/``score``:
-    what a record stored before the verdict existed looks like."""
+    """Rewrite every record with a null ``passed``/``score``: a source
+    stored without being scored."""
     stripped = 0
     for name in os.listdir(directory):
         path = os.path.join(directory, name)
         with open(path, "rb") as handle:
-            record = pickle.load(handle)
-        object.__delattr__(record, "passed")
-        object.__delattr__(record, "score")
+            record = SOLVE_RECORDS.loads(handle.read())
+        unscored = dataclasses.replace(record, passed=None, score=None)
         with open(path, "wb") as handle:
-            pickle.dump(record, handle)
+            handle.write(SOLVE_RECORDS.dumps(unscored))
         stripped += 1
     return stripped
 
 
 class TestRecordsWithoutVerdict:
-    def test_old_record_unpickles_without_a_verdict(self, tmp_path):
+    def test_null_verdict_round_trips_through_the_codec(self):
         record = SolveCellRecord(source="module m;", system="s")
-        object.__delattr__(record, "passed")
-        object.__delattr__(record, "score")
-        assert "passed" not in pickle.loads(pickle.dumps(record)).__dict__
-        loaded = pickle.loads(pickle.dumps(record))
+        loaded = SOLVE_RECORDS.loads(SOLVE_RECORDS.dumps(record))
         assert (loaded.passed, loaded.score) == (None, None)
+        assert loaded == record
 
-    def test_old_records_are_scored(self, warm_dir, monkeypatch):
+    def test_null_verdict_records_are_scored_on_replay(
+        self, warm_dir, monkeypatch
+    ):
         directory, cold_rows = warm_dir
         assert _strip_verdicts(directory) == len(PROBLEMS) * RUNS
         derived = _count_derivations(monkeypatch)
@@ -190,7 +189,7 @@ class _Vanishing(SolveCellCache):
     def get(self, key):
         self.clear()
         try:
-            os.remove(os.path.join(self.directory, f"{key}.pkl"))
+            os.remove(os.path.join(self.directory, f"{key}.rec"))
         except FileNotFoundError:
             pass
         return super().get(key)
@@ -277,3 +276,26 @@ class TestProblemKeyText:
         monkeypatch.setattr(cache_module, "_stable_repr", fail)
         assert solve_cell_key(fingerprint, problem, 1) != first
         assert solve_cell_key(fingerprint, problem, 0) == first
+
+    def test_keys_are_the_length_prefixed_digest(self):
+        """The memoised hash prefix changes no key byte."""
+        problem = dataclasses.replace(PROBLEMS[0])
+        fingerprint = system_fingerprint(FACTORY)
+        content = cache_module._stable_repr(problem)
+        for seed in (0, 1, 0, 7):
+            assert solve_cell_key(fingerprint, problem, seed) == (
+                cache_module._digest((fingerprint, content, str(seed)))
+            )
+        other = "another-system"
+        assert solve_cell_key(other, problem, 0) == (
+            cache_module._digest((other, content, "0"))
+        )
+
+    def test_a_pickled_problem_keys_the_same(self):
+        """An unregistered problem pickles by value; its hash-state memo
+        travels empty and is rebuilt to the same keys."""
+        problem = dataclasses.replace(PROBLEMS[0])
+        key = solve_cell_key("fp", problem, 1)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert copy is not problem and copy._key_prefixes == {}
+        assert solve_cell_key("fp", copy, 1) == key

@@ -7,6 +7,7 @@ shared directories, and the runtime's wiring."""
 
 import dataclasses
 import errno
+import io
 import os
 import pickle
 import random
@@ -21,6 +22,7 @@ import repro
 from repro.llm.gateway.cassette import CassetteRecord, CassetteStore
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import (
+    SOLVE_RECORDS,
     CacheStats,
     DiskTier,
     SimulationCache,
@@ -158,24 +160,33 @@ class TestMemoryLRU:
         assert cache.stats.evictions == cache.stats.stores - 16
 
 
+class _FullDisk(io.FileIO):
+    """A temp file on a full disk: opening works, writing does not."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestDiskWriteFailure:
     """A failed disk write is counted in ``errors`` and leaves neither
     an entry nor its temp file; the memory copy still serves."""
 
     @pytest.mark.parametrize(
-        "module, name", [(pickle, "dump"), (os, "replace")],
-        ids=["pickle.dump", "os.replace"],
+        "name, replacement",
+        [("fdopen", lambda fd, mode: _FullDisk(fd, mode)), ("replace", _fail)],
+        ids=["write", "os.replace"],
     )
     def test_failed_write_counts_an_error_and_leaves_no_temp_file(
-        self, tmp_path, monkeypatch, module, name
+        self, tmp_path, monkeypatch, name, replacement
     ):
-        def fail(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
         directory = str(tmp_path / "c")
         cache = SolveCellCache(directory)
         record = SolveCellRecord(source="module m;", system="s")
-        monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(os, name, replacement)
         cache.put("k", record)
         monkeypatch.undo()
         assert os.listdir(directory) == []
@@ -196,12 +207,14 @@ class TestDiskWriteFailure:
         assert cache.get("k") is None
         assert (cache.stats.misses, cache.stats.corrupt) == (1, 0)
 
-    def test_pickling_error_propagates_and_leaves_no_temp_file(
+    def test_encoding_error_propagates_and_leaves_no_temp_file(
         self, tmp_path
     ):
+        """A value the codec cannot encode is the caller's bug: it
+        raises before any file is made, and counts no write error."""
         directory = str(tmp_path / "c")
-        tier = DiskTier(directory)
-        with pytest.raises((pickle.PicklingError, AttributeError)):
+        tier = DiskTier(directory, SOLVE_RECORDS)
+        with pytest.raises(TypeError):
             tier.put("k", lambda: None)
         assert os.listdir(directory) == []
         assert tier.stats.errors == 0
@@ -255,20 +268,23 @@ def _corrupt(rng: random.Random, path: str) -> str:
     """Apply one random corruption to a cache file; returns its kind."""
     with open(path, "rb") as handle:
         data = handle.read()
-    mode = rng.choice(["truncate", "flip", "garbage", "wrong-type", "empty"])
+    mode = rng.choice(
+        ["truncate", "flip", "garbage", "wrong-type", "pickle", "empty"]
+    )
     if mode == "truncate":
         cut = rng.randrange(0, max(1, len(data) - 1))
         blob = data[:cut]
     elif mode == "flip":
         blob = bytearray(data)
-        for _ in range(rng.randint(1, 8)):
-            index = rng.randrange(len(blob))
-            blob[index] = rng.randrange(256)
+        for index in rng.sample(range(len(blob)), rng.randint(1, 8)):
+            blob[index] ^= rng.randrange(1, 256)
         blob = bytes(blob)
     elif mode == "garbage":
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 256)))
     elif mode == "wrong-type":
-        blob = pickle.dumps({"not": "a record"})
+        blob = b'{"not": "a record"}'
+    elif mode == "pickle":
+        blob = pickle.dumps(SolveCellRecord(source="module p;", system="s"))
     else:
         blob = b""
     with open(path, "wb") as handle:
@@ -292,7 +308,7 @@ class TestDiskCorruptionProperties:
             )
         broken = rng.sample(keys, rng.randint(1, len(keys)))
         for key in broken:
-            _corrupt(rng, os.path.join(directory, f"{key}.pkl"))
+            _corrupt(rng, os.path.join(directory, f"{key}.rec"))
         reader = SolveCellCache(directory)
         for key in keys:
             value = reader.get(key)  # must never raise
@@ -311,7 +327,7 @@ class TestDiskCorruptionProperties:
         SolveCellCache(directory).put(
             "k", SolveCellRecord(source="module m;", system="s")
         )
-        _corrupt(rng, os.path.join(directory, "k.pkl"))
+        _corrupt(rng, os.path.join(directory, "k.rec"))
         reader = SolveCellCache(directory)
         assert reader.peek("k") is None  # never raises
         assert reader.stats.corrupt == 1
@@ -328,7 +344,7 @@ class TestDiskCorruptionProperties:
         cache = SolveCellCache(directory)
         record = SolveCellRecord(source="module m;", system="s")
         cache.put("k", record)
-        _corrupt(random.Random(7), os.path.join(directory, "k.pkl"))
+        _corrupt(random.Random(7), os.path.join(directory, "k.rec"))
         cache.clear()  # drop the memory copy so the disk read happens
         assert cache.get("k") is None
         cache.put("k", record)
@@ -372,8 +388,10 @@ class TestSharedDirectory:
         each other's values out: the type guard turns them into misses."""
         cls, _ = LAYER_VALUES[layer]
         directory = str(tmp_path / "mixed")
-        foreign = next(v for k, (_, v) in LAYER_VALUES.items() if k != layer)
-        DiskTier(directory).put("k", foreign)
+        foreign_cls, foreign = next(
+            pair for name, pair in LAYER_VALUES.items() if name != layer
+        )
+        foreign_cls(directory).put("k", foreign)
         reader = cls(directory)
         assert reader.get("k") is None
         assert (reader.stats.misses, reader.stats.corrupt) == (1, 1)
@@ -433,7 +451,7 @@ class TestSharedDirectory:
         SolveCellCache(directory).put("k", record)
         stray = os.path.join(directory, "half-written.tmp")
         with open(stray, "wb") as handle:
-            handle.write(pickle.dumps(record)[:5])
+            handle.write(SOLVE_RECORDS.dumps(record)[:5])
         reader = SolveCellCache(directory)
         assert reader.get("k") == record
         assert reader.stats.corrupt == 0
@@ -463,8 +481,8 @@ class TestSharedDirectory:
             SolveCellRecord(source=f"module m{index};" * 20_000, system="s")
             for index in range(4)
         ]
-        writers = [DiskTier(directory, SolveCellRecord) for _ in records]
-        reader = DiskTier(directory, SolveCellRecord)
+        writers = [DiskTier(directory, SOLVE_RECORDS) for _ in records]
+        reader = DiskTier(directory, SOLVE_RECORDS)
         done = threading.Event()
         seen = []
 

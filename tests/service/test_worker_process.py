@@ -170,6 +170,7 @@ class TestChildLifecycle:
         finally:
             proc.kill()
             proc.wait(timeout=30)
+            proc.stdout.close()
         assert _wait_until(lambda: not any(map(_alive, children))), children
 
     def test_ctrl_c_drains_the_job_in_flight(self):

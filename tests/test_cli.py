@@ -579,7 +579,27 @@ def _fail_disk_writes(monkeypatch):
     def full(*args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(cache_module.pickle, "dump", full)
+    monkeypatch.setattr(cache_module.os, "replace", full)
+
+
+def _report():
+    """A simulation report, the value a simulation cache stores."""
+    from repro.tb.runner import TestReport
+    from repro.tb.stimulus import Testbench
+
+    return TestReport(
+        testbench=Testbench(kind="comb", inputs=("a",), outputs=("y",), steps=())
+    )
+
+
+class _MarkerTrap:
+    """Unpickling this creates ``marker``: a file proves a load."""
+
+    def __init__(self, marker: str):
+        self.marker = marker
+
+    def __reduce__(self):
+        return open, (self.marker, "w")
 
 
 class TestCliCacheFabric:
@@ -591,7 +611,7 @@ class TestCliCacheFabric:
         with runtime_session(cache_dir=str(tmp_path / "sim")):
             with monkeypatch.context() as patched:
                 _fail_disk_writes(patched)
-                get_runtime().cache.put("k", "v")
+                get_runtime().cache.put("k", _report())
             assert main(["cache", "--sim-dir", str(tmp_path / "sim")]) == 0
         out = capsys.readouterr().out
         row = next(line for line in out.splitlines() if "this process" in line)
@@ -624,7 +644,7 @@ class TestCliCacheFabric:
         with SolveServer(workers=1, sim_cache=sim_cache) as server:
             with monkeypatch.context() as patched:
                 _fail_disk_writes(patched)
-                sim_cache.put("k", "v")
+                sim_cache.put("k", _report())
             stats = fetch_stats(server.address)
             assert main(["cache", "--service", server.address]) == 0
         assert stats["caches"]["simulation"]["errors"] == 1
@@ -645,8 +665,8 @@ class TestCliCacheFabric:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "solve: cleared" in out and "sim:" not in out
-        assert not list(solve_dir.glob("*.pkl"))
-        assert list(sim_dir.glob("*.pkl"))  # the other layer untouched
+        assert not list(solve_dir.glob("*.rec"))
+        assert list(sim_dir.glob("*.rec"))  # the other layer untouched
 
     def test_cache_clear_both_layers(self, capsys, tmp_path, monkeypatch):
         sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
@@ -658,8 +678,32 @@ class TestCliCacheFabric:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "sim: cleared" in out and "solve: cleared" in out
-        assert not list(sim_dir.glob("*.pkl"))
-        assert not list(solve_dir.glob("*.pkl"))
+        assert not list(sim_dir.glob("*.rec"))
+        assert not list(solve_dir.glob("*.rec"))
+
+    def test_cache_clear_unlinks_legacy_pickles_unread(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``*.pkl`` entries from before the record codec are not
+        entries any more: ``cache`` does not count them, and ``--clear``
+        removes them without unpickling (the planted one would create
+        ``marker``)."""
+        import pickle
+
+        sim_dir, solve_dir = _populate_disk_caches(tmp_path, monkeypatch)
+        marker = tmp_path / "marker"
+        for directory in (sim_dir, solve_dir):
+            (directory / "legacy.pkl").write_bytes(
+                pickle.dumps(_MarkerTrap(str(marker)))
+            )
+        capsys.readouterr()
+        argv = ["cache", "--sim-dir", str(sim_dir), "--solve-dir", str(solve_dir)]
+        assert main(argv) == 0
+        assert main(argv + ["--clear"]) == 0
+        out = capsys.readouterr().out
+        assert "sim: cleared" in out and "solve: cleared" in out
+        assert os.listdir(sim_dir) == os.listdir(solve_dir) == []
+        assert not marker.exists()
 
     def test_cache_clear_unconfigured_errors(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
@@ -763,7 +807,7 @@ class TestCliCacheFabric:
             proc.stdout.close()
         assert f"(disk {sim_dir})" in out
         assert f"(disk {solve_dir})" in out
-        assert len(list(solve_dir.glob("*.pkl"))) == 1
+        assert len(list(solve_dir.glob("*.rec"))) == 1
 
     def test_eval_over_a_servers_cache_directory_matches_local_row(
         self, capsys, tmp_path, monkeypatch
