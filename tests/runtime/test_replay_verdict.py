@@ -291,6 +291,43 @@ class TestProblemKeyText:
             cache_module._digest((other, content, "0"))
         )
 
+    def test_threads_sharing_a_problem_get_the_same_keys(self):
+        """Threads racing to build and copy one problem's memoised hash
+        state all get the plain digest."""
+        import sys
+        import threading
+
+        fingerprint = system_fingerprint(FACTORY)
+        problems = [dataclasses.replace(p) for p in PROBLEMS]
+        expected = {
+            (p.id, seed): cache_module._digest(
+                (fingerprint, cache_module._stable_repr(p), str(seed))
+            )
+            for p in problems
+            for seed in range(8)
+        }
+        wrong = []
+
+        def work():
+            for _ in range(50):
+                for (pid, seed), key in expected.items():
+                    problem = next(p for p in problems if p.id == pid)
+                    if solve_cell_key(fingerprint, problem, seed) != key:
+                        wrong.append((pid, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
     def test_a_pickled_problem_keys_the_same(self):
         """An unregistered problem pickles by value; its hash-state memo
         travels empty and is rebuilt to the same keys."""
