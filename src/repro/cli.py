@@ -417,7 +417,6 @@ def _cmd_cache(args) -> int:
         )
         print(
             f"  requests: submitted {broker.get('submitted', 0)}, "
-            f"deduped {broker.get('deduped', 0)}, "
             f"completed {broker.get('completed', 0)}, "
             f"failed {broker.get('failed', 0)}, "
             f"rejected {broker.get('rejected', 0)}"
@@ -755,7 +754,6 @@ def _cmd_submit(args) -> int:
                 args.system,
                 args.problem,
                 seed=args.seed,
-                priority=args.priority,
                 events=sink,
             )
     except (OSError, ValueError, ServiceError, ProtocolError) as exc:
@@ -763,12 +761,11 @@ def _cmd_submit(args) -> int:
         return 2
     if args.source:
         print(outcome.source)
-    flags = " [dedup]" if outcome.dedup else ""
     print(
         f"{outcome.system} {args.problem}: "
         f"{'PASS' if outcome.passed else 'FAIL'} "
         f"score {outcome.score:.3f} ({outcome.seconds:.2f}s) "
-        f"cache: {'hit' if outcome.cached else 'miss'}{flags}"
+        f"cache: {'hit' if outcome.cached else 'miss'}"
     )
     return 0 if outcome.passed else 1
 
@@ -1005,9 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         "127.0.0.1:7341)",
     )
     submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--priority", type=int, default=0, help="higher runs sooner"
-    )
     submit.add_argument(
         "--quiet", action="store_true", help="suppress the event stream"
     )

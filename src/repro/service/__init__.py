@@ -1,8 +1,8 @@
 """``repro.service``: a long-lived solve service over the event stream.
 
 The one-shot :func:`~repro.runtime.batch.evaluate_many` model, turned
-into a service: a localhost TCP :class:`SolveServer` owns a priority
-:class:`Broker` (with backpressure and in-flight dedup), a pool of
+into a service: a localhost TCP :class:`SolveServer` owns a bounded
+FIFO :class:`Broker` (backpressure, one subscriber per job), a pool of
 long-lived :class:`~repro.service.worker.Worker` s -- each a broker
 consumer thread driving one :class:`~repro.runtime.executor.WorkerProcess`,
 the child a local ``--jobs N`` grid runs its cells on -- and both
@@ -30,7 +30,6 @@ from repro.service.broker import (
     BrokerFull,
     BrokerStats,
     Job,
-    Subscription,
 )
 from repro.service.client import (
     GridReport,
@@ -93,7 +92,6 @@ __all__ = [
     "SolveRequest",
     "SolveServer",
     "StatsReply",
-    "Subscription",
     "Worker",
     "encode_frame",
     "fetch_stats",

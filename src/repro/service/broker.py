@@ -1,34 +1,24 @@
-"""Task broker: priority queue, backpressure, and in-flight dedup.
+"""Task broker: a bounded FIFO between request handlers and workers.
 
 The broker sits between connection handlers (producers) and the worker
-pool (consumers).  Three properties matter:
+pool (consumers).  Jobs pop in submission order.  At most
+``max_pending`` jobs may be queued; beyond that :meth:`Broker.submit`
+raises :class:`BrokerFull` and the server turns it into an error frame
+instead of buffering unboundedly.
 
-- **Priority**: jobs pop highest-``priority`` first, FIFO within a
-  priority level (a monotonic sequence number breaks ties), so a sweep
-  submitted at priority 0 never starves an interactive submit at 5.
-- **Backpressure**: at most ``max_pending`` jobs may be queued; beyond
-  that :meth:`Broker.submit` raises :class:`BrokerFull` and the server
-  turns it into an error frame instead of buffering unboundedly.
-- **In-flight dedup**: jobs are keyed by ``(system, problem, seed)`` --
-  the same triple that addresses the solve-cell cache.  A submit whose
-  key matches a queued *or running* job attaches to it instead of
-  enqueuing a second execution: every subscriber replays the events the
-  job has already published, then receives the rest live, and all of
-  them get the one terminal outcome.  Two clients racing on the same
-  cell therefore cost exactly one pipeline execution.
-
-Everything is thread-safe; subscribers drain their own
-:class:`Subscription` queue so a slow client never blocks the worker
-that publishes.
+Each job has one subscriber, the handler that submitted it: the worker
+publishes the run's events into the job's own message queue and ends
+it with exactly one terminal message, so a slow client never blocks
+the worker.  Two requests for the same cold cell are two jobs; the
+worker's solve-cache lookup serves whichever runs second.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import queue
 import threading
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator
 
 
@@ -40,102 +30,46 @@ class BrokerClosed(Exception):
     """The broker is draining or shut down; no new submissions."""
 
 
-# Subscription messages: ("event", Event) | ("done", result) | ("error", msg)
-class Subscription:
-    """One subscriber's private view of a job's stream."""
-
-    def __init__(self) -> None:
-        self._queue: "queue.SimpleQueue[tuple[str, Any]]" = queue.SimpleQueue()
-
-    def _push(self, kind: str, payload: Any) -> None:
-        self._queue.put((kind, payload))
-
-    def get(self, timeout: float | None = None) -> tuple[str, Any]:
-        return self._queue.get(timeout=timeout)
-
-    def __iter__(self) -> Iterator[tuple[str, Any]]:
-        """Yield messages until (and including) the terminal one."""
-        while True:
-            kind, payload = self.get()
-            yield kind, payload
-            if kind in ("done", "error"):
-                return
-
-
 @dataclass
 class BrokerStats:
-    """Counters for the dedup/backpressure contract (lock in Broker)."""
+    """Request counters (guarded by the broker's lock)."""
 
     submitted: int = 0
-    deduped: int = 0
     completed: int = 0
     failed: int = 0
     rejected: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "deduped": self.deduped,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-        }
+        return asdict(self)
 
 
-@dataclass
+# Job messages: ("event", Event) | ("done", result) | ("error", message)
+@dataclass(eq=False)
 class Job:
-    """One unique cell execution plus everyone listening to it."""
+    """One queued cell and the message queue its subscriber reads."""
 
-    key: tuple[str, str, int]
     system: str
     problem: str
     seed: int
-    priority: int = 0
-    # Set (under the broker lock) when a worker pops the job; stale heap
-    # entries left behind by a priority bump are skipped on pop.
-    dispatched: bool = False
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _subscribers: list[Subscription] = field(default_factory=list, repr=False)
-    _events: list = field(default_factory=list, repr=False)
-    _outcome: tuple[str, Any] | None = field(default=None, repr=False)
-
-    def subscribe(self) -> Subscription:
-        """Attach a subscriber; replays history, then streams live."""
-        sub = Subscription()
-        with self._lock:
-            for event in self._events:
-                sub._push("event", event)
-            if self._outcome is not None:
-                sub._push(*self._outcome)
-            else:
-                self._subscribers.append(sub)
-        return sub
+    messages: "queue.SimpleQueue[tuple[str, Any]]" = field(
+        default_factory=queue.SimpleQueue, repr=False
+    )
 
     def publish(self, event) -> None:
-        """Fan one run event out to every subscriber (and the replay log)."""
-        with self._lock:
-            self._events.append(event)
-            listeners = list(self._subscribers)
-        for sub in listeners:
-            sub._push("event", event)
+        """Pass one run event to the subscriber."""
+        self.messages.put(("event", event))
 
-    def _settle(self, kind: str, payload: Any) -> None:
-        with self._lock:
-            if self._outcome is not None:
+    def __iter__(self) -> Iterator[tuple[str, Any]]:
+        """Yield messages until (and including) the terminal one."""
+        while True:
+            kind, payload = self.messages.get()
+            yield kind, payload
+            if kind != "event":
                 return
-            self._outcome = (kind, payload)
-            listeners, self._subscribers = self._subscribers, []
-        for sub in listeners:
-            sub._push(kind, payload)
-
-    @property
-    def events(self) -> list:
-        with self._lock:
-            return list(self._events)
 
 
 class Broker:
-    """Thread-safe priority queue with keyed in-flight dedup."""
+    """Thread-safe bounded FIFO of jobs."""
 
     def __init__(self, max_pending: int = 256):
         if max_pending < 1:
@@ -144,89 +78,52 @@ class Broker:
         self.stats = BrokerStats()
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        self._heap: list[tuple[int, int, Job]] = []
-        self._inflight: dict[tuple[str, str, int], Job] = {}
-        self._queued = 0  # undispatched jobs (the heap may hold stale dupes)
-        self._seq = itertools.count()
+        self._queue: deque[Job] = deque()
         self._closed = False
 
     def __len__(self) -> int:
         with self._lock:
-            return self._queued
+            return len(self._queue)
 
-    def submit(
-        self, system: str, problem: str, seed: int, priority: int = 0
-    ) -> tuple[Job, Subscription, bool]:
-        """Enqueue (or join) one cell; returns (job, subscription, deduped)."""
-        key = (system, problem, int(seed))
+    def submit(self, system: str, problem: str, seed: int) -> Job:
+        """Enqueue one cell; the caller reads the returned job."""
         with self._ready:
             if self._closed:
                 raise BrokerClosed("broker is shut down")
-            self.stats.submitted += 1
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self.stats.deduped += 1
-                if priority > existing.priority and not existing.dispatched:
-                    # The attaching submit outranks the queued job: bump
-                    # it by pushing a fresh heap entry (the old one goes
-                    # stale and is skipped on pop).
-                    existing.priority = priority
-                    heapq.heappush(
-                        self._heap, (-priority, next(self._seq), existing)
-                    )
-                return existing, existing.subscribe(), True
-            if self._queued >= self.max_pending:
+            if len(self._queue) >= self.max_pending:
                 self.stats.rejected += 1
-                self.stats.submitted -= 1
                 raise BrokerFull(
                     f"queue full ({self.max_pending} pending jobs)"
                 )
-            job = Job(
-                key=key,
-                system=system,
-                problem=problem,
-                seed=int(seed),
-                priority=priority,
-            )
-            self._inflight[key] = job
-            heapq.heappush(self._heap, (-priority, next(self._seq), job))
-            self._queued += 1
+            self.stats.submitted += 1
+            job = Job(system=system, problem=problem, seed=int(seed))
+            self._queue.append(job)
             self._ready.notify()
-            return job, job.subscribe(), False
+            return job
 
     def next_job(self, timeout: float | None = None) -> Job | None:
-        """Pop the highest-priority job; blocks.  None = drained + closed.
+        """Pop the oldest job; blocks.  None = drained + closed.
 
-        After :meth:`close`, queued jobs keep popping until the heap is
-        empty (graceful drain), then every waiter gets None.
+        After :meth:`close`, queued jobs keep popping until the queue
+        is empty (graceful drain), then every waiter gets None.
         """
         with self._ready:
-            while True:
-                while self._heap:
-                    _, _, job = heapq.heappop(self._heap)
-                    if job.dispatched:
-                        continue  # stale entry from a priority bump
-                    job.dispatched = True
-                    self._queued -= 1
-                    return job
-                if self._closed:
+            while not self._queue:
+                if self._closed or not self._ready.wait(timeout=timeout):
                     return None
-                if not self._ready.wait(timeout=timeout):
-                    return None
+            return self._queue.popleft()
 
     def finish(self, job: Job, result) -> None:
-        """Publish the terminal result and retire the key."""
-        with self._ready:
-            self._inflight.pop(job.key, None)
+        """Publish the terminal result."""
+        with self._lock:
             self.stats.completed += 1
-        job._settle("done", result)
+        job.messages.put(("done", result))
 
     def fail(self, job: Job, message: str) -> None:
-        """Publish a terminal error and retire the key."""
-        with self._ready:
-            self._inflight.pop(job.key, None)
+        """Publish a terminal error."""
+        with self._lock:
             self.stats.failed += 1
-        job._settle("error", message)
+        job.messages.put(("error", message))
 
     def close(self) -> None:
         """Refuse new submissions; queued jobs still drain to workers."""
@@ -235,33 +132,21 @@ class Broker:
             self._ready.notify_all()
 
     def abort(self, message: str = "server killed") -> int:
-        """Close *and* fail every undispatched job immediately.
+        """Close *and* fail every queued job immediately.
 
         The ungraceful twin of :meth:`close`, used by a server being
         killed rather than drained: subscribers of queued jobs get a
-        terminal error frame (so remote clients fail or retry the cell at
+        terminal error (so remote clients fail or retry the cell at
         once) instead of waiting on workers that will never run them.
-        Jobs already dispatched to a worker finish normally.  Returns how
+        Jobs already popped by a worker finish normally.  Returns how
         many queued jobs were failed.
         """
-        aborted: list[Job] = []
         with self._ready:
             self._closed = True
-            while self._heap:
-                _, _, job = heapq.heappop(self._heap)
-                if job.dispatched:
-                    continue  # stale entry from a priority bump
-                job.dispatched = True
-                self._queued -= 1
-                self._inflight.pop(job.key, None)
-                self.stats.failed += 1
-                aborted.append(job)
+            aborted = list(self._queue)
+            self._queue.clear()
+            self.stats.failed += len(aborted)
             self._ready.notify_all()
         for job in aborted:
-            job._settle("error", message)
+            job.messages.put(("error", message))
         return len(aborted)
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed

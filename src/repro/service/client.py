@@ -18,10 +18,12 @@ finished.
 
 **Server failure.**  A cell that hits a transport failure (connection
 severed, half-written frame, server restarted) is retried once on a
-fresh connection; re-running a cell is harmless, because its outcome is
-a pure function of ``(system, problem, seed)`` and the server dedups
-in-flight work.  A cell that fails its retry fails the whole grid with
-a :class:`ServiceError` naming the address and the last error.
+fresh connection.  Re-running a cell is harmless: its outcome is a pure
+function of ``(system, problem, seed)``, and the server's caches store
+each record with an atomic temp-file-and-rename, so a cell solved twice
+leaves one valid record with the same content.  A cell that fails its
+retry fails the whole grid with a :class:`ServiceError` naming the
+address and the last error.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ class ServiceError(Exception):
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Terminal result of one submitted cell."""
+    """Terminal result of one submitted cell.
+
+    ``dedup`` is always False (each request is its own job); the
+    benchmark client in ``perfbench/`` still reads it.
+    """
 
     source: str
     passed: bool
@@ -253,7 +259,6 @@ class MultiplexedClient:
         system: str,
         problem: str,
         seed: int = 0,
-        priority: int = 0,
         events: EventSink | Callable[[Event], None] | None = None,
     ) -> SolveOutcome:
         """Blocking submit, safe to call from any number of threads."""
@@ -267,7 +272,6 @@ class MultiplexedClient:
                     system=system,
                     problem=problem,
                     seed=seed,
-                    priority=priority,
                     stream=stream,
                 )
             )
@@ -276,7 +280,6 @@ class MultiplexedClient:
                 raise ServiceError(ack.message)
             if not isinstance(ack, Ack):
                 raise ProtocolError(f"expected ack, got {ack.type!r}")
-            dedup = ack.dedup
             while True:
                 frame = self._await(waiter)
                 if isinstance(frame, EventFrame):
@@ -289,7 +292,6 @@ class MultiplexedClient:
                         seconds=frame.seconds,
                         system=frame.system,
                         cached=frame.cached,
-                        dedup=frame.dedup or dedup,
                     )
                 elif isinstance(frame, ErrorFrame):
                     raise ServiceError(frame.message)
@@ -349,7 +351,6 @@ class GridReport:
     wall_seconds: float = 0.0
     cells: int = 0
     cached_cells: int = 0
-    dedup_cells: int = 0
     retried_cells: int = 0
     latencies: list[float] = field(default_factory=list)
 
@@ -377,7 +378,6 @@ class GridReport:
                 f"grid cells      {self.cells:8d}  "
                 f"({self.cells_per_second:.2f} cells/s)",
                 f"cache-served    {self.cached_cells:8d}",
-                f"dedup-shared    {self.dedup_cells:8d}",
                 f"retried         {self.retried_cells:8d}",
                 f"latency         mean {self.mean_latency * 1000.0:8.1f} ms  "
                 f"max {self.max_latency * 1000.0:8.1f} ms",
@@ -543,8 +543,6 @@ def solve_grid(
             report.latencies.append(latency)
             if outcome.cached:
                 report.cached_cells += 1
-            if outcome.dedup:
-                report.dedup_cells += 1
             by_problem.setdefault(cell.problem_index, []).append(outcome)
             sink.emit(
                 CellFinished(

@@ -12,10 +12,11 @@ there is exactly one dialect.
 
 The per-request conversation:
 
-- ``SolveRequest``  -> :class:`Ack`, then zero or more
+- ``SolveRequest`` (system, problem, seed, stream) -> :class:`Ack`
+  (only the request id: the cell was accepted), then zero or more
   :class:`EventFrame` (the run's typed event stream, live on a cold
-  cell, replayed on a warm one), then exactly one :class:`Done` or
-  :class:`ErrorFrame`;
+  cell, replayed on a warm one), then exactly one :class:`Done` (which
+  says whether the solve-cell cache served it) or :class:`ErrorFrame`;
 - ``ControlRequest`` -> one :class:`StatsReply` (``stats``),
   :class:`Ack` (``ping``/``shutdown``), or :class:`ErrorFrame`.
 
@@ -46,7 +47,7 @@ from repro.core.events import Event
 
 #: The one version this process speaks, stamped on every frame and
 #: required of every frame it reads.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # Generous ceiling: frames hold one JSON-encoded event or result, not
 # bulk data.  Anything larger is a corrupt or hostile stream.
@@ -100,7 +101,6 @@ class Frame:
 class SolveRequest(Frame):
     """Submit one solve cell: (registered system, problem id, seed).
 
-    ``priority`` orders the broker's queue (higher runs sooner);
     ``stream`` asks for the per-run event frames (grid clients turn it
     off and read only the terminal frame).
     """
@@ -110,7 +110,6 @@ class SolveRequest(Frame):
     system: str
     problem: str
     seed: int = 0
-    priority: int = 0
     stream: bool = True
 
 
@@ -125,18 +124,10 @@ class ControlRequest(Frame):
 
 @dataclass(frozen=True)
 class Ack(Frame):
-    """The request was accepted (and how it will be served).
-
-    ``dedup`` marks a submit that attached to an identical in-flight
-    cell; ``cached`` marks one served straight from the solve-cell
-    cache without touching a worker.
-    """
+    """The request was accepted (a solve, ``ping`` or ``shutdown``)."""
 
     type: ClassVar[str] = "ack"
     id: int
-    key: str = ""
-    dedup: bool = False
-    cached: bool = False
 
 
 @dataclass(frozen=True)
@@ -163,9 +154,7 @@ class EventFrame(Frame):
 class Done(Frame):
     """Terminal frame of a solve: the scored result.
 
-    ``cached`` records whether the solve-cell cache served the run;
-    ``dedup`` whether this subscriber shared another client's
-    execution.
+    ``cached`` records whether the solve-cell cache served the run.
     """
 
     type: ClassVar[str] = "done"
@@ -176,7 +165,6 @@ class Done(Frame):
     seconds: float
     system: str = ""
     cached: bool = False
-    dedup: bool = False
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,16 @@ Requests route through a shared :class:`~repro.service.broker.Broker`
 into a pool of long-lived :class:`~repro.service.worker.Worker` s, each
 a broker consumer thread driving one child process, so ``--workers N``
 solves on N processes.  Both cache layers live in the server process
-(workers store what their children solve), so the layered serving
-ladder is:
+(workers store what their children solve), so a request is served by
+one of two rungs:
 
 1. **solve-cell cache hit** -- served inline by the request's handler
    thread (events replayed, scoring via the simulation cache); no
    worker is touched and no queue slot is consumed;
-2. **in-flight dedup** -- an identical queued/running cell adopts the
-   new subscriber; one execution, n streams;
-3. **cold cell** -- queued by priority, executed by the next free
-   worker, and stored in both caches on the way out.
+2. **cold cell** -- queued in FIFO order, taken by the next free
+   worker, and stored in both caches on the way out.  The worker looks
+   the cell up once more before it solves, so a twin request popped
+   after the first solve stored its record replays that record.
 
 Servers and local evaluations that should share warm cells point at
 the same cache directories: the disk tier writes atomically, so a cell
@@ -283,9 +283,10 @@ class SolveServer:
         One counted ``get`` is the whole decision: the record it
         returns is the record that gets served (no probe/serve gap for
         eviction to slip through, disk hits attributed correctly).  A
-        cold submit therefore counts a broker-side miss in addition to
-        the worker's own lookup -- the worker lookup stays, because a
-        dedup-raced store may have landed by the time the job runs.
+        cold submit therefore counts a miss here in addition to the
+        worker's own lookup -- the worker lookup stays, because a twin
+        of the cell solved while this one queued has stored its record
+        by the time the job runs, and is replayed instead of solved.
         """
         if self.solve_cache is None:
             return None
@@ -416,29 +417,26 @@ class SolveServer:
             )
 
     def _solve_request(self, conn: _Connection, req: SolveRequest) -> None:
-        key = f"{req.system}/{req.problem}/{req.seed}"
         record = self.fetch_cached(req.system, req.problem, req.seed)
         if record is not None:
             # Warm path: serve inline from the already-fetched record;
             # the worker pool and queue are never touched.  A record
             # evicted between probe and fetch simply lands on the cold
             # path below, so an inline solve can never execute a
-            # pipeline outside the broker's queue and dedup.
-            conn.send(Ack(id=req.id, key=key, cached=True))
+            # pipeline outside the broker's queue.
+            conn.send(Ack(id=req.id))
             self._serve_record(conn, req, record)
             return
         try:
-            job, sub, deduped = self.broker.submit(
-                req.system, req.problem, req.seed, priority=req.priority
-            )
+            job = self.broker.submit(req.system, req.problem, req.seed)
         except BrokerFull as exc:
             conn.send(ErrorFrame(id=req.id, message=f"busy: {exc}"))
             return
         except BrokerClosed as exc:
             conn.send(ErrorFrame(id=req.id, message=str(exc)))
             return
-        conn.send(Ack(id=req.id, key=key, dedup=deduped))
-        for kind, payload in sub:
+        conn.send(Ack(id=req.id))
+        for kind, payload in job:
             if kind == "event":
                 if req.stream and not conn.send(
                     EventFrame(id=req.id, event=payload)
@@ -454,7 +452,6 @@ class SolveServer:
                         seconds=payload.seconds,
                         system=payload.system,
                         cached=payload.solve_cached,
-                        dedup=deduped,
                     )
                 )
             else:
@@ -525,7 +522,7 @@ class SolveServer:
     # -- introspection ---------------------------------------------------
 
     def executed_count(self) -> int:
-        """Pipeline executions across the pool (dedup/cache verification)."""
+        """Pipeline executions across the pool (cache verification)."""
         return self.stats.snapshot()["executed"]
 
     def stats_snapshot(self) -> dict:

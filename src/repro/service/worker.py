@@ -1,22 +1,22 @@
 """Long-lived solve workers: a broker consumer thread driving one process.
 
-A :class:`Worker` is a daemon thread bound to a
-:class:`~repro.service.broker.Broker`, so priority, in-flight dedup and
-the graceful drain live where they always did.  Each worker drives one
-spawned :class:`~repro.runtime.executor.WorkerProcess` (the child a local
-``--jobs N`` pool forks N of) and runs each cold job there as one grid
-cell, :func:`~repro.runtime.workers.run_cell`, relaying its events live:
-``serve --workers N`` solves on N processes, and parity with a local
-grid is structural.
+A :class:`Worker` is a daemon thread that pops jobs from the server's
+FIFO :class:`~repro.service.broker.Broker` until the drain ends and
+publishes each job's events and outcome into the job.  Each worker
+drives one spawned :class:`~repro.runtime.executor.WorkerProcess` (the
+child a local ``--jobs N`` pool forks N of) and runs each cold job there
+as one grid cell, :func:`~repro.runtime.workers.run_cell`, relaying its
+events live: ``serve --workers N`` solves on N processes, and parity
+with a local grid is structural.
 
 The parent owns the solve-cell cache.  It looks the cell up before
-dispatching (a dedup-raced store may have landed since the server's own
-probe) and stores the solved record, verdict and relayed events
-included, so a repeated submit replays without simulating.  The child's
-simulation cache lives on the server's directory, and each cell's delta
-of its counters joins the server's row.  ``executed`` counts only jobs
-whose pipeline actually ran -- the counter the dedup and cache contracts
-are verified against.
+dispatching (a twin request solved while this one queued has stored
+its record since the server's own probe) and stores the solved record,
+verdict and relayed events included, so a repeated submit replays
+without simulating.  The child's simulation cache lives on the server's
+directory, and each cell's delta of its counters joins the server's
+row.  ``executed`` counts only jobs whose pipeline actually ran -- the
+counter the cache contract is verified against.
 """
 
 from __future__ import annotations
@@ -233,6 +233,9 @@ class Worker(threading.Thread):
             self._child.close()
 
     def _run(self, job) -> None:
+        # Look the cell up again before solving: a twin of this request
+        # that queued earlier may have been solved and stored since the
+        # server's own lookup, and is then replayed, not solved twice.
         key = None
         if self.solve_cache is not None:
             key = service_cell_key(

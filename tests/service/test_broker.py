@@ -1,4 +1,4 @@
-"""Broker contract: priority, backpressure, in-flight dedup, drain."""
+"""Broker contract: FIFO order, one terminal message, backpressure, drain."""
 
 import threading
 
@@ -8,10 +8,10 @@ from repro.core.events import TestbenchReady
 from repro.service.broker import Broker, BrokerClosed, BrokerFull
 
 
-def _drain(subscription):
-    """Collect (events, outcome) from one subscription."""
+def _drain(job):
+    """Collect (events, outcome) from one job's messages."""
     events, outcome = [], None
-    for kind, payload in subscription:
+    for kind, payload in job:
         if kind == "event":
             events.append(payload)
         else:
@@ -19,98 +19,94 @@ def _drain(subscription):
     return events, outcome
 
 
-class TestPriority:
-    def test_higher_priority_pops_first(self):
+def _terminal_messages(job) -> list:
+    """Every terminal message waiting in a settled job's queue."""
+    terminal = []
+    while not job.messages.empty():
+        kind, payload = job.messages.get_nowait()
+        if kind != "event":
+            terminal.append((kind, payload))
+    return terminal
+
+
+class TestOrder:
+    def test_jobs_pop_in_submission_order(self):
         broker = Broker()
-        broker.submit("s", "low", 0, priority=0)
-        broker.submit("s", "high", 0, priority=5)
-        assert broker.next_job().problem == "high"
-        assert broker.next_job().problem == "low"
-
-    def test_fifo_within_a_priority_level(self):
-        broker = Broker()
-        for name in ("a", "b", "c"):
-            broker.submit("s", name, 0, priority=1)
-        assert [broker.next_job().problem for _ in range(3)] == ["a", "b", "c"]
-
-
-class TestDedup:
-    def test_identical_submits_share_one_job(self):
-        broker = Broker()
-        job1, sub1, dedup1 = broker.submit("mage", "cb_mux2", 3)
-        job2, sub2, dedup2 = broker.submit("mage", "cb_mux2", 3)
-        assert job1 is job2
-        assert not dedup1 and dedup2
-        assert broker.stats.deduped == 1
-        assert len(broker) == 1  # one queued execution, two subscribers
-
-        event = TestbenchReady(total_checks=4)
-        job = broker.next_job()
-        job.publish(event)
-        broker.finish(job, "result")
-        for sub in (sub1, sub2):
-            events, outcome = _drain(sub)
-            assert events == [event]
-            assert outcome == ("done", "result")
-
-    def test_dedup_bumps_queued_priority(self):
-        """A high-priority duplicate must not wait behind a sweep: the
-        attach re-ranks the shared queued job."""
-        broker = Broker()
-        broker.submit("s", "sweep1", 0, priority=0)
-        broker.submit("s", "cell", 0, priority=0)
-        broker.submit("s", "sweep2", 0, priority=0)
-        _, _, dedup = broker.submit("s", "cell", 0, priority=9)
-        assert dedup
-        assert broker.next_job().problem == "cell"  # jumped the sweep
-        assert broker.next_job().problem == "sweep1"
-        assert broker.next_job().problem == "sweep2"
-        assert len(broker) == 0  # the stale bumped entry was not double-counted
+        for name in ("c", "a", "b", "a2"):
+            broker.submit("s", name, 0)
+        assert [broker.next_job().problem for _ in range(4)] == [
+            "c",
+            "a",
+            "b",
+            "a2",
+        ]
         assert broker.next_job(timeout=0.01) is None
 
-    def test_different_seed_is_a_different_job(self):
+    def test_identical_submits_are_separate_jobs(self):
+        """No in-flight sharing: the same cell twice is two queued jobs,
+        each read by its own subscriber."""
         broker = Broker()
-        job1, _, _ = broker.submit("mage", "cb_mux2", 0)
-        job2, _, dedup = broker.submit("mage", "cb_mux2", 1)
-        assert job1 is not job2 and not dedup
+        first = broker.submit("mage", "cb_mux2", 3)
+        second = broker.submit("mage", "cb_mux2", 3)
+        assert first is not second
+        assert len(broker) == 2
+        assert broker.next_job() is first
+        assert broker.next_job() is second
+        assert broker.stats.submitted == 2
 
-    def test_running_job_still_dedups(self):
-        """Dedup covers popped-but-unfinished jobs, not just queued ones."""
-        broker = Broker()
-        job, _, _ = broker.submit("s", "p", 0)
-        assert broker.next_job() is job  # now "running"
-        again, _, dedup = broker.submit("s", "p", 0)
-        assert again is job and dedup
 
-    def test_finished_key_starts_fresh(self):
+class TestMessages:
+    def test_events_then_one_outcome(self):
         broker = Broker()
-        job, _, _ = broker.submit("s", "p", 0)
+        job = broker.submit("s", "p", 0)
+        event = TestbenchReady(total_checks=4)
+        assert broker.next_job() is job
+        job.publish(event)
+        broker.finish(job, "result")
+        assert _drain(job) == ([event], ("done", "result"))
+        assert broker.stats.completed == 1
+
+    def test_failure_is_a_terminal_error(self):
+        broker = Broker()
+        job = broker.submit("s", "p", 0)
         broker.next_job()
-        broker.finish(job, "r")
-        fresh, _, dedup = broker.submit("s", "p", 0)
-        assert fresh is not job and not dedup
-
-    def test_late_subscriber_replays_history(self):
-        broker = Broker()
-        job, _, _ = broker.submit("s", "p", 0)
-        first = TestbenchReady(total_checks=1)
-        second = TestbenchReady(total_checks=2)
-        job.publish(first)
-        late = job.subscribe()
-        job.publish(second)
-        broker.finish(job, "r")
-        events, outcome = _drain(late)
-        assert events == [first, second]
-        assert outcome == ("done", "r")
-
-    def test_subscribe_after_settle_gets_outcome(self):
-        broker = Broker()
-        job, _, _ = broker.submit("s", "p", 0)
         broker.fail(job, "boom")
-        events, outcome = _drain(job.subscribe())
-        assert events == []
-        assert outcome == ("error", "boom")
+        assert _drain(job) == ([], ("error", "boom"))
         assert broker.stats.failed == 1
+
+    @pytest.mark.parametrize("attempt", range(5))
+    def test_abort_racing_a_finishing_worker(self, attempt):
+        """A worker finishes the jobs it popped while the server aborts
+        the queue: every job gets exactly one terminal message, and the
+        broker counts each job once."""
+        broker = Broker()
+        jobs = [broker.submit("s", f"p{i}", attempt) for i in range(200)]
+        popped = threading.Event()
+
+        def work():
+            while (job := broker.next_job(timeout=1)) is not None:
+                popped.set()
+                job.publish(TestbenchReady(total_checks=1))
+                broker.finish(job, job.problem)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        popped.wait(timeout=10)
+        aborted = broker.abort("server killed")
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        outcomes = [_terminal_messages(job) for job in jobs]
+        assert all(len(terminal) == 1 for terminal in outcomes)
+        done = [t for (t,) in outcomes if t[0] == "done"]
+        errors = [t for (t,) in outcomes if t[0] == "error"]
+        assert len(errors) == aborted
+        assert all(message == "server killed" for _, message in errors)
+        assert broker.stats.completed == len(done)
+        assert broker.stats.failed == aborted
+        assert len(done) + aborted == broker.stats.submitted == len(jobs)
+        # Aborting ran FIFO too: the finished jobs are a prefix.
+        finished = {payload for _, payload in done}
+        assert finished == {job.problem for job in jobs[: len(done)]}
 
 
 class TestBackpressure:
@@ -120,10 +116,11 @@ class TestBackpressure:
         broker.submit("s", "b", 0)
         with pytest.raises(BrokerFull):
             broker.submit("s", "c", 0)
-        assert broker.stats.rejected == 1
-        # Duplicates of queued work still attach: dedup costs no slot.
-        _, _, dedup = broker.submit("s", "a", 0)
-        assert dedup
+        # A duplicate of queued work needs its own slot as well.
+        with pytest.raises(BrokerFull):
+            broker.submit("s", "a", 0)
+        assert broker.stats.rejected == 2
+        assert broker.stats.submitted == 2
 
     def test_popping_frees_a_slot(self):
         broker = Broker(max_pending=1)
@@ -147,6 +144,20 @@ class TestDrain:
         assert broker.next_job().problem == "a"
         assert broker.next_job().problem == "b"
         assert broker.next_job() is None
+
+    def test_abort_fails_only_queued_jobs(self):
+        broker = Broker()
+        running = broker.submit("s", "a", 0)
+        queued = broker.submit("s", "b", 0)
+        assert broker.next_job() is running
+        assert broker.abort("server killed") == 1
+        assert _drain(queued) == ([], ("error", "server killed"))
+        assert len(broker) == 0
+        assert broker.next_job() is None
+        with pytest.raises(BrokerClosed):
+            broker.submit("s", "c", 0)
+        broker.finish(running, "r")  # a popped job still finishes
+        assert _drain(running) == ([], ("done", "r"))
 
     def test_close_wakes_blocked_workers(self):
         broker = Broker()

@@ -24,11 +24,11 @@ from repro.service.protocol import (
 )
 
 FRAMES = [
-    SolveRequest(id=1, system="mage", problem="cb_mux2", seed=3, priority=5),
+    SolveRequest(id=1, system="mage", problem="cb_mux2", seed=3),
     SolveRequest(id=2, system="mage", problem="cb_mux2", stream=False),
     ControlRequest(id=3, op="stats"),
-    Ack(id=4, key="mage/cb_mux2/3", dedup=True),
-    Ack(id=5, key="k", cached=True),
+    Ack(id=4),
+    ControlRequest(id=5, op="ping"),
     EventFrame(id=6, event=TestbenchReady(total_checks=4, regen_index=1)),
     EventFrame(
         id=7,
@@ -42,7 +42,6 @@ FRAMES = [
         seconds=0.25,
         system="mage[x]",
         cached=True,
-        dedup=True,
     ),
     ErrorFrame(id=9, message="busy: queue full"),
     StatsReply(id=10, stats={"broker": {"submitted": 2}}),
@@ -76,6 +75,45 @@ class TestFraming:
         data = json.dumps(payload).encode()
         stream = io.BytesIO(struct.pack(">I", len(data)) + data)
         with pytest.raises(ProtocolError, match="version mismatch"):
+            read_frame(stream)
+
+    def test_frames_carry_only_the_v4_fields(self):
+        """The retired broker fields (request priority, the ack's key,
+        dedup and cached flags, the done's dedup flag) are gone."""
+        request = SolveRequest(id=1, system="mage", problem="p").to_wire()
+        assert set(request) == {
+            "type", "id", "system", "problem", "seed", "stream",
+        }
+        assert set(Ack(id=1).to_wire()) == {"type", "id"}
+        done = Done(id=1, source="", passed=True, score=1.0, seconds=0.0)
+        assert set(done.to_wire()) == {
+            "type", "id", "source", "passed", "score", "seconds", "system",
+            "cached",
+        }
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "ack", "id": 1, "key": "k", "dedup": True},
+            {
+                "type": "request",
+                "id": 2,
+                "system": "mage",
+                "problem": "cb_mux2",
+                "seed": 0,
+                "priority": 5,
+                "stream": True,
+            },
+        ],
+        ids=["ack", "request"],
+    )
+    def test_v3_frame_rejected(self, payload):
+        """A frame in the v3 dialect, priority and dedup fields and all,
+        is refused by version before its fields are read."""
+        assert PROTOCOL_VERSION == 4
+        data = json.dumps({**payload, "v": 3}).encode()
+        stream = io.BytesIO(struct.pack(">I", len(data)) + data)
+        with pytest.raises(ProtocolError, match="version mismatch: got 3"):
             read_frame(stream)
 
     def test_unversioned_frame_rejected(self):

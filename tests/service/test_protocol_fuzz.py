@@ -106,7 +106,7 @@ def check_version_skew(version) -> None:
 def check_round_trip(message: str) -> None:
     """The one dialect round-trips frames losslessly."""
     for frame in (
-        Ack(id=7, cached=True),
+        Ack(id=7),
         ErrorFrame(id=7, message=message),
         ControlRequest(id=9, op="ping"),
         SolveRequest(id=3, system=message or "mage", problem="p", seed=4),
@@ -126,11 +126,11 @@ def _sample_wire() -> bytes:
 
 
 # Only the exact (non-bool) int PROTOCOL_VERSION is a version: the
-# retired dialects 1 and 2 and JSON-representable lookalikes (floats,
+# retired dialects 1 to 3 and JSON-representable lookalikes (floats,
 # bools, strings, containers) must all be refused, typed, without
 # crashing the decoder.
 SKEW_VALUES = [
-    0, 1, 2, 4, 99, -1, None, True, "3", "two", 2.5, 3.0, [3], {"v": 3},
+    0, 1, 2, 3, 5, 99, -1, None, True, "4", "two", 3.5, 4.0, [4], {"v": 4},
 ]
 
 

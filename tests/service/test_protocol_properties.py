@@ -87,18 +87,12 @@ def _random_frame(rng: random.Random):
             system=_random_text(rng, 40),
             problem=_random_text(rng, 40),
             seed=rng.randrange(1 << 16),
-            priority=rng.randint(-5, 5),
             stream=rng.random() < 0.5,
         )
     if kind == 1:
         return ControlRequest(id=rng.randrange(1 << 31), op=_random_text(rng, 12))
     if kind == 2:
-        return Ack(
-            id=rng.randrange(1 << 31),
-            key=_random_text(rng, 60),
-            dedup=rng.random() < 0.5,
-            cached=rng.random() < 0.5,
-        )
+        return Ack(id=rng.randrange(1 << 31))
     if kind == 3:
         return Done(
             id=rng.randrange(1 << 31),
@@ -108,7 +102,6 @@ def _random_frame(rng: random.Random):
             seconds=rng.random() * 100,
             system=_random_text(rng, 30),
             cached=rng.random() < 0.5,
-            dedup=rng.random() < 0.5,
         )
     if kind == 4:
         return ErrorFrame(

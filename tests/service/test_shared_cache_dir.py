@@ -122,7 +122,7 @@ class TestSharedDirectory:
     def test_second_grid_simulates_nothing_through_the_directory(
         self, tmp_path
     ):
-        """Two grids sharing no memory dedup through the directory: B's
+        """Two grids sharing no memory share work through the directory: B's
         candidate and golden simulations are all served by what A
         wrote."""
         directory = str(tmp_path / "sim")
